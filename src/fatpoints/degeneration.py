@@ -27,7 +27,7 @@ from .core import (LinearSystem, expected_dim, format_system, parse_system,
                    virtual_dim)
 from .cremona import Move, is_standard, replay_transcript, standard_reduce
 from .neg_curves import hh_dimension, is_minus_one_special
-from .oracle import DEFAULT_PRIME, dimension_char_p, monomial_count
+from .oracle import DEFAULT_PRIME, check_prime, dimension_char_p, monomial_count
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
 __all__ = [
@@ -445,6 +445,10 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
         return _check_degeneration(node, system, replay_oracle)
     if kind == "rank_oracle":
         sys = _node_system(node, system)
+        try:
+            check_prime(node["prime"])
+        except ValueError as err:
+            raise CertificateError(f"rank oracle leaf: {err}") from None
         if replay_oracle:
             got = dimension_char_p(sys, node["seed"], node["prime"], node["trials"])
             if got != node["ell"]:

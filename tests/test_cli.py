@@ -103,6 +103,12 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle")
         assert code == 2
 
+    @pytest.mark.parametrize("prime", ["32004", "4294967311"])
+    def test_bad_prime(self, capsys, prime):
+        code, out, err = run(capsys, "oracle", "--system", "L(4,2,2)", "--prime", prime)
+        assert code == 2 and out == ""
+        assert "error:" in err and prime in err
+
 
 class TestTableCommand:
     def test_generate_matches_golden(self, capsys):

@@ -181,6 +181,15 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             check_certificate(cert)
 
+    @pytest.mark.parametrize("prime", [32004, 4294967311, "32003"])
+    @pytest.mark.parametrize("replay_oracle", [True, False])
+    def test_oracle_leaf_with_bad_prime_rejected(self, prime, replay_oracle):
+        cert = json.loads(recursive_dim(L("L(19,5,6^9)")).dumps())
+        assert cert["trace"]["kind"] == "rank_oracle"
+        cert["trace"]["prime"] = prime
+        with pytest.raises(CertificateError):
+            check_certificate(cert, replay_oracle)
+
     def test_unknown_has_no_certificate(self):
         lean = Budget(use_oracle=False, scan_depth=0)
         cert = json.loads(recursive_dim(L("L(19,5,6^9)"), lean).dumps())

@@ -1,18 +1,108 @@
 """Rank oracle: matrix build, elimination, dimensions, regularity certificates."""
 
+import json
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fatpoints.core import parse_system
+from fatpoints import oracle
+from fatpoints.core import LinearSystem, parse_system
+from fatpoints.degeneration import check_certificate, recursive_dim
 from fatpoints.neg_curves import hh_dimension
-from fatpoints.oracle import (DEFAULT_PRIME, PrimeFieldMatrix, build_matrix,
-                              certify_regular, condition_count, dimension_char_p,
-                              monomial_count, oracle_report, rank_ff,
-                              trial_dimensions)
+from fatpoints.oracle import (DEFAULT_PRIME, MAX_PRIME, PrimeFieldMatrix, build_matrix,
+                              certify_regular, check_prime, condition_count,
+                              dimension_char_p, monomial_count, monomial_exponents,
+                              oracle_report, rank_ff, trial_dimensions)
+
+BIG_PRIME = 8388593  # the largest prime below 2^23
 
 
 def L(text):
     return parse_system(text)
+
+
+# -- references: the straightforward per-row build and row elimination ---------
+
+
+def _falling(values, k, prime):
+    out = np.ones_like(values)
+    for t in range(k):
+        out = out * np.maximum(values - t, 0) % prime
+    return out
+
+
+def reference_build_matrix(L, points, prime=DEFAULT_PRIME):
+    """One row per derivative (point, order, x-order high to low), built one at a time."""
+    d = L.degree
+    positive = [m for m in L.mults if m > 0]
+    exps = monomial_exponents(d)
+    ax, ay = exps[:, 0], exps[:, 1]
+    data = np.zeros((condition_count(L), len(exps)), dtype=np.int64)
+    row = 0
+    for (x, y), m in zip(points, positive):
+        px = np.ones(d + 1, dtype=np.int64)
+        py = np.ones(d + 1, dtype=np.int64)
+        for t in range(1, d + 1):
+            px[t] = px[t - 1] * x % prime
+            py[t] = py[t - 1] * y % prime
+        for order in range(m):
+            for r in range(order, -1, -1):
+                s = order - r
+                coeff = _falling(ax, r, prime) * _falling(ay, s, prime) % prime
+                vals = coeff * px[np.maximum(ax - r, 0)] % prime * py[np.maximum(ay - s, 0)] % prime
+                vals[(ax < r) | (ay < s)] = 0
+                data[row] = vals
+                row += 1
+    return data
+
+
+def reference_rank(data, p):
+    """Rank over F_p by unblocked row elimination, pivoting on the first nonzero entry."""
+    A = data.copy()
+    rows, cols = A.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        nz = np.nonzero(A[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        r = rank + int(nz[0])
+        if r != rank:
+            A[[rank, r]] = A[[r, rank]]
+        A[rank] = A[rank] * pow(int(A[rank, col]), p - 2, p) % p
+        below = rank + 1 + np.nonzero(A[rank + 1:, col])[0]
+        if below.size:
+            A[below] = (A[below] - A[below, col][:, None] * A[rank][None, :]) % p
+        rank += 1
+    return rank
+
+
+def _low_rank(rng, p, rows, cols, rank):
+    """A rows x cols matrix over F_p of rank at most ``rank``."""
+    left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(rows)],
+                    dtype=np.int64).reshape(rows, rank)
+    right = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rank)],
+                     dtype=np.int64).reshape(rank, cols)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    for j in range(rank):
+        out = (out + left[:, j:j + 1] * right[j:j + 1, :]) % p
+    return out
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    original = oracle.build_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_matrix", counting)
+    return calls
 
 
 class TestBuildMatrix:
@@ -32,6 +122,28 @@ class TestBuildMatrix:
         M = build_matrix(sys, [(i + 1, (i + 3) ** 2 % DEFAULT_PRIME) for i in range(13)])
         assert M.rows == condition_count(sys) and M.cols == monomial_count(sys)
 
+    @pytest.mark.parametrize("name", [
+        "L(1,1)", "L(5,0,6)", "L(8,3,2^4)", "L(10,2,6^3)", "L(13,2,6^5)",
+        "L(17,9,6^6)", "L(21,21,6)", "L(22,7,6^12)", "L(26,13,6^14)", "L(40,27,6^23)",
+    ])
+    def test_identical_to_reference(self, name):
+        sys = L(name)
+        npoints = sum(1 for m in sys.mults if m > 0)
+        points = oracle._sample_points(npoints, random.Random(name), DEFAULT_PRIME)
+        got = build_matrix(sys, points).data
+        want = reference_build_matrix(sys, points)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 8), st.integers(1, 6),
+           st.sampled_from([DEFAULT_PRIME, BIG_PRIME]), st.integers(0, 2**32))
+    def test_identical_to_reference_on_a_grid(self, d, m0, n, m, prime, seed):
+        sys = LinearSystem(d, (min(m0, d),) + (m,) * n)
+        npoints = sum(1 for x in sys.mults if x > 0)
+        points = oracle._sample_points(npoints, random.Random(seed), prime)
+        got = build_matrix(sys, points, prime).data
+        assert got.tobytes() == reference_build_matrix(sys, points, prime).tobytes()
+
     def test_errors(self):
         with pytest.raises(ValueError):
             build_matrix(L("L(2,1,1)"), [(1, 1), (1, 1)], DEFAULT_PRIME)
@@ -39,6 +151,11 @@ class TestBuildMatrix:
             build_matrix(L("L(40,1)"), [(1, 1)], 37)
         with pytest.raises(ValueError):
             build_matrix(L("L(2,1)"), [(1, 1), (2, 2)], DEFAULT_PRIME)
+
+    @pytest.mark.parametrize("prime", [32004, 4294967311, MAX_PRIME + 9, 1, 0, -7, 1.5])
+    def test_bad_prime_rejected(self, prime):
+        with pytest.raises(ValueError):
+            build_matrix(L("L(4,2,2)"), [(1, 2), (3, 4)], prime)
 
 
 class TestRank:
@@ -52,6 +169,61 @@ class TestRank:
             data[i, i + 1] = 1 + i
         M = PrimeFieldMatrix(101, 5, 7, data)
         assert rank_ff(M) == 3
+
+    @pytest.mark.parametrize("p", [101, DEFAULT_PRIME, BIG_PRIME])
+    def test_float_reduction_matches_integer_mod(self, p):
+        rng = random.Random(p)
+        bound = 64 * (p - 1) ** 2
+        values = [rng.randint(-bound, p - 1) for _ in range(2000)]
+        values += [q * p + e for q in range(-(bound // p), bound // p, max(1, bound // p // 500))
+                   for e in (-1, 0, 1)]
+        got = oracle._reduce(np.array(values, dtype=np.float64), p)
+        assert got.tolist() == [float(v % p) for v in values]
+
+    def test_prime_beyond_int64_products_rejected(self):
+        # int64 elimination overflowed here and reported rank 2 for a rank-1 matrix
+        p, a, b, c = 4294967311, 4294967000, 4294960000, 3
+        data = np.array([[a, b], [c * a % p, c * b % p]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            PrimeFieldMatrix(p, 2, 2, data)
+
+    def test_check_prime(self):
+        for good in (2, 101, DEFAULT_PRIME, BIG_PRIME):
+            check_prime(good)
+        for bad in (32004, 9, 1, MAX_PRIME + 9, True, "32003", 32003.0):
+            with pytest.raises(ValueError):
+                check_prime(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([101, DEFAULT_PRIME, BIG_PRIME]), st.integers(1, 150),
+           st.integers(1, 150), st.integers(0, 150), st.integers(0, 2**32))
+    def test_rank_deficient_against_reference(self, p, rows, cols, rank, seed):
+        data = _low_rank(random.Random(seed), p, rows, cols, min(rank, rows, cols))
+        assert rank_ff(PrimeFieldMatrix(p, rows, cols, data)) == reference_rank(data, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200), st.integers(0, 140),
+           st.sets(st.integers(0, 128), max_size=40),
+           st.sampled_from([101, DEFAULT_PRIME, BIG_PRIME]), st.integers(0, 2**32))
+    def test_panel_edges_against_reference(self, cols, rows, rank, zero_cols, p, seed):
+        data = _low_rank(random.Random(seed), p, rows, cols, min(rank, rows, cols))
+        data[:, [c for c in zero_cols if c < cols]] = 0
+        assert rank_ff(PrimeFieldMatrix(p, rows, cols, data)) == reference_rank(data, p)
+
+    def test_tall_and_full_rank(self):
+        rng = random.Random(5)
+        for rows, cols in [(300, 65), (129, 128), (64, 64), (65, 1), (1, 129)]:
+            data = _low_rank(rng, DEFAULT_PRIME, rows, cols, min(rows, cols))
+            M = PrimeFieldMatrix(DEFAULT_PRIME, rows, cols, data)
+            assert rank_ff(M) == reference_rank(data, DEFAULT_PRIME) == min(rows, cols)
+
+    def test_interpolation_matrices_against_reference(self):
+        for name in ["L(10,2,6^3)", "L(22,7,6^12)", "L(21,21,6)", "L(26,13,6^14)"]:
+            sys = L(name)
+            npoints = sum(1 for m in sys.mults if m > 0)
+            points = oracle._sample_points(npoints, random.Random(name), DEFAULT_PRIME)
+            M = build_matrix(sys, points)
+            assert rank_ff(M) == reference_rank(M.data, DEFAULT_PRIME)
 
     def test_high_order_derivative_coefficients(self):
         # orders beyond 20 exercise the modular falling factorials
@@ -79,6 +251,46 @@ class TestDimension:
             sys = L(name)
             ell = hh_dimension(sys).ell
             assert all(t >= ell for t in trial_dimensions(sys))
+
+
+class TestEarlyStop:
+    def test_regular_system_builds_one_matrix(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        assert dimension_char_p(L("L(19,5,6^9)")) == 5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, ell", [("L(10,2,6^3)", 2), ("L(14,5,6^5)", 0)])
+    def test_special_system_runs_every_trial(self, monkeypatch, name, ell):
+        calls = _count_builds(monkeypatch)
+        assert dimension_char_p(L(name)) == ell
+        assert len(calls) == 3
+
+    def test_trial_dimensions_runs_every_trial(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        assert len(trial_dimensions(L("L(19,5,6^9)"), trials=4)) == 4
+        assert len(calls) == 4
+
+    def test_equals_minimum_over_all_trials(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            d = rng.randint(1, 14)
+            sys = LinearSystem(d, (rng.randint(0, d),) + (rng.randint(1, 6),) * rng.randint(0, 5))
+            seed, trials = rng.randint(0, 99), rng.randint(1, 4)
+            assert (dimension_char_p(sys, seed, trials=trials)
+                    == min(trial_dimensions(sys, seed, trials=trials)))
+
+    def test_checker_replay_recomputes_after_prover(self, monkeypatch):
+        verdict = recursive_dim(L("L(19,5,6^9)"))
+        assert verdict.trace["kind"] == "rank_oracle"
+        calls = _count_builds(monkeypatch)
+        check_certificate(json.loads(verdict.dumps()))
+        assert len(calls) == 1
+
+    def test_bad_prime_rejected_before_sampling(self):
+        with pytest.raises(ValueError):
+            dimension_char_p(L("L(4,2,2)"), prime=32004)
+        with pytest.raises(ValueError):
+            trial_dimensions(L("L(1,1^10)"), prime=3)  # 10 points, 4 slots
 
 
 class TestCertifyRegular:
