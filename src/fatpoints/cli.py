@@ -16,7 +16,7 @@ from .cremona import cremona, standard_reduce, transcript_to_jsonl
 from .degeneration import (Budget, CertificateError, check_certificate, degenerate,
                            recursive_dim)
 from .neg_curves import find_splittings, hh_dimension, is_minus_one_special
-from .oracle import DEFAULT_PRIME, oracle_report
+from .oracle import DEFAULT_PRIME, monomial_count, oracle_report
 from .tables import (classification_table, classification_to_csv,
                      classification_to_json, hard_cases_to_csv, verify_table)
 from .verdict import UNKNOWN
@@ -130,6 +130,11 @@ def _cmd_oracle(args) -> int:
         print("error: no system given", file=sys.stderr)
         return 2
     L = _parse(text)
+    cols = monomial_count(L)
+    if cols > Budget.oracle_cols_cap:
+        print(f"error: {L} has {cols} monomials, over the oracle's cap of "
+              f"{Budget.oracle_cols_cap}", file=sys.stderr)
+        return 2
     report = oracle_report(L, args.seed, args.prime, args.trials)
     print(json.dumps(report, indent=None if args.json else 2))
     return 0
@@ -145,7 +150,7 @@ def _cmd_table(args) -> int:
         return 0
     report = verify_table(rows, args.mode, e_limit=args.e_max,
                           d_cap=args.max_degree, prime=args.prime,
-                          seed=args.seed, trials=args.trials, jobs=args.jobs)
+                          seed=args.seed, trials=args.trials)
     for result in report.results:
         status = "ok" if result.passed else "FAIL"
         print(f"{status}  {result.system}  [{len(result.checks)} instances]")
@@ -168,7 +173,7 @@ def _cmd_check_certificate(args) -> int:
         cert = json.load(fh)
     try:
         check_certificate(cert, replay_oracle=not args.no_oracle_replay)
-    except (CertificateError, SystemParseError, KeyError, ValueError) as err:
+    except (CertificateError, SystemParseError, KeyError, TypeError, ValueError) as err:
         print(f"certificate INVALID: {err}", file=sys.stderr)
         return 1
     print(f"certificate OK: {cert['system']} has status "
@@ -245,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--mode", choices=["formula", "hh", "oracle"], default="formula")
     p.add_argument("--max-degree", type=int, default=26)
-    p.add_argument("--jobs", type=int, default=1)
     _common_flags(p, top=False)
     p.set_defaults(func=_cmd_table)
 

@@ -196,7 +196,9 @@ _MAX_REPEAT = 10_000
 
 def parse_system(text: str) -> LinearSystem:
     """Parse the canonical text form; raises :class:`SystemParseError` with position."""
-
+    if not isinstance(text, str):
+        raise SystemParseError(f"expected a system string, got {type(text).__name__}",
+                               repr(text), 0)
     pos = 0
 
     def skip_ws():

@@ -371,6 +371,8 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
     recorded moves, splits and (k, b) choices are replayed and every claimed
     inequality is recomputed.
     """
+    if not isinstance(cert, dict):
+        raise CertificateError(f"a certificate is a JSON object, got {type(cert).__name__}")
     system = parse_system(cert["system"]).normalize()
     status, ell = cert["status"], cert["ell"]
     if status == UNKNOWN:
@@ -395,6 +397,8 @@ def _node_system(node: dict, expect: LinearSystem) -> LinearSystem:
 
 
 def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
+    if not isinstance(node, dict):
+        raise CertificateError(f"a trace node is a JSON object, got {type(node).__name__}")
     kind = node.get("kind")
     if kind == "no_conditions":
         _node_system(node, system)
@@ -449,8 +453,15 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
             check_prime(node["prime"])
         except ValueError as err:
             raise CertificateError(f"rank oracle leaf: {err}") from None
+        trials = node["trials"]
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+            raise CertificateError(f"rank oracle leaf: trials must be an int >= 1, got {trials!r}")
+        cols = monomial_count(sys)
+        if cols > Budget.oracle_cols_cap:
+            raise CertificateError(f"rank oracle leaf: {cols} columns exceed "
+                                   f"the cap of {Budget.oracle_cols_cap}")
         if replay_oracle:
-            got = dimension_char_p(sys, node["seed"], node["prime"], node["trials"])
+            got = dimension_char_p(sys, node["seed"], node["prime"], trials)
             if got != node["ell"]:
                 raise CertificateError(f"oracle replay got {got}, trace says {node['ell']}")
         if node["ell"] != expected_dim(sys):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -254,8 +253,7 @@ def _check_instance(mode: str, sys: LinearSystem, v: int, ell: int, boundary: bo
 
 def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
                  e_limit: int = 4, d_cap: int | None = None,
-                 prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 3,
-                 jobs: int = 1) -> TableReport:
+                 prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 3) -> TableReport:
     """Per-row checks of the v column, the ell column, or both against the oracle.
 
     In oracle mode only instances with degree at most ``d_cap`` are run.
@@ -263,19 +261,8 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
     parameter family) are checked for a strict excess instead of equality.
     """
     results = []
-
-    def check_row(row: ClassificationRow) -> RowResult:
-        instances = list(row.instances(e_limit=e_limit, d_cap=d_cap))
-        if jobs > 1 and mode == "oracle":
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                checks = tuple(pool.map(
-                    lambda inst: _check_instance(mode, *inst, prime, seed, trials),
-                    instances))
-        else:
-            checks = tuple(_check_instance(mode, *inst, prime, seed, trials)
-                           for inst in instances)
-        return RowResult(row.system, mode, all(c.passed for c in checks), checks)
-
     for row in rows:
-        results.append(check_row(row))
+        checks = tuple(_check_instance(mode, *inst, prime, seed, trials)
+                       for inst in row.instances(e_limit=e_limit, d_cap=d_cap))
+        results.append(RowResult(row.system, mode, all(c.passed for c in checks), checks))
     return TableReport(tuple(results))

@@ -1,9 +1,15 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fatpoints
+from fatpoints import oracle
 from fatpoints.cli import main
 from fatpoints.tables import golden_classification_csv
 
@@ -109,6 +115,25 @@ class TestOracleCommand:
         assert code == 2 and out == ""
         assert "error:" in err and prime in err
 
+    def test_over_the_column_cap(self, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("points were sampled")
+
+        monkeypatch.setattr(oracle, "_sample_points", no_sampling)
+        code, out, err = run(capsys, "oracle", "--system", "L(101,1)")  # 5253 monomials
+        assert code == 2 and out == ""
+        assert "error:" in err and "5151" in err
+
+    def test_python_dash_m(self):
+        src = str(Path(fatpoints.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fatpoints", "oracle", "--system", "L(4,2)", "--json"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ell"] == 11
+
 
 class TestTableCommand:
     def test_generate_matches_golden(self, capsys):
@@ -140,3 +165,20 @@ class TestCertificateFlow:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "check-certificate", str(path))
         assert code == 1 and "INVALID" in err
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"system": 5},
+        {"system": "L(19,5,6^9)", "status": "regular", "ell": 5,
+         "trace": {"kind": "rank_oracle", "system": "L(19,5,6^9)", "prime": 32003,
+                   "seed": 0, "trials": "x", "ell": 5, "expected": 5}},
+        {"system": "L(14,0,6^6)", "status": "empty", "ell": -1,
+         "trace": {"kind": "cremona_reduction", "system": "L(14,0,6^6)", "moves": 5,
+                   "final": "L(0)", "leaf": {}}},
+    ], ids=["list", "int-system", "string-trials", "int-moves"])
+    def test_badly_shaped_json(self, capsys, tmp_path, doc):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-certificate", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("certificate INVALID: ")

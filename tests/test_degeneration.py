@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fatpoints import oracle
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.degeneration import (Budget, CertificateError, check_certificate,
                                     degenerate, limit_dimension, limit_value,
@@ -15,6 +16,10 @@ from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
 
 def L(text):
     return parse_system(text)
+
+
+def _no_sampling(*args):
+    raise AssertionError("points were sampled")
 
 
 class TestDegenerate:
@@ -189,6 +194,31 @@ class TestCertificates:
         cert["trace"]["prime"] = prime
         with pytest.raises(CertificateError):
             check_certificate(cert, replay_oracle)
+
+    @pytest.mark.parametrize("trials", ["x", 0, -1, True, 1.5, None])
+    def test_oracle_leaf_with_bad_trials_rejected(self, monkeypatch, trials):
+        cert = json.loads(recursive_dim(L("L(19,5,6^9)")).dumps())
+        cert["trace"]["trials"] = trials
+        monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
+        with pytest.raises(CertificateError, match="trials"):
+            check_certificate(cert)
+
+    def test_oracle_leaf_over_the_column_cap_rejected(self, monkeypatch):
+        sys = L("L(101,1)")  # 5253 monomials, over the default cap of 5151
+        e = expected_dim(sys)
+        leaf = {"kind": "rank_oracle", "system": str(sys), "prime": 32003, "seed": 0,
+                "trials": 3, "ell": e, "expected": e}
+        monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
+        with pytest.raises(CertificateError, match="cap"):
+            check_certificate({"system": str(sys), "status": REGULAR, "ell": e, "trace": leaf})
+
+    @pytest.mark.parametrize("cert", [
+        [], "L(2,1)", {"system": 5, "status": REGULAR, "ell": 4, "trace": {}},
+        {"system": "L(2,1)", "status": REGULAR, "ell": 4, "trace": ["no_conditions"]},
+    ])
+    def test_badly_shaped_certificate_rejected(self, cert):
+        with pytest.raises(ValueError):  # CertificateError or SystemParseError
+            check_certificate(cert)
 
     def test_unknown_has_no_certificate(self):
         lean = Budget(use_oracle=False, scan_depth=0)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints import oracle
@@ -291,6 +291,45 @@ class TestEarlyStop:
             dimension_char_p(L("L(4,2,2)"), prime=32004)
         with pytest.raises(ValueError):
             trial_dimensions(L("L(1,1^10)"), prime=3)  # 10 points, 4 slots
+
+
+class TestHeaviestPointAtOrigin:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10),
+           st.lists(st.integers(0, 13), max_size=6),
+           st.integers(0, 2**32), st.integers(1, 3))
+    @example(6, [0, 2, 3, 0, 1], 0, 3)   # mixed multiplicities and zero slots
+    @example(7, [3, 1, 3, 3], 5, 3)      # a tie for the largest multiplicity
+    @example(3, [6, 2], 1, 2)            # m > d + 1
+    @example(0, [2, 1], 2, 2)            # degree 0
+    @example(5, [4], 3, 3)               # a single point
+    @example(4, [], 4, 2)                # no points
+    @example(4, [0, 0], 4, 2)            # only zero slots
+    def test_trials_match_reference(self, d, mults, seed, trials):
+        sys = LinearSystem(d, tuple(mults))
+        npoints = sum(1 for m in mults if m > 0)
+        want = []
+        for t in range(trials):
+            points = oracle._sample_points(npoints, random.Random(f"fatpoints:{seed}:{t}"),
+                                           DEFAULT_PRIME)
+            data = reference_build_matrix(sys, points)
+            want.append(monomial_count(sys) - 1 - reference_rank(data, DEFAULT_PRIME))
+        assert trial_dimensions(sys, seed, trials=trials) == tuple(want)
+
+    @pytest.mark.parametrize("name, others, shape", [
+        ("L(40,27,6^23)", (6,) * 23, (483, 483)),
+        ("L(22,18,6^4)", (6,) * 4, (84, 105)),
+        ("L(9,2,4,1,4)", (2, 1, 4), (14, 45)),  # the first 4 moves on a tie
+        ("L(3,7,1)", (1,), (1, 0)),             # m > d + 1 leaves no column
+    ])
+    def test_only_the_other_points_are_eliminated(self, monkeypatch, name, others, shape):
+        builds = _count_builds(monkeypatch)
+        shapes = []
+        original = oracle.rank_ff
+        monkeypatch.setattr(oracle, "rank_ff",
+                            lambda M: shapes.append((M.rows, M.cols)) or original(M))
+        trial_dimensions(L(name), trials=1)
+        assert [b.mults for b in builds] == [others] and shapes == [shape]
 
 
 class TestCertifyRegular:
