@@ -15,7 +15,8 @@ functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import groupby, zip_longest
+from operator import mul
 
 __all__ = [
     "LinearSystem",
@@ -58,12 +59,13 @@ class LinearSystem:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self):
-        mults = tuple(int(m) for m in self.mults)
-        object.__setattr__(self, "degree", int(self.degree))
+        mults = tuple(map(int, self.mults))
+        degree = int(self.degree)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "mults", mults)
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if any(m < 0 for m in mults):
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if mults and min(mults) < 0:
             raise ValueError(f"multiplicities must be >= 0, got {mults}")
 
     # -- named slots ------------------------------------------------------
@@ -107,10 +109,12 @@ class LinearSystem:
         The ``p0`` slot is kept (even when zero) so that the distinguished
         point keeps its identity.
         """
-        if not self.mults:
+        mults = self.mults
+        if not mults:
             return self
-        tail = tuple(sorted((m for m in self.tail if m > 0), reverse=True))
-        return LinearSystem(self.degree, (self.mults[0],) + tail)
+        # entries are nonnegative ints, so filter(None, ...) drops exactly the zeros
+        tail = tuple(sorted(filter(None, mults[1:]), reverse=True))
+        return LinearSystem(self.degree, mults[:1] + tail)
 
     def divisor(self) -> "DivisorClass":
         return DivisorClass(self.degree, self.mults)
@@ -135,8 +139,9 @@ class DivisorClass(LinearSystem):
 
 def virtual_dim(L: LinearSystem) -> int:
     """d(d+3)/2 - sum(mi(mi+1)/2): the dimension if all conditions were independent."""
-    d = L.degree
-    return d * (d + 3) // 2 - sum(m * (m + 1) // 2 for m in L.mults)
+    d, mults = L.degree, L.mults
+    # every term d(d+3) and m(m+1) is even, so one halving is exact
+    return (d * (d + 3) - sum(map(mul, mults, mults)) - sum(mults)) // 2
 
 
 def expected_dim(L: LinearSystem) -> int:
@@ -176,19 +181,12 @@ def format_system(L: LinearSystem) -> str:
     The multiplicity at the distinguished point is always printed on its own,
     never merged into a tail group.
     """
-    parts = []
     mults = L.mults
-    if mults:
-        parts.append(str(mults[0]))
-    i = 1
-    while i < len(mults):
-        j = i
-        while j < len(mults) and mults[j] == mults[i]:
-            j += 1
-        count = j - i
-        parts.append(f"{mults[i]}^{count}" if count > 1 else f"{mults[i]}")
-        i = j
-    return f"L({L.degree}{''.join(',' + p for p in parts)})"
+    parts = [f"L({L.degree}", *map(str, mults[:1])]
+    for value, run in groupby(mults[1:]):
+        count = len(list(run))
+        parts.append(f"{value}^{count}" if count > 1 else str(value))
+    return ",".join(parts) + ")"
 
 
 _MAX_REPEAT = 10_000

@@ -132,7 +132,8 @@ def transcript_from_jsonl(text: str) -> tuple[Move, ...]:
 
 def _slots_by_multiplicity(L: LinearSystem) -> list[int]:
     """Slot indices ordered by multiplicity descending, ties by slot index."""
-    return sorted(range(len(L.mults)), key=lambda s: (-L.mults[s], s))
+    # a reversed sort keeps equal keys in their original (ascending) order
+    return sorted(range(len(L.mults)), key=L.mults.__getitem__, reverse=True)
 
 
 def is_standard(L: LinearSystem) -> bool:
@@ -158,25 +159,29 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     """
     moves: list[Move] = []
     cur = L.normalize()
+    text = format_system(cur)
     initial_degree = L.degree
     while True:
-        if any(m > cur.degree for m in cur.mults):
+        mults = cur.mults
+        if mults and max(mults) > cur.degree:
             break
         order = _slots_by_multiplicity(cur)
         if len(order) >= 2:
             a, b = order[0], order[1]
-            if cur.degree - cur.mults[a] - cur.mults[b] < 0 and \
-                    cur.mults[a] >= 1 and cur.mults[b] >= 1 and cur.degree >= 1:
+            if cur.degree - mults[a] - mults[b] < 0 and \
+                    mults[a] >= 1 and mults[b] >= 1 and cur.degree >= 1:
                 nxt = split_fixed_line(cur, a, b).normalize()
-                moves.append(Move("line", (a, b), format_system(cur), format_system(nxt)))
-                cur = nxt
+                after = format_system(nxt)
+                moves.append(Move("line", (a, b), text, after))
+                cur, text = nxt, after
                 continue
         if len(order) >= 3:
             a, b, c = order[0], order[1], order[2]
-            if cur.mults[a] + cur.mults[b] + cur.mults[c] > cur.degree:
+            if mults[a] + mults[b] + mults[c] > cur.degree:
                 nxt = cremona(cur, a, b, c).normalize()
-                moves.append(Move("cremona", (a, b, c), format_system(cur), format_system(nxt)))
-                cur = nxt
+                after = format_system(nxt)
+                moves.append(Move("cremona", (a, b, c), text, after))
+                cur, text = nxt, after
                 continue
         break
     assert len(moves) <= initial_degree + 1, "reduction failed to terminate"
@@ -186,20 +191,19 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
 def replay_transcript(moves: tuple[Move, ...], start: LinearSystem) -> LinearSystem:
     """Re-apply a transcript, checking every recorded step exactly."""
     cur = start.normalize()
+    text = format_system(cur)
     for move in moves:
-        if format_system(cur) != move.before:
-            raise ValueError(f"transcript mismatch: at {cur}, expected {move.before}")
-        if move.kind == "cremona":
+        if text != move.before:
+            raise ValueError(f"transcript mismatch: at {text}, expected {move.before}")
+        if move.kind == "cremona" and len(move.slots) == 3:
             nxt = cremona(cur, *move.slots).normalize()
-        elif move.kind == "line":
+        elif move.kind == "line" and len(move.slots) == 2:
             nxt = split_fixed_line(cur, *move.slots).normalize()
         else:
-            raise ValueError(f"unknown move kind {move.kind!r}")
-        if format_system(nxt) != move.after:
-            raise ValueError(f"transcript mismatch after move {move}: got {nxt}")
+            raise ValueError(f"unknown move kind {move.kind!r} on {len(move.slots)} slots")
+        text = format_system(nxt)
+        if text != move.after:
+            raise ValueError(f"transcript mismatch after move {move}: got {text}")
         cur = nxt
     return cur
 
-
-def replay_jsonl(text: str, start: LinearSystem) -> LinearSystem:
-    return replay_transcript(transcript_from_jsonl(text), start)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (LinearSystem, expected_dim, format_system, parse_system,
+from .core import (LinearSystem, expected_dim, format_system, intersect, parse_system,
                    virtual_dim)
 from .cremona import Move, is_standard, replay_transcript, standard_reduce
 from .neg_curves import hh_dimension, is_minus_one_special
@@ -371,9 +371,12 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
     recorded moves, splits and (k, b) choices are replayed and every claimed
     inequality is recomputed.
     """
-    if not isinstance(cert, dict):
-        raise CertificateError(f"a certificate is a JSON object, got {type(cert).__name__}")
-    system = parse_system(cert["system"]).normalize()
+    _typed(cert, dict, "a certificate")
+    _check_verdict(cert, parse_system(cert["system"]).normalize(), replay_oracle)
+
+
+def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> None:
+    """:func:`check_certificate` on a certificate whose system is parsed already."""
     status, ell = cert["status"], cert["ell"]
     if status == UNKNOWN:
         raise CertificateError("unknown verdicts carry no certificate")
@@ -389,6 +392,25 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
         raise CertificateError("special verdict without excess dimension")
 
 
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` itself when it has the JSON type ``kind``; raises otherwise."""
+    if not isinstance(value, kind):
+        raise CertificateError(f"{what} is {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _moves(raw) -> tuple[Move, ...]:
+    """The recorded reduction moves, each an object with a list of integer slots."""
+    for data in _typed(raw, list, "the move list of a reduction"):
+        slots = _typed(data, dict, "a reduction move")["slots"]
+        for slot in _typed(slots, list, "the slot list of a move"):
+            _typed(slot, int, "a move slot")
+    return tuple(Move.from_json(data) for data in raw)
+
+
 def _node_system(node: dict, expect: LinearSystem) -> LinearSystem:
     sys = parse_system(node["system"]).normalize()
     if sys != expect:
@@ -397,8 +419,7 @@ def _node_system(node: dict, expect: LinearSystem) -> LinearSystem:
 
 
 def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
-    if not isinstance(node, dict):
-        raise CertificateError(f"a trace node is a JSON object, got {type(node).__name__}")
+    _typed(node, dict, "a trace node")
     kind = node.get("kind")
     if kind == "no_conditions":
         _node_system(node, system)
@@ -418,13 +439,17 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
         return _check_removal(node, system)
     if kind == "cremona_reduction":
         _node_system(node, system)
-        moves = tuple(Move.from_json(m) for m in node["moves"])
-        final = replay_transcript(moves, system)
+        moves = _moves(node["moves"])
+        try:
+            final = replay_transcript(moves, system)
+        except ValueError as err:
+            raise CertificateError(f"reduction transcript: {err}") from None
         if format_system(final) != node["final"]:
             raise CertificateError("reduction final system mismatch")
-        leaf = node["leaf"]
-        got = _check_node(leaf, parse_system(leaf["system"]).normalize(), replay_oracle)
-        if parse_system(leaf["system"]).normalize() != final.normalize():
+        leaf = _typed(node["leaf"], dict, "a trace node")
+        leaf_system = parse_system(leaf["system"]).normalize()
+        got = _check_node(leaf, leaf_system, replay_oracle)
+        if leaf_system != final.normalize():
             raise CertificateError("reduction leaf is about the wrong system")
         if got != node["ell"]:
             raise CertificateError("reduction ell mismatch")
@@ -471,15 +496,14 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
 
 
 def _check_removal(node: dict, system: LinearSystem) -> int:
-    from .core import intersect  # local import to keep module top tidy
-
     d = system.degree
     m = list(system.mults)
     max_n = 0
     curves: list[LinearSystem] = []
-    for step in node["steps"]:
+    for step in _typed(node["steps"], list, "the step list of a removal"):
+        _typed(step, dict, "a removal step")
         curve = parse_system(step["curve"])
-        n = step["n"]
+        n = _typed(step["n"], int, "a split multiplicity")
         width = max(len(m), len(curve.mults))
         m += [0] * (width - len(m))
         cur = LinearSystem(d, tuple(m))
@@ -493,8 +517,9 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
         max_n = max(max_n, n)
         curves.append(curve)
     if node.get("rejected"):
-        rej = node["rejected"]
+        rej = _typed(node["rejected"], dict, "a rejected split")
         curve = parse_system(rej["curve"])
+        _typed(rej["n"], int, "a split multiplicity")
         cur = LinearSystem(d, tuple(m))
         if intersect(cur, curve) != -rej["n"] or rej["n"] < 1:
             raise CertificateError("rejected split does not meet the residual negatively")
@@ -524,19 +549,20 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
 
 def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     sys = _node_system(node, system)
-    split = degenerate(sys, node["k"], node["b"])
+    split = degenerate(sys, _typed(node["k"], int, "k"), _typed(node["b"], int, "b"))
     if node["b"] >= len(sys.tail):
         raise CertificateError("degeneration needs b < n")
     expect = {"plane": split.plane, "ruled": split.ruled,
               "plane_kernel": split.plane_kernel, "ruled_kernel": split.ruled_kernel}
-    children = node["children"]
+    children = _typed(node["children"], dict, "the children map of a degeneration")
     ells: dict[str, int] = {}
     status: dict[str, str] = {}
     for name, want in expect.items():
-        child = children[name]
-        if parse_system(child["system"]).normalize() != want.normalize():
+        child = _typed(children[name], dict, "a certificate")
+        child_system = parse_system(child["system"]).normalize()
+        if child_system != want.normalize():
             raise CertificateError(f"degeneration child {name} is about the wrong system")
-        check_certificate(child, replay_oracle)
+        _check_verdict(child, child_system, replay_oracle)
         ells[name] = child["ell"]
         status[name] = child["status"]
     v = virtual_dim(sys)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -202,11 +203,14 @@ def _check_regime(L: LinearSystem, op: str):
         raise ValueError(f"{op} needs tail multiplicity <= 6, got {L}")
 
 
-def _scan_entries(t: int) -> list[CurveCatalogEntry]:
+@lru_cache(maxsize=64)
+def _scan_entries(t: int) -> tuple[CurveCatalogEntry, ...]:
     """Candidate families for a residual with ``t`` tail slots.
 
     Compound configurations come first so that symmetric fixed parts are
-    removed as units, then simple classes by descending degree.
+    removed as units, then simple classes by descending degree.  The result
+    is constant catalog data for each ``t`` (no verdict depends on a cache
+    hit), so it is built once per tail length and kept in a bounded cache.
     """
     compounds = [_bundle(k) for k in range(t, 1, -1)]
     if t >= 3:
@@ -222,7 +226,7 @@ def _scan_entries(t: int) -> list[CurveCatalogEntry]:
     if t >= 1:
         simples.append(_LINE0)
     simples.sort(key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
-    return compounds + simples
+    return tuple(compounds + simples)
 
 
 @dataclass(frozen=True)
@@ -265,6 +269,13 @@ def _line_vec(a: int, b: int, width: int) -> tuple[int, tuple[int, ...]]:
     return 1, tuple(mults)
 
 
+def _fits(entry: CurveCatalogEntry, n: int, d: int, m0: int, low: int) -> bool:
+    """Can ``n`` copies of ``entry`` be subtracted, ``low`` being the least
+    multiplicity among its tail slots?"""
+    return (d - n * entry.degree >= 0 and m0 - n * entry.m0 >= 0
+            and low - n * entry.tail_mult >= 0)
+
+
 def _next_split(d: int, m: list[int], reverse: bool):
     """First applicable split in canonical (or reversed) candidate order.
 
@@ -278,40 +289,43 @@ def _next_split(d: int, m: list[int], reverse: bool):
     entries = _scan_entries(t)
     if reverse:
         entries = entries[::-1]
-    order = sorted(range(1, len(m)), key=lambda s: (-m[s], s))
+    # tail slots by multiplicity descending, ties by slot index (a reversed
+    # sort keeps equal keys in ascending slot order)
+    order = sorted(range(1, len(m)), key=m.__getitem__, reverse=True)
+    vals = [m[s] for s in order]
     width = len(m)
+    m0 = m[0]
     for entry in entries:
         r = entry.tail_points
         if r > t:
             continue
-        slots = order[:r]
+        # the r largest tail values; the smallest of them is vals[r - 1]
+        low = vals[r - 1]
         if entry.kind == "compound":
-            vals = {m[s] for s in slots}
-            if len(vals) != 1:
+            val = vals[0]
+            if low != val:
                 continue
-            val = vals.pop()
             if entry.m0 > 0:  # bundle of lines through p0
-                per = d - m[0] - val
-                cons = [_line_vec(0, s, width) for s in slots]
+                per = d - m0 - val
             else:  # triangle of lines through three points
                 per = d - 2 * val
-                cons = [_line_vec(a, b, width) for a, b in combinations(slots, 2)]
             if per >= 0:
                 continue
             n = -per
-            ok = (d - n * entry.degree >= 0 and m[0] - n * entry.m0 >= 0
-                  and all(m[s] - n * entry.tail_mult >= 0 for s in slots))
-            if not ok:
+            if not _fits(entry, n, d, m0, low):
                 continue  # the unit does not fit; simple classes take over
+            slots = order[:r]
+            if entry.m0 > 0:
+                cons = [_line_vec(0, s, width) for s in slots]
+            else:
+                cons = [_line_vec(a, b, width) for a, b in combinations(slots, 2)]
             return ("apply", cons, n, entry.label)
-        inter = entry.degree * d - entry.m0 * m[0] - entry.tail_mult * sum(m[s] for s in slots)
+        inter = entry.degree * d - entry.m0 * m0 - entry.tail_mult * sum(vals[:r])
         if inter >= 0:
             continue
         n = -inter
-        curve = _aligned(entry, slots, width)
-        ok = (d - n * entry.degree >= 0 and m[0] - n * entry.m0 >= 0
-              and all(m[s] - n * entry.tail_mult >= 0 for s in slots))
-        if not ok:
+        curve = _aligned(entry, order[:r], width)
+        if not _fits(entry, n, d, m0, low):
             # a fixed irreducible curve that cannot be subtracted: the system
             # has no members at all
             return ("reject", curve, n)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; the whole suite is exact (zero tolerance) and self-contained.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -250,3 +251,17 @@ def test_criterion_8_certificate_replay(sweep_verdicts):
            f"all {replayed} emitted traces re-verified with search disabled "
            f"({elapsed:.0f}s); the unbounded-degree statement itself is out of "
            f"desk-scale reach and is covered by criteria 1-7")
+
+
+# sha256 over the criterion-7 box: each verdict's dumps() in fixture order, one
+# per line.  A change that alters a certificate on purpose records the new
+# digest here and says why.
+SWEEP_CERTIFICATES_SHA256 = "1fe715411b9c203e01287586223cb1536d05e06d30ff2a6b82ea0e918161c66b"
+
+
+def test_sweep_certificates_byte_identical(sweep_verdicts):
+    digest = hashlib.sha256()
+    for verdict in sweep_verdicts.values():
+        digest.update(verdict.dumps().encode() + b"\n")
+    assert len(sweep_verdicts) == 1617
+    assert digest.hexdigest() == SWEEP_CERTIFICATES_SHA256

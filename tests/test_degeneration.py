@@ -220,6 +220,35 @@ class TestCertificates:
         with pytest.raises(ValueError):  # CertificateError or SystemParseError
             check_certificate(cert)
 
+    @pytest.mark.parametrize("name,path,value", [
+        ("L(14,0,6^6)", "moves", 5),
+        ("L(14,0,6^6)", "leaf", 5),
+        ("L(14,0,6^6)", "moves.0", 5),
+        ("L(14,0,6^6)", "moves.0.slots", 5),
+        ("L(14,0,6^6)", "moves.0.slots.0", "1"),
+        ("L(14,0,6^6)", "moves.0.slots", [1, 2]),
+        ("L(14,0,6^6)", "moves.0.after", "L(5,1)"),
+        ("L(46,36,6^22)", "leaf.removal", 5),
+        ("L(10,2,6^3)", "steps", 5),
+        ("L(10,2,6^3)", "steps.0", 5),
+        ("L(10,2,6^3)", "steps.0.n", "x"),
+        ("L(10,2,6^3)", "rejected", 5),
+        ("L(21,0,6^10)", "children", 5),
+        ("L(21,0,6^10)", "children.plane", 5),
+        ("L(21,0,6^10)", "k", "5"),
+        ("L(21,0,6^10)", "b", None),
+    ])
+    def test_malformed_field_raises_certificate_error(self, name, path, value):
+        cert = json.loads(recursive_dim(L(name)).dumps())
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = cert["trace"]
+        for key in parents:
+            node = node[key]
+        assert node[last] != value  # the field exists and changes
+        node[last] = value
+        with pytest.raises(CertificateError):
+            check_certificate(cert, replay_oracle=False)
+
     def test_unknown_has_no_certificate(self):
         lean = Budget(use_oracle=False, scan_depth=0)
         cert = json.loads(recursive_dim(L("L(19,5,6^9)"), lean).dumps())

@@ -1,0 +1,298 @@
+"""The prover's arithmetic against its earlier element-by-element forms.
+
+``format_system``, ``normalize``, ``virtual_dim``, the ``LinearSystem``
+constructor, ``standard_reduce`` and the split chain behind ``hh_dimension``
+were rewritten with C-level builtins, a cached scan order and one format per
+reduction state.  The functions below are those earlier forms, kept as
+references: the property tests require equal outputs, equal moves and equal
+exceptions (type and message) on the same inputs.
+"""
+
+from itertools import combinations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fatpoints.core import LinearSystem, format_system, virtual_dim
+from fatpoints.cremona import (Move, _slots_by_multiplicity, cremona, replay_transcript,
+                               split_fixed_line, standard_reduce)
+from fatpoints.neg_curves import (_BIGCURVE, _CONIC, _LINE0, _SEXTIC, _TRIANGLE, _aligned,
+                                  _bundle, _Chain, _line_vec, _next_split, _pencil,
+                                  _split_chain, _Step)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as err:  # the comparison is the test
+        return "raised", type(err), str(err)
+
+
+# -- references: core -----------------------------------------------------------
+
+
+def reference_construct(degree, mults):
+    """``LinearSystem.__post_init__`` as it was: the stored fields, or its error."""
+    mults = tuple(int(m) for m in mults)
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if any(m < 0 for m in mults):
+        raise ValueError(f"multiplicities must be >= 0, got {mults}")
+    return degree, mults
+
+
+def reference_normalize(L):
+    if not L.mults:
+        return L
+    tail = tuple(sorted((m for m in L.tail if m > 0), reverse=True))
+    return LinearSystem(L.degree, (L.mults[0],) + tail)
+
+
+def reference_virtual_dim(L):
+    d = L.degree
+    return d * (d + 3) // 2 - sum(m * (m + 1) // 2 for m in L.mults)
+
+
+def reference_format_system(L):
+    parts = []
+    mults = L.mults
+    if mults:
+        parts.append(str(mults[0]))
+    i = 1
+    while i < len(mults):
+        j = i
+        while j < len(mults) and mults[j] == mults[i]:
+            j += 1
+        count = j - i
+        parts.append(f"{mults[i]}^{count}" if count > 1 else f"{mults[i]}")
+        i = j
+    return f"L({L.degree}{''.join(',' + p for p in parts)})"
+
+
+# -- references: cremona --------------------------------------------------------
+
+
+def reference_slots_by_multiplicity(L):
+    return sorted(range(len(L.mults)), key=lambda s: (-L.mults[s], s))
+
+
+def reference_standard_reduce(L):
+    """``standard_reduce`` as it was: both sides of every move formatted afresh."""
+    moves = []
+    cur = reference_normalize(L)
+    initial_degree = L.degree
+    while True:
+        if any(m > cur.degree for m in cur.mults):
+            break
+        order = reference_slots_by_multiplicity(cur)
+        if len(order) >= 2:
+            a, b = order[0], order[1]
+            if cur.degree - cur.mults[a] - cur.mults[b] < 0 and \
+                    cur.mults[a] >= 1 and cur.mults[b] >= 1 and cur.degree >= 1:
+                nxt = reference_normalize(split_fixed_line(cur, a, b))
+                moves.append(Move("line", (a, b), reference_format_system(cur),
+                                  reference_format_system(nxt)))
+                cur = nxt
+                continue
+        if len(order) >= 3:
+            a, b, c = order[0], order[1], order[2]
+            if cur.mults[a] + cur.mults[b] + cur.mults[c] > cur.degree:
+                nxt = reference_normalize(cremona(cur, a, b, c))
+                moves.append(Move("cremona", (a, b, c), reference_format_system(cur),
+                                  reference_format_system(nxt)))
+                cur = nxt
+                continue
+        break
+    assert len(moves) <= initial_degree + 1, "reduction failed to terminate"
+    return cur, tuple(moves)
+
+
+# -- references: the split chain -----------------------------------------------
+
+
+def reference_scan_entries(t):
+    """``_scan_entries`` as it was: a fresh list on every call."""
+    compounds = [_bundle(k) for k in range(t, 1, -1)]
+    if t >= 3:
+        compounds.append(_TRIANGLE)
+    simples = []
+    if t >= 9:
+        simples.append(_BIGCURVE)
+    if t >= 7:
+        simples.append(_SEXTIC)
+    simples.extend(_pencil(e) for e in range(1, t // 2 + 1))
+    if t >= 5:
+        simples.append(_CONIC)
+    if t >= 1:
+        simples.append(_LINE0)
+    simples.sort(key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
+    return compounds + simples
+
+
+def reference_next_split(d, m, reverse):
+    """``_next_split`` as it was: constituents built before the ``per >= 0`` test."""
+    t = len(m) - 1
+    if t < 1:
+        return None
+    entries = reference_scan_entries(t)
+    if reverse:
+        entries = entries[::-1]
+    order = sorted(range(1, len(m)), key=lambda s: (-m[s], s))
+    width = len(m)
+    for entry in entries:
+        r = entry.tail_points
+        if r > t:
+            continue
+        slots = order[:r]
+        if entry.kind == "compound":
+            vals = {m[s] for s in slots}
+            if len(vals) != 1:
+                continue
+            val = vals.pop()
+            if entry.m0 > 0:
+                per = d - m[0] - val
+                cons = [_line_vec(0, s, width) for s in slots]
+            else:
+                per = d - 2 * val
+                cons = [_line_vec(a, b, width) for a, b in combinations(slots, 2)]
+            if per >= 0:
+                continue
+            n = -per
+            ok = (d - n * entry.degree >= 0 and m[0] - n * entry.m0 >= 0
+                  and all(m[s] - n * entry.tail_mult >= 0 for s in slots))
+            if not ok:
+                continue
+            return ("apply", cons, n, entry.label)
+        inter = entry.degree * d - entry.m0 * m[0] - entry.tail_mult * sum(m[s] for s in slots)
+        if inter >= 0:
+            continue
+        n = -inter
+        curve = _aligned(entry, slots, width)
+        ok = (d - n * entry.degree >= 0 and m[0] - n * entry.m0 >= 0
+              and all(m[s] - n * entry.tail_mult >= 0 for s in slots))
+        if not ok:
+            return ("reject", curve, n)
+        return ("apply", [curve], n, None)
+    return None
+
+
+def reference_split_chain(L, reverse=False):
+    base = reference_normalize(L)
+    d = base.degree
+    m = list(base.mults)
+    steps = []
+    rounds = 0
+    while True:
+        rounds += 1
+        assert rounds <= base.degree + 2, f"splitting of {base} failed to terminate"
+        action = reference_next_split(d, m, reverse)
+        if action is None:
+            return _Chain(base, tuple(steps), (d, tuple(m)), None)
+        if action[0] == "reject":
+            _, curve, n = action
+            return _Chain(base, tuple(steps), None, (curve, n))
+        _, constituents, n, unit = action
+        for cd, cm in constituents:
+            d -= n * cd
+            m = [x - n * y for x, y in zip(m, cm)]
+            steps.append(_Step((cd, cm), n, unit))
+        assert d >= 0 and all(x >= 0 for x in m)
+
+
+# -- strategies -----------------------------------------------------------------
+
+# Any valid system: zeros inside the tail, tails out of order, m > d, no slots.
+systems = st.builds(lambda d, mults: LinearSystem(d, tuple(mults)),
+                    st.integers(0, 40), st.lists(st.integers(0, 45), max_size=12))
+
+# The prover's regime: L(d, m0, m^n) with m <= 6, plus zero slots on request.
+quasi_homogeneous = st.builds(
+    lambda d, m0, m, n, zeros: LinearSystem(d, (m0,) + (m,) * n + (0,) * zeros),
+    st.integers(0, 60), st.integers(0, 60), st.integers(0, 6), st.integers(0, 24),
+    st.integers(0, 2))
+
+raw_numbers = st.one_of(st.integers(-5, 50), st.floats(), st.booleans(),
+                        st.sampled_from(["7", " 3 ", "x", "", None, 2 ** 70]))
+
+EDGE_SYSTEMS = [LinearSystem(0), LinearSystem(0, (0,)), LinearSystem(7, ()),
+                LinearSystem(5, (0, 0, 3, 0, 3)), LinearSystem(3, (9, 1, 4)),
+                LinearSystem(10, (2, 6, 0, 6, 6)), LinearSystem(1, (0, 1)),
+                LinearSystem(12, (12,) + (1,) * 12)]
+
+
+def with_edges(*rest):
+    """Run the test on every edge system too, with ``rest`` as its other arguments."""
+    def decorate(test):
+        for sys in EDGE_SYSTEMS:
+            test = example(sys, *rest)(test)
+        return test
+    return decorate
+
+
+def construct(degree, mults):
+    L = LinearSystem(degree, mults)
+    return L.degree, L.mults
+
+
+# -- properties -----------------------------------------------------------------
+
+
+class TestCoreMatchesReference:
+    @settings(max_examples=500)
+    @given(raw_numbers, st.one_of(st.lists(raw_numbers, max_size=8),
+                                  st.sampled_from([5, None, "123", (1.5, -0.5)])))
+    @example(-1, ())
+    @example(3, (2, -1))
+    @example(3.9, (2.7, 0.2))
+    @example(-0.5, (-0.9,))
+    @example(True, (False, True))
+    @example(4, 5)
+    @example(None, (1,))
+    def test_construction(self, degree, mults):
+        got = outcome(construct, degree, mults)
+        assert got == outcome(reference_construct, degree, mults)
+        if got[0] == "value":
+            assert all(type(x) is int for x in (got[1][0],) + got[1][1])
+
+    @settings(max_examples=500)
+    @given(st.one_of(systems, quasi_homogeneous))
+    @with_edges()
+    def test_format_normalize_virtual_dim(self, sys):
+        assert format_system(sys) == reference_format_system(sys)
+        assert sys.normalize() == reference_normalize(sys)
+        assert virtual_dim(sys) == reference_virtual_dim(sys)
+
+
+class TestCremonaMatchesReference:
+    @settings(max_examples=500)
+    @given(st.one_of(systems, quasi_homogeneous))
+    @with_edges()
+    def test_standard_reduce(self, sys):
+        assert _slots_by_multiplicity(sys) == reference_slots_by_multiplicity(sys)
+        got = outcome(standard_reduce, sys)
+        assert got == outcome(reference_standard_reduce, sys)
+        if got[0] == "value":
+            final, moves = got[1]
+            assert replay_transcript(moves, sys) == final
+
+
+class TestSplitChainMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(systems, quasi_homogeneous), st.booleans())
+    @with_edges(False)
+    @with_edges(True)
+    @example(LinearSystem(21, (0,) + (6,) * 10), False)
+    def test_split_chain(self, sys, reverse):
+        assert outcome(_split_chain, sys, reverse) == outcome(reference_split_chain, sys,
+                                                               reverse)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 40), st.lists(st.integers(0, 14), min_size=1, max_size=14),
+           st.booleans())
+    @example(10, [2, 6, 0, 6], False)
+    @example(0, [0], True)
+    def test_next_split_on_raw_vectors(self, d, m, reverse):
+        assert outcome(_next_split, d, list(m), reverse) == \
+            outcome(reference_next_split, d, list(m), reverse)
