@@ -1,8 +1,7 @@
 """Exact dimension computations for linear systems of plane curves with fat points."""
 
-from .core import (DivisorClass, LinearSystem, SystemParseError, arithmetic_genus,
-                   canonical_intersect, expected_dim, format_system, intersect,
-                   parse_system, virtual_dim)
+from .core import (LinearSystem, SystemParseError, arithmetic_genus, canonical_intersect,
+                   expected_dim, format_system, intersect, parse_system, virtual_dim)
 from .cremona import (Move, NegativeEntryError, NotFixedError, cremona,
                       split_fixed_line, standard_reduce)
 from .degeneration import (Budget, CertificateError, DegenerationSplit,
@@ -20,7 +19,7 @@ from .verdict import DimVerdict
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearSystem", "DivisorClass", "SystemParseError",
+    "LinearSystem", "SystemParseError",
     "virtual_dim", "expected_dim", "intersect", "canonical_intersect",
     "arithmetic_genus", "parse_system", "format_system",
     "cremona", "split_fixed_line", "standard_reduce", "Move",

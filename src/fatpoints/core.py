@@ -4,8 +4,8 @@ A system ``L(d, m0, m1, ..., mn)`` collects the plane curves of degree ``d``
 passing through ``n + 1`` general points with multiplicity at least ``mi`` at
 the i-th point.  The first slot is distinguished: the point ``p0`` may carry a
 multiplicity different from the rest, and several algorithms in this package
-treat it asymmetrically.  The same data read as ``dH - sum(mi * Ei)`` on the
-plane blown up at the base points is a :class:`DivisorClass`; intersection
+treat it asymmetrically.  The same data also stands for the class
+``dH - sum(mi * Ei)`` on the plane blown up at the base points; intersection
 numbers, the canonical pairing and the arithmetic genus are computed from it.
 
 Everything here is exact integer arithmetic on immutable values; all
@@ -20,7 +20,6 @@ from operator import mul
 
 __all__ = [
     "LinearSystem",
-    "DivisorClass",
     "SystemParseError",
     "virtual_dim",
     "expected_dim",
@@ -116,25 +115,11 @@ class LinearSystem:
         tail = tuple(sorted(filter(None, mults[1:]), reverse=True))
         return LinearSystem(self.degree, mults[:1] + tail)
 
-    def divisor(self) -> "DivisorClass":
-        return DivisorClass(self.degree, self.mults)
-
     def __str__(self) -> str:
         return format_system(self)
 
     def __repr__(self) -> str:
         return format_system(self)
-
-
-class DivisorClass(LinearSystem):
-    """The class ``dH - sum(mi * Ei)`` on the blow-up at the base points.
-
-    Same data as :class:`LinearSystem`; this type is used where intersection
-    arithmetic rather than curve counting is meant.
-    """
-
-    def system(self) -> LinearSystem:
-        return LinearSystem(self.degree, self.mults)
 
 
 def virtual_dim(L: LinearSystem) -> int:

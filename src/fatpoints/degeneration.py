@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 from .core import (LinearSystem, expected_dim, format_system, intersect, parse_system,
                    virtual_dim)
-from .cremona import Move, is_standard, replay_transcript, standard_reduce
-from .neg_curves import hh_dimension, is_minus_one_special
+from .cremona import (Move, NegativeEntryError, cremona_vector, is_standard, replay_transcript,
+                      standard_reduce)
+from .neg_curves import hh_dimension, is_minus_one_class, is_minus_one_special
 from .oracle import DEFAULT_PRIME, check_prime, dimension_char_p, monomial_count
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
@@ -372,7 +373,10 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
     inequality is recomputed.
     """
     _typed(cert, dict, "a certificate")
-    _check_verdict(cert, parse_system(cert["system"]).normalize(), replay_oracle)
+    try:
+        _check_verdict(cert, parse_system(cert["system"]).normalize(), replay_oracle)
+    except KeyError as err:
+        raise CertificateError(f"missing field {err}") from None
 
 
 def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> None:
@@ -495,6 +499,38 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     raise CertificateError(f"unknown trace node kind {kind!r}")
 
 
+def _is_minus_one_curve(curve: LinearSystem) -> bool:
+    """True when ``C.C = C.K = -1`` and ``C`` reduces to a line through two points.
+
+    The reduction applies quadratic transformations based on the three
+    largest multiplicities, each of which must lower the degree.  Classes
+    that reduce so are irreducible (-1)-curves on the blow-up at general
+    points (Nagata 1960).
+    """
+    if not is_minus_one_class(curve):  # C.C = -1 and genus 0, i.e. C.K = -1
+        return False
+    d, mults = curve.degree, curve.mults
+    while d > 1:
+        if len(mults) < 3:
+            return False
+        i, j, k = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)[:3]
+        if mults[i] + mults[j] + mults[k] <= d:
+            return False
+        try:
+            d, mults = cremona_vector(d, mults, i, j, k)
+        except NegativeEntryError:
+            return False
+    # degree 1 with C.C = C.K = -1 leaves exactly two multiplicities 1
+    return d == 1
+
+
+def _minus_one_curve(text) -> LinearSystem:
+    curve = parse_system(text)
+    if not _is_minus_one_curve(curve):
+        raise CertificateError(f"{curve} is not a (-1)-curve")
+    return curve
+
+
 def _check_removal(node: dict, system: LinearSystem) -> int:
     d = system.degree
     m = list(system.mults)
@@ -502,7 +538,7 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
     curves: list[LinearSystem] = []
     for step in _typed(node["steps"], list, "the step list of a removal"):
         _typed(step, dict, "a removal step")
-        curve = parse_system(step["curve"])
+        curve = _minus_one_curve(step["curve"])
         n = _typed(step["n"], int, "a split multiplicity")
         width = max(len(m), len(curve.mults))
         m += [0] * (width - len(m))
@@ -518,7 +554,7 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
         curves.append(curve)
     if node.get("rejected"):
         rej = _typed(node["rejected"], dict, "a rejected split")
-        curve = parse_system(rej["curve"])
+        curve = _minus_one_curve(rej["curve"])
         _typed(rej["n"], int, "a split multiplicity")
         cur = LinearSystem(d, tuple(m))
         if intersect(cur, curve) != -rej["n"] or rej["n"] < 1:
@@ -549,8 +585,12 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
 
 def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     sys = _node_system(node, system)
-    split = degenerate(sys, _typed(node["k"], int, "k"), _typed(node["b"], int, "b"))
-    if node["b"] >= len(sys.tail):
+    k, b = _typed(node["k"], int, "k"), _typed(node["b"], int, "b")
+    try:
+        split = degenerate(sys, k, b)
+    except ValueError as err:
+        raise CertificateError(f"degeneration: {err}") from None
+    if b >= len(sys.tail):
         raise CertificateError("degeneration needs b < n")
     expect = {"plane": split.plane, "ruled": split.ruled,
               "plane_kernel": split.plane_kernel, "ruled_kernel": split.ruled_kernel}

@@ -27,8 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .core import (DivisorClass, LinearSystem, arithmetic_genus, format_system,
-                   intersect, virtual_dim)
+from .core import LinearSystem, arithmetic_genus, format_system, intersect, virtual_dim
 from .verdict import EMPTY, REGULAR, SPECIAL, DimVerdict
 
 __all__ = [
@@ -75,7 +74,7 @@ class CurveCatalogEntry:
         return format_system(LinearSystem(
             self.degree, (self.m0,) + (self.tail_mult,) * self.tail_points))
 
-    def instantiate(self, n: int, placement: tuple[int, ...] | None = None) -> DivisorClass:
+    def instantiate(self, n: int, placement: tuple[int, ...] | None = None) -> LinearSystem:
         """The class on ``n`` tail slots; default placement is the first slots."""
         if placement is None:
             placement = tuple(range(self.tail_points))
@@ -86,10 +85,10 @@ class CurveCatalogEntry:
         tail = [0] * n
         for s in placement:
             tail[s] = self.tail_mult
-        return DivisorClass(self.degree, (self.m0,) + tuple(tail))
+        return LinearSystem(self.degree, (self.m0,) + tuple(tail))
 
     def constituents(self, n: int, placement: tuple[int, ...] | None = None
-                     ) -> tuple[DivisorClass, ...]:
+                     ) -> tuple[LinearSystem, ...]:
         """Irreducible pieces: the entry itself, or the lines of a compound."""
         if placement is None:
             placement = tuple(range(self.tail_points))
@@ -138,7 +137,7 @@ def catalog(n: int, mult_cap: int) -> tuple[CurveCatalogEntry, ...]:
     return tuple(e for e in entries if e.tail_mult <= mult_cap)
 
 
-def configuration_total(base: CurveCatalogEntry | LinearSystem, n: int) -> DivisorClass:
+def configuration_total(base: CurveCatalogEntry | LinearSystem, n: int) -> LinearSystem:
     """Sum of the distinct permuted copies of ``base`` over ``n`` tail slots.
 
     ``base`` viewed on ``n`` slots must have exactly two distinct tail values
@@ -152,7 +151,7 @@ def configuration_total(base: CurveCatalogEntry | LinearSystem, n: int) -> Divis
     else:
         if len(base.tail) > n:
             raise ValueError(f"{base} does not fit on {n} tail slots")
-        cls = DivisorClass(base.degree, (base.m0,) + base.tail + (0,) * (n - len(base.tail)))
+        cls = LinearSystem(base.degree, (base.m0,) + base.tail + (0,) * (n - len(base.tail)))
     if not is_minus_one_class(cls):
         raise ValueError(f"{cls} is not a (-1)-class")
     values = sorted(cls.tail, reverse=True)
@@ -167,7 +166,7 @@ def configuration_total(base: CurveCatalogEntry | LinearSystem, n: int) -> Divis
     else:
         raise ValueError(f"tail of {cls} on {n} slots is not a configuration shape")
     per_slot = single + (n - 1) * common
-    total = DivisorClass(n * cls.degree, (n * cls.m0,) + (per_slot,) * n)
+    total = LinearSystem(n * cls.degree, (n * cls.m0,) + (per_slot,) * n)
     # the permuted copies must be pairwise disjoint
     perms = _distinct_single_permutations(cls, n, single, common)
     for a, b in combinations(perms, 2):
@@ -176,13 +175,13 @@ def configuration_total(base: CurveCatalogEntry | LinearSystem, n: int) -> Divis
     return total
 
 
-def _distinct_single_permutations(cls: DivisorClass, n: int, single: int, common: int
-                                  ) -> list[DivisorClass]:
+def _distinct_single_permutations(cls: LinearSystem, n: int, single: int, common: int
+                                  ) -> list[LinearSystem]:
     out = []
     for s in range(n):
         tail = [common] * n
         tail[s] = single
-        out.append(DivisorClass(cls.degree, (cls.m0,) + tuple(tail)))
+        out.append(LinearSystem(cls.degree, (cls.m0,) + tuple(tail)))
     return out
 
 
@@ -190,7 +189,7 @@ def _distinct_single_permutations(cls: DivisorClass, n: int, single: int, common
 
 
 class Splitting(NamedTuple):
-    curve: DivisorClass
+    curve: LinearSystem
     intersection: int
     entry: CurveCatalogEntry
     placement: tuple[int, ...]
@@ -382,7 +381,7 @@ class SplittingWitness:
     """A verified decomposition L = residual + sum(ni * Ai)."""
 
     system: LinearSystem
-    entries: tuple[tuple[DivisorClass, int], ...]
+    entries: tuple[tuple[LinearSystem, int], ...]
     residual: LinearSystem
 
     def __post_init__(self):
@@ -419,7 +418,7 @@ def is_minus_one_special(L: LinearSystem) -> tuple[bool, SplittingWitness | None
         return False, None
     witness = SplittingWitness(
         chain.system,
-        tuple((DivisorClass(s.curve[0], s.curve[1]), s.n) for s in chain.steps),
+        tuple((LinearSystem(s.curve[0], s.curve[1]), s.n) for s in chain.steps),
         residual,
     )
     return True, witness

@@ -15,24 +15,46 @@ down to ``expected_dim(L)``.  This is sound: ``rank <= rows`` and
 which is ``expected_dim``, so no later trial can lower the minimum.
 ``trial_dimensions`` still runs every trial.
 
-Each trial translates its sampled points so that the point of largest
-multiplicity ``m`` (the first on ties) sits at the origin.  A translation is
-an automorphism of the polynomials of degree at most ``d`` and preserves
-multiplicities, so the rank is unchanged.  The derivatives of order below
-``m`` are ``r! s!`` times the Hasse derivatives, and ``r!, s!`` are units
-since ``p > d``, so the conditions "multiplicity at least m" are the same over
-F_p as in characteristic zero.  At the origin the condition of order
-``(r, s)`` is ``r! s!`` times the unit vector of the monomial ``x^r y^s``; the
-point's conditions therefore span exactly the ``t(t+1)/2`` monomials of
-degree below ``t = min(m, d+1)``, and
+Each trial moves its sampled points by a projective map before building the
+matrix.  The three points of largest multiplicity (first on ties, in slot
+order) go to a frame: the heaviest, of multiplicity ``m0``, to the origin
+``[0:0:1]``, the next two, ``m1`` and ``m2``, to the points at infinity
+``[1:0:0]`` and ``[0:1:0]``; the other points are dehomogenised in the chart
+``z = 1``.  A projective map acts invertibly on the forms of degree ``d``
+(the polynomials of degree at most ``d`` in the chart) and preserves
+multiplicities, so the rank of every trial is unchanged; the points are drawn
+exactly as before, so every trial, every dimension and every certificate is
+too.
 
-    rank = t(t+1)/2 + rank(other points' rows, columns of degree >= t only).
+The derivatives of order below ``m`` are ``r! s!`` times the Hasse
+derivatives, and ``r!, s!`` are units since ``p > d``, so the conditions
+"multiplicity at least m" are the same over F_p as in characteristic zero:
+the Hasse derivatives of order below ``m`` vanish.  At the origin of an affine
+chart the Hasse derivative of order ``(r, s)`` is the coefficient of the
+local term of bidegree ``(r, s)``, so each point of the frame imposes unit
+vectors.  At the origin of ``z = 1`` the local polynomial is ``f`` itself and
+the conditions span the monomials ``x^a y^b`` with ``a + b < m0``.  At
+``[1:0:0]``, the origin of the chart ``x = 1``, the local polynomial is
+``sum c_ab y^b z^(d-a-b)``, whose term of ``c_ab`` has degree ``d - a``; the
+conditions span the monomials with ``a > d - m1``.  Likewise at ``[0:1:0]``
+they are those with ``b > d - m2``.
+With ``S`` the union of these three corners of the monomial triangle,
 
-Only that second matrix is built and eliminated.  The heaviest point is the
-one to move because it owns the most conditions: in ``L(d, m0, 6^n)`` with
-``d - m0`` small it holds most of the columns, and ``L(40,27,6^23)`` drops
-from 861 x 861 to 483 x 483.  The points are drawn exactly as before, so
-every trial, every dimension and every certificate is unchanged.
+    rank = |S| + rank(other points' rows, columns outside S only).
+
+Only that second matrix is built and eliminated, and the dimension of the
+trial is ``its columns - 1 - its rank``.  The heaviest points are the ones
+to move because they own the most conditions: in ``L(d, m0, 6^n)`` with
+``d - m0`` small the origin holds most of the columns, and ``L(40,27,6^23)``
+drops from 861 x 861 to 441 x 441.
+
+The map exists when the three heaviest points are not collinear, and it sends
+every other point into the chart when none lies on the line through the two
+points sent to infinity.  Otherwise the trial falls back to translating the
+heaviest point to the origin: the same computation with both corners at
+infinity empty.  For random points over F_p that happens with probability
+about ``n^2 / p``.  With two points there is nothing to check, and with one
+only the origin is used.
 
 The rank is computed by blocked right-looking elimination after FFLAS-FFPACK
 (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Each panel of 64 columns is
@@ -89,7 +111,7 @@ def check_prime(prime) -> None:
         raise ValueError(f"prime must be an integer, got {prime!r}")
     if not 2 <= prime < MAX_PRIME:
         raise ValueError(f"prime {prime} is outside the accepted range 2 <= p < 2^23")
-    if any(prime % q == 0 for q in range(2, isqrt(prime) + 1)):
+    if not all(map(prime.__mod__, range(2, isqrt(prime) + 1))):
         raise ValueError(f"{prime} is not prime")
 
 
@@ -150,14 +172,16 @@ def _check_field(L: LinearSystem, prime: int) -> None:
 
 
 def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
-                 min_degree: int = 0) -> PrimeFieldMatrix:
+                 corners: tuple[int, int, int] | None = None) -> PrimeFieldMatrix:
     """Condition rows (derivatives of order < mi at the i-th point) times monomials.
 
     ``points`` holds one affine pair per positive multiplicity of ``L``, in
     slot order.  Requires ``prime > degree`` and pairwise distinct points.
     Rows run over the points, then the derivative order, then the order of
-    the x-derivative from high to low.  Only the columns of the monomials of
-    degree at least ``min_degree`` are built, in their usual order.
+    the x-derivative from high to low.  With ``corners = (m0, m1, m2)``, the
+    multiplicities at ``[0:0:1]``, ``[1:0:0]`` and ``[0:1:0]``, only the
+    columns of the monomials ``x^a y^b`` with ``a + b >= m0``, ``a <= d - m1``
+    and ``b <= d - m2`` are built, in their usual order.
     """
     _check_field(L, prime)
     d = L.degree
@@ -169,7 +193,11 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
     if len(set(points)) != len(points):
         raise ValueError("duplicate points")
 
-    exps = monomial_exponents(d)[min_degree * (min_degree + 1) // 2:]
+    exps = monomial_exponents(d)
+    if corners is not None:
+        m0, m1, m2 = corners
+        a, b = exps.T
+        exps = exps[(a + b >= m0) & (a <= d - m1) & (b <= d - m2)]
     ax, ay = exps[:, 0], exps[:, 1]
     cols = len(exps)
     rows = condition_count(L)
@@ -292,32 +320,71 @@ def _sample_points(npoints: int, rng: random.Random, prime: int) -> list[tuple[i
     return out
 
 
-def _trials(L: LinearSystem, seed: int, prime: int, trials: int):
-    """Yield the dimension ``cols - 1 - rank`` of each independently seeded trial.
+def _frame_images(frame, points, prime: int) -> list[tuple[int, int]] | None:
+    """Affine images of ``points`` under the map sending ``frame`` to the standard frame.
 
-    The heaviest point is moved to the origin and its conditions are counted
-    without elimination (see the module docstring).
+    The map sends ``frame[0]``, ``frame[1]``, ``frame[2]`` to ``[0:0:1]``,
+    ``[1:0:0]``, ``[0:1:0]``.  In homogeneous coordinates ``P = (x, y, 1)``
+    the image of ``P`` is ``[det(P, Q2, Q0) : det(Q1, P, Q0) : det(Q1, Q2, P)]``
+    for ``frame = (Q0, Q1, Q2)``.  None when the frame points are collinear
+    or some point lies on the line through ``Q1`` and ``Q2``.
     """
+    (x0, y0), (x1, y1), (x2, y2) = frame
+    # each determinant is linear in P: the dot product with a cross product
+    lu = (y2 - y0, x0 - x2, x2 * y0 - x0 * y2)   # Q2 x Q0
+    lv = (y0 - y1, x1 - x0, x0 * y1 - x1 * y0)   # Q0 x Q1
+    lw = (y1 - y2, x2 - x1, x1 * y2 - x2 * y1)   # Q1 x Q2
+    if (x0 * lw[0] + y0 * lw[1] + lw[2]) % prime == 0:
+        return None  # collinear frame
+    out = []
+    for x, y in points:
+        w = (x * lw[0] + y * lw[1] + lw[2]) % prime
+        if w == 0:
+            return None  # on the line sent to infinity
+        inv = pow(w, prime - 2, prime)
+        out.append(((x * lu[0] + y * lu[1] + lu[2]) * inv % prime,
+                    (x * lv[0] + y * lv[1] + lv[2]) * inv % prime))
+    return out
+
+
+def _trial_dimension(degree: int, mults: list[int], points: list[tuple[int, int]],
+                     prime: int) -> int:
+    """``cols - 1 - rank`` for multiplicity ``mults[i] > 0`` at ``points[i]``.
+
+    The three heaviest points go to the projective frame, or the heaviest
+    alone to the origin when the frame is unusable; their conditions are
+    counted without elimination (see the module docstring).
+    """
+    # a reversed sort keeps equal multiplicities in slot order
+    order = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)
+    heavy, others = order[:3], sorted(order[3:])
+    images = []
+    if len(heavy) == 3:
+        images = _frame_images([points[i] for i in heavy],
+                               [points[i] for i in others], prime)
+    if images is None:  # fall back to translating the heaviest point
+        heavy, others = order[:1], sorted(order[1:])
+        x0, y0 = points[heavy[0]]
+        images = [(points[i][0] - x0, points[i][1] - y0) for i in others]
+    corners = tuple(mults[i] for i in heavy) + (0,) * (3 - len(heavy))
+    # module globals on purpose: tracers swap these attributes
+    M = build_matrix(LinearSystem(degree, tuple(mults[i] for i in others)), images,
+                     prime, corners=corners)
+    return M.cols - 1 - rank_ff(M)
+
+
+def _trials(L: LinearSystem, seed: int, prime: int, trials: int):
+    """Yield the dimension ``cols - 1 - rank`` of each independently seeded trial."""
     _check_field(L, prime)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rest = [m for m in L.mults if m > 0]
-    npoints = len(rest)
+    mults = [m for m in L.mults if m > 0]
+    npoints = len(mults)
     if npoints > (prime - 1) ** 2:
         raise ValueError(f"{npoints} distinct points do not fit in F_{prime}^2 minus the axes")
-    heavy = max(range(npoints), key=rest.__getitem__, default=None)  # first on ties
-    t = 0 if heavy is None else min(rest.pop(heavy), L.degree + 1)
-    others = LinearSystem(L.degree, tuple(rest))
-    cols = monomial_count(L)
     for trial in range(trials):
         rng = random.Random(f"fatpoints:{seed}:{trial}")
-        points = _sample_points(npoints, rng, prime)
-        if heavy is not None:
-            x0, y0 = points.pop(heavy)
-            points = [(x - x0, y - y0) for x, y in points]
-        # module globals on purpose: tracers swap these attributes
-        M = build_matrix(others, points, prime, min_degree=t)
-        yield cols - 1 - t * (t + 1) // 2 - rank_ff(M)
+        yield _trial_dimension(L.degree, mults, _sample_points(npoints, rng, prime), prime)
 
 
 def trial_dimensions(L: LinearSystem, seed: int = 0, prime: int = DEFAULT_PRIME,

@@ -182,3 +182,30 @@ class TestCertificateFlow:
         code, out, err = run(capsys, "check-certificate", str(path))
         assert code == 1 and out == ""
         assert err.startswith("certificate INVALID: ")
+
+    @pytest.mark.parametrize("system,edit", [
+        ("L(10,2,6^3)", lambda doc: doc.pop("ell")),
+        ("L(14,0,6^6)", lambda doc: doc["trace"]["moves"][0].pop("slots")),
+        ("L(21,0,6^10)", lambda doc: doc["trace"].update(k=0)),
+        ("L(21,0,6^10)", lambda doc: doc["trace"].update(b=11)),
+    ], ids=["no-ell", "no-slots", "k-out-of-range", "b-out-of-range"])
+    def test_invalid_certificate_exits_1(self, capsys, tmp_path, system, edit):
+        path = tmp_path / "cert.json"
+        run(capsys, "dim", system, "--certificate", str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-certificate", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("certificate INVALID: ")
+
+    def test_forged_curve_exits_1(self, capsys, tmp_path):
+        # L(2,1,1) has dimension 3; L(1,3) is no (-1)-curve
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "system": "L(2,1,1)", "status": "empty", "ell": -1,
+            "trace": {"kind": "fixed_part_removal", "system": "L(2,1,1)", "steps": [],
+                      "rejected": {"curve": "L(1,3)", "n": 1}, "ell": -1}}))
+        code, out, err = run(capsys, "check-certificate", str(path))
+        assert code == 1 and out == ""
+        assert "not a (-1)-curve" in err

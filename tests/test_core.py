@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpoints.core import (DivisorClass, LinearSystem, SystemParseError,
-                            arithmetic_genus, canonical_intersect, expected_dim,
-                            format_system, intersect, parse_system, virtual_dim)
+from fatpoints.core import (LinearSystem, SystemParseError, arithmetic_genus,
+                            canonical_intersect, expected_dim, format_system, intersect,
+                            parse_system, virtual_dim)
 
 
 def L(text):
@@ -101,10 +101,9 @@ class TestFormulaIdentities:
     @given(systems)
     @settings(max_examples=1000)
     def test_adjunction_forms_agree(self, sys):
-        D = sys.divisor()
         v = virtual_dim(sys)
-        assert 2 * v == intersect(D, D) - canonical_intersect(D)
-        assert v == intersect(D, D) - arithmetic_genus(D) + 1
+        assert 2 * v == intersect(sys, sys) - canonical_intersect(sys)
+        assert v == intersect(sys, sys) - arithmetic_genus(sys) + 1
 
     @given(systems)
     def test_appending_zero_point_is_neutral(self, sys):
@@ -135,11 +134,6 @@ class TestLinearSystemType:
         sys = LinearSystem(9, (2, 0, 6, 3, 0))
         assert sys.normalize() == LinearSystem(9, (2, 6, 3))
         assert LinearSystem(9, (0, 6)).normalize() == LinearSystem(9, (0, 6))
-
-    def test_divisor_round_trip(self):
-        sys = L("L(6,3,2^7)")
-        assert isinstance(sys.divisor(), DivisorClass)
-        assert sys.divisor().system() == sys
 
 
 class TestTextForm:

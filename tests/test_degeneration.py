@@ -7,9 +7,10 @@ import pytest
 
 from fatpoints import oracle
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
-from fatpoints.degeneration import (Budget, CertificateError, check_certificate,
-                                    degenerate, limit_dimension, limit_value,
-                                    prove_empty, prove_nonspecial, recursive_dim)
+from fatpoints.degeneration import (Budget, CertificateError, _is_minus_one_curve,
+                                    check_certificate, degenerate, limit_dimension,
+                                    limit_value, prove_empty, prove_nonspecial, recursive_dim)
+from fatpoints.neg_curves import catalog
 from fatpoints.oracle import dimension_char_p
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
 
@@ -249,8 +250,74 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             check_certificate(cert, replay_oracle=False)
 
+    def test_missing_ell_raises_certificate_error(self):
+        cert = json.loads(recursive_dim(L("L(10,2,6^3)")).dumps())
+        del cert["ell"]
+        with pytest.raises(CertificateError, match="ell"):
+            check_certificate(cert)
+
+    def test_move_without_slots_raises_certificate_error(self):
+        cert = json.loads(recursive_dim(L("L(14,0,6^6)")).dumps())
+        del cert["trace"]["moves"][0]["slots"]
+        with pytest.raises(CertificateError, match="slots"):
+            check_certificate(cert)
+
+    @pytest.mark.parametrize("field,value", [("k", 0), ("k", 21), ("b", -1), ("b", 11)])
+    def test_out_of_range_k_or_b_raises_certificate_error(self, field, value):
+        cert = json.loads(recursive_dim(L("L(21,0,6^10)")).dumps())
+        assert cert["trace"]["kind"] == "degeneration"
+        cert["trace"][field] = value
+        with pytest.raises(CertificateError, match=f"need .*{field}"):
+            check_certificate(cert, replay_oracle=False)
+
     def test_unknown_has_no_certificate(self):
         lean = Budget(use_oracle=False, scan_depth=0)
         cert = json.loads(recursive_dim(L("L(19,5,6^9)"), lean).dumps())
         with pytest.raises(CertificateError):
             check_certificate(cert)
+
+
+# L(2,1,1) has dimension 3; L(1,3) meets it in -1 but is no curve (C.C = -8).
+FORGED_REJECTED_SPLIT = {
+    "system": "L(2,1,1)", "status": "empty", "ell": -1,
+    "trace": {"kind": "fixed_part_removal", "system": "L(2,1,1)", "steps": [],
+              "rejected": {"curve": "L(1,3)", "n": 1}, "ell": -1}}
+
+# L(3,3,2) has dimension 1; the "line" L(1,0,2) with a double point is no curve.
+FORGED_SPLIT_STEP = {
+    "system": "L(3,3,2)", "status": "empty", "ell": -1,
+    "trace": {"kind": "fixed_part_removal", "system": "L(3,3,2)",
+              "steps": [{"curve": "L(1,0,2)", "n": 1}], "residual": "L(2,3)", "ell": -1}}
+
+
+class TestMinusOneCurves:
+    @pytest.mark.parametrize("cert", [FORGED_REJECTED_SPLIT, FORGED_SPLIT_STEP],
+                             ids=["rejected", "step"])
+    def test_forged_curve_rejected(self, cert):
+        assert dimension_char_p(L(cert["system"])) > -1
+        with pytest.raises(CertificateError, match="not a \\(-1\\)-curve"):
+            check_certificate(cert)
+
+    @pytest.mark.parametrize("name", [
+        "L(1,1,1)", "L(1,0,1^2)", "L(2,0,1^5)", "L(3,2,1^6)", "L(6,3,2^7)",
+        "L(12,8,3^9)", "L(1,0,0,1,0,1)", "L(5,2^6,1^2)",
+    ])
+    def test_minus_one_curves_accepted(self, name):
+        assert _is_minus_one_curve(L(name))
+
+    @pytest.mark.parametrize("name", [
+        "L(1,3)",          # C.C = -8
+        "L(1,0,2)",        # C.C = -3
+        "L(1,1)",          # C.C = 0
+        "L(0,1)",          # -E: C.C = -1 but C.K = 1
+        "L(3,1^10)",       # C.C = -1 but C.K = 1
+        "L(3,2,1^4)",      # C.C = -1, C.K = -5
+        "L(4,2^4,1)",      # C.C = -1, C.K = -3
+    ])
+    def test_other_classes_rejected(self, name):
+        assert not _is_minus_one_curve(L(name))
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 14])
+    def test_catalog_constituents_accepted(self, n):
+        pieces = [c for entry in catalog(n, 3) for c in entry.constituents(n)]
+        assert pieces and all(_is_minus_one_curve(c) for c in pieces)

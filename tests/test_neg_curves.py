@@ -5,8 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from fatpoints.core import (DivisorClass, LinearSystem, expected_dim, intersect,
-                            parse_system, virtual_dim)
+from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.neg_curves import (SplittingWitness, _split_chain, catalog,
                                   configuration_total, find_splittings,
                                   generate_classification, hh_dimension,
@@ -68,11 +67,11 @@ class TestCatalog:
 
 class TestConfigurationTotal:
     def test_lines_through_p0(self):
-        assert configuration_total(L("L(1,1,1)"), 4) == DivisorClass(4, (4, 1, 1, 1, 1))
-        assert configuration_total(L("L(1,1,1)"), 2) == DivisorClass(2, (2, 1, 1))
+        assert configuration_total(L("L(1,1,1)"), 4) == LinearSystem(4, (4, 1, 1, 1, 1))
+        assert configuration_total(L("L(1,1,1)"), 2) == LinearSystem(2, (2, 1, 1))
 
     def test_triangle(self):
-        assert configuration_total(L("L(1,0,1^2)"), 3) == DivisorClass(3, (0, 2, 2, 2))
+        assert configuration_total(L("L(1,0,1^2)"), 3) == LinearSystem(3, (0, 2, 2, 2))
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError):

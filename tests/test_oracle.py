@@ -1,5 +1,6 @@
 """Rank oracle: matrix build, elimination, dimensions, regularity certificates."""
 
+import hashlib
 import json
 import random
 
@@ -16,8 +17,14 @@ from fatpoints.oracle import (DEFAULT_PRIME, MAX_PRIME, PrimeFieldMatrix, build_
                               certify_regular, check_prime, condition_count,
                               dimension_char_p, monomial_count, monomial_exponents,
                               oracle_report, rank_ff, trial_dimensions)
+from fatpoints.tables import classification_table
 
 BIG_PRIME = 8388593  # the largest prime below 2^23
+
+# sha256 of "<system> <trial_dimensions(system, 0)>" lines over the 272
+# classification-table instances with d <= 22, recorded before the rank
+# oracle moved its points to a projective frame.
+TABLE_TRIALS_SHA256 = "2fa87c67d213f8719af164a13913dd2a1f0e216e1590690487af67a6b2126716"
 
 
 def L(text):
@@ -305,6 +312,13 @@ class TestHeaviestPointAtOrigin:
     @example(5, [4], 3, 3)               # a single point
     @example(4, [], 4, 2)                # no points
     @example(4, [0, 0], 4, 2)            # only zero slots
+    @example(8, [3, 3, 3, 2, 1], 1, 3)   # a tie among the three heaviest
+    @example(8, [2, 4, 3, 4, 3], 6, 3)   # ties for the second and third place
+    @example(4, [7, 6, 1, 2], 2, 2)      # m > d + 1 at [1:0:0]
+    @example(5, [7, 7, 8, 1], 3, 2)      # m > d + 1 at all three vertices
+    @example(22, [18, 6, 6, 6, 6], 0, 2)  # corners that overlap, L(22,18,6^4)
+    @example(6, [3, 4], 2, 3)            # exactly two points
+    @example(7, [2, 5, 3], 4, 3)         # exactly three points
     def test_trials_match_reference(self, d, mults, seed, trials):
         sys = LinearSystem(d, tuple(mults))
         npoints = sum(1 for m in mults if m > 0)
@@ -317,10 +331,10 @@ class TestHeaviestPointAtOrigin:
         assert trial_dimensions(sys, seed, trials=trials) == tuple(want)
 
     @pytest.mark.parametrize("name, others, shape", [
-        ("L(40,27,6^23)", (6,) * 23, (483, 483)),
-        ("L(22,18,6^4)", (6,) * 4, (84, 105)),
-        ("L(9,2,4,1,4)", (2, 1, 4), (14, 45)),  # the first 4 moves on a tie
-        ("L(3,7,1)", (1,), (1, 0)),             # m > d + 1 leaves no column
+        ("L(40,27,6^23)", (6,) * 21, (441, 441)),
+        ("L(22,18,6^4)", (6,) * 2, (42, 65)),
+        ("L(9,2,4,1,4)", (1,), (1, 32)),  # the first 4 goes to the origin on a tie
+        ("L(3,7,1)", (), (0, 0)),         # m > d + 1 leaves no column
     ])
     def test_only_the_other_points_are_eliminated(self, monkeypatch, name, others, shape):
         builds = _count_builds(monkeypatch)
@@ -330,6 +344,49 @@ class TestHeaviestPointAtOrigin:
                             lambda M: shapes.append((M.rows, M.cols)) or original(M))
         trial_dimensions(L(name), trials=1)
         assert [b.mults for b in builds] == [others] and shapes == [shape]
+
+
+class TestProjectiveFrame:
+    def _check(self, monkeypatch, d, mults, points, others):
+        """The trial on hand-picked points equals the reference; ``others`` were eliminated."""
+        builds = _count_builds(monkeypatch)
+        sys = LinearSystem(d, tuple(mults))
+        want = monomial_count(sys) - 1 - reference_rank(reference_build_matrix(sys, points),
+                                                        DEFAULT_PRIME)
+        assert oracle._trial_dimension(d, mults, points, DEFAULT_PRIME) == want
+        assert [b.mults for b in builds] == [others]
+
+    def test_frame_in_general_position(self, monkeypatch):
+        self._check(monkeypatch, 9, [4, 3, 2, 2, 1],
+                    [(7, 1), (1, 2), (3, 5), (2, 9), (11, 4)], (2, 1))
+
+    def test_collinear_heaviest_points_fall_back(self, monkeypatch):
+        # (1,1), (2,2), (3,3) lie on the diagonal
+        self._check(monkeypatch, 9, [4, 3, 3, 2, 2],
+                    [(1, 1), (2, 2), (3, 3), (5, 1), (1, 7)], (3, 3, 2, 2))
+
+    def test_collinear_three_points_fall_back(self, monkeypatch):
+        self._check(monkeypatch, 5, [2, 3, 2], [(4, 2), (1, 1), (7, 3)], (2, 2))
+
+    def test_point_on_the_line_at_infinity_falls_back(self, monkeypatch):
+        # (1,2), (3,5), (5,8) lie on one line; the first two go to infinity
+        self._check(monkeypatch, 9, [4, 3, 3, 2, 1],
+                    [(7, 1), (1, 2), (3, 5), (5, 8), (2, 9)], (3, 3, 2, 1))
+
+    def test_collinearity_is_taken_mod_p(self, monkeypatch):
+        # (0, p + 1) is (0, 1) mod p, on the line through (1, 2) and (2, 3)
+        self._check(monkeypatch, 8, [3, 2, 2, 1],
+                    [(5, 9), (1, 2), (2, 3), (0, DEFAULT_PRIME + 1)], (2, 2, 1))
+
+    def test_table_trials_unchanged(self):
+        digest = hashlib.sha256()
+        count = 0
+        for row in classification_table(4):
+            for sys, *_ in row.instances(e_limit=4, d_cap=22):
+                digest.update(f"{sys} {trial_dimensions(sys, 0)}\n".encode())
+                count += 1
+        assert count == 272
+        assert digest.hexdigest() == TABLE_TRIALS_SHA256
 
 
 class TestCertifyRegular:
