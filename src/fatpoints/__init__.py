@@ -5,14 +5,11 @@ from .core import (LinearSystem, SystemParseError, arithmetic_genus, canonical_i
 from .cremona import (Move, NegativeEntryError, NotFixedError, cremona,
                       split_fixed_line, standard_reduce)
 from .degeneration import (Budget, CertificateError, DegenerationSplit,
-                           check_certificate, degenerate, limit_dimension,
-                           prove_empty, prove_nonspecial, recursive_dim)
+                           check_certificate, degenerate, recursive_dim)
 from .neg_curves import (ClassificationRow, CurveCatalogEntry, SplittingWitness,
-                         catalog, configuration_total, find_splittings,
-                         generate_classification, hh_dimension, is_minus_one_class,
-                         is_minus_one_special)
-from .oracle import (DEFAULT_PRIME, PrimeFieldMatrix, build_matrix, certify_regular,
-                     dimension_char_p, rank_ff)
+                         catalog, find_splittings, generate_classification, hh_dimension,
+                         is_minus_one_class, is_minus_one_special)
+from .oracle import DEFAULT_PRIME, PrimeFieldMatrix, build_matrix, dimension_char_p, rank_ff
 from .tables import classification_table, known_hard_cases, verify_table
 from .verdict import DimVerdict
 
@@ -24,13 +21,12 @@ __all__ = [
     "arithmetic_genus", "parse_system", "format_system",
     "cremona", "split_fixed_line", "standard_reduce", "Move",
     "NegativeEntryError", "NotFixedError",
-    "catalog", "CurveCatalogEntry", "configuration_total", "find_splittings",
+    "catalog", "CurveCatalogEntry", "find_splittings",
     "is_minus_one_class", "is_minus_one_special", "hh_dimension",
     "generate_classification", "ClassificationRow", "SplittingWitness",
-    "degenerate", "DegenerationSplit", "limit_dimension", "prove_empty",
-    "prove_nonspecial", "recursive_dim", "Budget", "check_certificate",
+    "degenerate", "DegenerationSplit", "recursive_dim", "Budget", "check_certificate",
     "CertificateError", "DimVerdict",
-    "build_matrix", "rank_ff", "dimension_char_p", "certify_regular",
+    "build_matrix", "rank_ff", "dimension_char_p",
     "PrimeFieldMatrix", "DEFAULT_PRIME",
     "classification_table", "known_hard_cases", "verify_table",
 ]

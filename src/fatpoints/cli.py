@@ -16,7 +16,7 @@ from .cremona import cremona, standard_reduce, transcript_to_jsonl
 from .degeneration import (Budget, CertificateError, check_certificate, degenerate,
                            recursive_dim)
 from .neg_curves import find_splittings, hh_dimension, is_minus_one_special
-from .oracle import DEFAULT_PRIME, monomial_count, oracle_report
+from .oracle import DEFAULT_PRIME, ORACLE_COLS_CAP, monomial_count, oracle_report
 from .tables import (classification_table, classification_to_csv,
                      classification_to_json, hard_cases_to_csv, verify_table)
 from .verdict import UNKNOWN
@@ -131,9 +131,9 @@ def _cmd_oracle(args) -> int:
         return 2
     L = _parse(text)
     cols = monomial_count(L)
-    if cols > Budget.oracle_cols_cap:
+    if cols > ORACLE_COLS_CAP:
         print(f"error: {L} has {cols} monomials, over the oracle's cap of "
-              f"{Budget.oracle_cols_cap}", file=sys.stderr)
+              f"{ORACLE_COLS_CAP}", file=sys.stderr)
         return 2
     report = oracle_report(L, args.seed, args.prime, args.trials)
     print(json.dumps(report, indent=None if args.json else 2))

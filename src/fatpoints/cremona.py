@@ -30,7 +30,6 @@ __all__ = [
     "is_standard",
     "replay_transcript",
     "transcript_to_jsonl",
-    "transcript_from_jsonl",
 ]
 
 
@@ -123,11 +122,6 @@ class Move:
 
 def transcript_to_jsonl(moves: tuple[Move, ...]) -> str:
     return "\n".join(json.dumps(m.to_json(), separators=(",", ":")) for m in moves)
-
-
-def transcript_from_jsonl(text: str) -> tuple[Move, ...]:
-    return tuple(Move.from_json(json.loads(line))
-                 for line in text.splitlines() if line.strip())
 
 
 def _slots_by_multiplicity(L: LinearSystem) -> list[int]:

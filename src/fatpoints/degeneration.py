@@ -10,35 +10,38 @@ system restricts to four numerical systems::
     plane_kernel  L(d-k-1, m0,    m^(n-b))
     ruled_kernel  L(d,     d-k+1, m^b)
 
-``limit_dimension`` combines their four dimensions into the dimension of the
+``limit_value`` combines their four dimensions into the dimension of the
 limit, which by semicontinuity bounds the dimension of the original system
-from above.  Two sufficient criteria follow: one proving emptiness (for
-systems with negative virtual dimension) and one proving non-speciality.
-``recursive_dim`` chains these with the speciality classifier, reduction to
-standard form, small base cases, and a finite-field rank fallback; every
-verdict carries a trace that ``check_certificate`` replays without search.
+from above.  Two sufficient criteria follow, both decided by
+``criterion_failure``: one proving emptiness (for systems with negative
+virtual dimension) and one proving non-speciality.  ``recursive_dim`` chains
+these with the speciality classifier, reduction to standard form, small base
+cases, and a finite-field rank fallback; every verdict carries a trace that
+``check_certificate`` replays without search, calling the same criterion and
+the same split arithmetic as the prover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (LinearSystem, expected_dim, format_system, intersect, parse_system,
-                   virtual_dim)
+from .core import (LinearSystem, SystemParseError, expected_dim, format_system, intersect,
+                   parse_system, virtual_dim)
 from .cremona import (Move, NegativeEntryError, cremona_vector, is_standard, replay_transcript,
                       standard_reduce)
-from .neg_curves import hh_dimension, is_minus_one_class, is_minus_one_special
-from .oracle import DEFAULT_PRIME, check_prime, dimension_char_p, monomial_count
+from .neg_curves import (check_regime, hh_dimension, is_minus_one_class, speciality_failure,
+                         split_off)
+from .oracle import (DEFAULT_PRIME, ORACLE_COLS_CAP, check_prime, dimension_char_p,
+                     monomial_count)
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
 __all__ = [
     "DegenerationSplit",
     "Budget",
     "CertificateError",
+    "criterion_failure",
     "degenerate",
-    "limit_dimension",
-    "prove_empty",
-    "prove_nonspecial",
+    "limit_value",
     "recursive_dim",
     "check_certificate",
 ]
@@ -69,6 +72,11 @@ class DegenerationSplit:
     @property
     def v_ruled_kernel(self) -> int:
         return virtual_dim(self.ruled_kernel)
+
+    def parts(self) -> dict[str, LinearSystem]:
+        """The four restricted systems by name, in the order the prover solves them."""
+        return {"plane": self.plane, "ruled": self.ruled,
+                "plane_kernel": self.plane_kernel, "ruled_kernel": self.ruled_kernel}
 
 
 def degenerate(L: LinearSystem, k: int, b: int) -> DegenerationSplit:
@@ -114,10 +122,49 @@ def limit_value(d_minus_k: int, ell_plane: int, ell_ruled: int,
     return ell_plane + ell_ruled - d_minus_k
 
 
-def limit_dimension(split: DegenerationSplit, ell_plane: int, ell_ruled: int,
-                    ell_plane_kernel: int, ell_ruled_kernel: int) -> int:
-    return limit_value(split.base.degree - split.k, ell_plane, ell_ruled,
-                       ell_plane_kernel, ell_ruled_kernel)
+_NONSPECIAL = (REGULAR, EMPTY)
+
+
+def criterion_failure(rule: str, split: DegenerationSplit, v: int,
+                      children: dict[str, tuple[str, int | None]]) -> str | None:
+    """Why ``split`` does not prove ``rule`` for its base system, or None when it does.
+
+    ``v`` is the virtual dimension of the base system and ``children`` maps
+    each name of :meth:`DegenerationSplit.parts` to that system's certified
+    ``(status, ell)``.  Both rules need non-special restrictions.
+
+    * ``empty`` proves ell = -1: v <= -1, both kernels empty, and
+      v(plane_kernel) <= v.
+    * ``nonspecial`` proves ell = expected: v >= -1, restrictions with
+      v >= -1, and ell(plane_kernel) + ell(ruled_kernel) <= v - 1.
+    """
+    if children["plane"][0] not in _NONSPECIAL or children["ruled"][0] not in _NONSPECIAL:
+        return "restrictions must be certified non-special"
+    (pk_status, pk_ell), (rk_status, rk_ell) = children["plane_kernel"], children["ruled_kernel"]
+    if rule == "empty":
+        if v > -1:
+            return "emptiness rule needs v <= -1"
+        if pk_status != EMPTY or rk_status != EMPTY:
+            return "emptiness rule needs empty kernels"
+        if split.v_plane_kernel > v:
+            return "emptiness rule needs v(plane_kernel) <= v"
+        return None
+    if rule == "nonspecial":
+        if v < -1:
+            return "non-speciality rule needs v >= -1"
+        if split.v_plane < -1 or split.v_ruled < -1:
+            return "non-speciality rule needs restriction v >= -1"
+        if UNKNOWN in (pk_status, rk_status):
+            return "non-speciality rule needs certified kernels"
+        if pk_ell + rk_ell > v - 1:
+            return "kernels too large for the non-speciality rule"
+        return None
+    return f"unknown degeneration rule {rule!r}"
+
+
+def _proved_ell(rule: str, L: LinearSystem) -> int:
+    """The dimension that a criterion which holds proves for ``L``."""
+    return -1 if rule == "empty" else expected_dim(L)
 
 
 # -- recursive prover ---------------------------------------------------------
@@ -129,20 +176,29 @@ class Budget:
 
     max_depth: int = 4
     scan_depth: int = 2          # degeneration scans allowed at depth < scan_depth
-    max_scan_b: int = 24         # b values tried per (system, k)
     use_oracle: bool = True
-    oracle_cols_cap: int = 5151  # (d+1)(d+2)/2 cap for the rank fallback
     prime: int = DEFAULT_PRIME
     seed: int = 0
     trials: int = 3
     max_nodes: int = 50_000
 
 
+_MAX_SCAN_B = 24  # b values tried per (system, k)
+
+
 class _Ctx:
     def __init__(self, budget: Budget):
         self.budget = budget
         self.memo: dict[LinearSystem, DimVerdict] = {}
+        self.removals: dict[LinearSystem, DimVerdict] = {}
         self.nodes = 0
+
+    def removal(self, L: LinearSystem) -> DimVerdict:
+        """``hh_dimension(L)``, computed once per run."""
+        hit = self.removals.get(L)
+        if hit is None:
+            hit = self.removals[L] = hh_dimension(L)
+        return hit
 
 
 def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
@@ -155,12 +211,8 @@ def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
     finite-field rank oracle under the size cap.  Anything else is Unknown;
     a verdict is never guessed.
     """
-    base = L.normalize()
-    if not base.is_quasi_homogeneous():
-        raise ValueError(f"recursive_dim needs a quasi-homogeneous system, got {L}")
-    if base.tail and base.tail_multiplicity() > 6:
-        raise ValueError(f"recursive_dim needs tail multiplicity <= 6, got {L}")
-    return _solve(base, _Ctx(budget or Budget()), 0)
+    check_regime(L, "recursive_dim")
+    return _solve(L.normalize(), _Ctx(budget or Budget()), 0)
 
 
 def _solve(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
@@ -188,7 +240,7 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
                           {"kind": "multiplicity_exceeds_degree", "system": str(L),
                            "ell": -1})
 
-    removal = hh_dimension(L)
+    removal = ctx.removal(L)
     if removal.status == SPECIAL:
         return DimVerdict(SPECIAL, removal.ell, L, removal.trace)
 
@@ -201,7 +253,7 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
         if found is not None:
             return found
 
-    if ctx.budget.use_oracle and monomial_count(L) <= ctx.budget.oracle_cols_cap:
+    if ctx.budget.use_oracle and monomial_count(L) <= ORACLE_COLS_CAP:
         b = ctx.budget
         ell = dimension_char_p(L, b.seed, b.prime, b.trials)
         e = expected_dim(L)
@@ -254,108 +306,47 @@ def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | 
     n = len(L.tail)
     d = L.degree
     v = virtual_dim(L)
+    rules = [rule for rule, applies in (("empty", v <= -1), ("nonspecial", v >= -1)) if applies]
     for k in (5, 6):
         if not 1 <= k < d:
             continue
         b0 = min(n, (2 * d) // 7)
         candidates = list(range(b0, -1, -1)) + list(range(b0 + 1, n))
-        candidates = [b for b in candidates if 0 <= b < n][:ctx.budget.max_scan_b]
+        candidates = [b for b in candidates if 0 <= b < n][:_MAX_SCAN_B]
         for b in candidates:
-            if v <= -1:
-                node = _try_empty(L, k, b, ctx, depth)
+            for rule in rules:
+                node = _try(L, k, b, rule, ctx, depth)
                 if node is not None:
-                    return DimVerdict(EMPTY, -1, L, node)
-            if v >= -1:
-                node = _try_nonspecial(L, k, b, ctx, depth)
-                if node is not None:
-                    return DimVerdict(REGULAR, expected_dim(L), L, node)
+                    return DimVerdict(EMPTY if rule == "empty" else REGULAR, node["ell"], L, node)
     return None
 
 
-def _child_verdicts(split: DegenerationSplit, ctx: _Ctx, depth: int
-                    ) -> dict[str, DimVerdict]:
-    return {
-        "plane": _solve(split.plane, ctx, depth + 1),
-        "ruled": _solve(split.ruled, ctx, depth + 1),
-        "plane_kernel": _solve(split.plane_kernel, ctx, depth + 1),
-        "ruled_kernel": _solve(split.ruled_kernel, ctx, depth + 1),
-    }
+def _try(L: LinearSystem, k: int, b: int, rule: str, ctx: _Ctx, depth: int) -> dict | None:
+    """The node proving ``rule`` for ``L`` by the (k, b)-degeneration, or None.
 
-
-def _degeneration_node(L, split, rule, children, ell) -> dict:
-    return {"kind": "degeneration", "system": str(L), "k": split.k, "b": split.b,
-            "rule": rule, "ell": ell,
-            "children": {name: v.to_json() for name, v in children.items()}}
-
-
-def _try_empty(L: LinearSystem, k: int, b: int, ctx: _Ctx, depth: int) -> dict | None:
-    """Emptiness criterion: non-special restrictions, empty kernels, and
-    v(plane_kernel) <= v(L)."""
-    if b >= len(L.tail):
-        return None
-    split = degenerate(L, k, b)
-    if split.v_ruled_kernel > -1 or split.v_plane_kernel > virtual_dim(L):
-        return None
-    if any(is_minus_one_special(s)[0] for s in
-           (split.plane, split.ruled, split.plane_kernel, split.ruled_kernel)):
-        return None
-    children = _child_verdicts(split, ctx, depth)
-    if children["plane"].status not in (REGULAR, EMPTY):
-        return None
-    if children["ruled"].status not in (REGULAR, EMPTY):
-        return None
-    if children["plane_kernel"].status != EMPTY or children["ruled_kernel"].status != EMPTY:
-        return None
-    return _degeneration_node(L, split, "empty", children, -1)
-
-
-def _try_nonspecial(L: LinearSystem, k: int, b: int, ctx: _Ctx, depth: int) -> dict | None:
-    """Non-speciality criterion: regular restrictions with v >= -1 and kernels
-    small enough that v(L) - 1 >= ell(plane_kernel) + ell(ruled_kernel)."""
-    if b >= len(L.tail):
-        return None
-    split = degenerate(L, k, b)
-    if split.v_plane < -1 or split.v_ruled < -1:
-        return None
-    if is_minus_one_special(split.plane)[0] or is_minus_one_special(split.ruled)[0]:
-        return None
-    children = _child_verdicts(split, ctx, depth)
-    if children["plane"].status not in (REGULAR, EMPTY):
-        return None
-    if children["ruled"].status not in (REGULAR, EMPTY):
-        return None
-    pk, rk = children["plane_kernel"], children["ruled_kernel"]
-    if not (pk.conclusive and rk.conclusive):
-        return None
-    if pk.ell + rk.ell > virtual_dim(L) - 1:
-        return None
-    return _degeneration_node(L, split, "nonspecial", children, expected_dim(L))
-
-
-def prove_empty(L: LinearSystem, k: int, b: int, budget: Budget | None = None) -> bool:
-    """True iff the (k, b)-degeneration certifies that ``L`` is empty."""
-    base = L.normalize()
-    if virtual_dim(base) > -1:
-        raise ValueError(f"prove_empty needs virtual dimension <= -1, got {L}")
-    if not 0 <= b < len(base.tail):
-        raise ValueError(f"need 0 <= b < n, got b={b}")
-    ctx = _Ctx(budget or Budget())
-    return _try_empty(base, k, b, ctx, 0) is not None
-
-
-def prove_nonspecial(L: LinearSystem, k: int, b: int, budget: Budget | None = None) -> bool:
-    """True iff the (k, b)-degeneration certifies that ``L`` is non-special.
-
-    The criterion only speaks about systems with virtual dimension at least
-    -1; anything below that is answered False (inconclusive), never certified.
+    Before any child is solved, the attempt is pruned by numeric conditions
+    of the rule and by a (-1)-special child that the rule needs non-special.
     """
-    base = L.normalize()
-    if virtual_dim(base) < -1:
-        return False
-    if not 0 <= b < len(base.tail):
-        raise ValueError(f"need 0 <= b < n, got b={b}")
-    ctx = _Ctx(budget or Budget())
-    return _try_nonspecial(base, k, b, ctx, 0) is not None
+    split = degenerate(L, k, b)
+    v = virtual_dim(L)
+    parts = split.parts()
+    if rule == "empty":
+        if split.v_ruled_kernel > -1 or split.v_plane_kernel > v:
+            return None
+        needed = parts.values()
+    else:
+        if split.v_plane < -1 or split.v_ruled < -1:
+            return None
+        needed = (split.plane, split.ruled)
+    if any(ctx.removal(s).status == SPECIAL for s in needed):
+        return None
+    children = {name: _solve(s, ctx, depth + 1) for name, s in parts.items()}
+    proved = {name: (c.status, c.ell) for name, c in children.items()}
+    if criterion_failure(rule, split, v, proved) is not None:
+        return None
+    return {"kind": "degeneration", "system": str(L), "k": k, "b": b, "rule": rule,
+            "ell": _proved_ell(rule, L),
+            "children": {name: c.to_json() for name, c in children.items()}}
 
 
 # -- certificate replay --------------------------------------------------------
@@ -374,7 +365,7 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
     """
     _typed(cert, dict, "a certificate")
     try:
-        _check_verdict(cert, parse_system(cert["system"]).normalize(), replay_oracle)
+        _check_verdict(cert, _system(cert["system"]).normalize(), replay_oracle)
     except KeyError as err:
         raise CertificateError(f"missing field {err}") from None
 
@@ -415,8 +406,16 @@ def _moves(raw) -> tuple[Move, ...]:
     return tuple(Move.from_json(data) for data in raw)
 
 
+def _system(text) -> LinearSystem:
+    """A system string of a certificate, parsed; raises CertificateError if malformed."""
+    try:
+        return parse_system(text)
+    except SystemParseError as err:
+        raise CertificateError(f"malformed system: {err}") from None
+
+
 def _node_system(node: dict, expect: LinearSystem) -> LinearSystem:
-    sys = parse_system(node["system"]).normalize()
+    sys = _system(node["system"]).normalize()
     if sys != expect:
         raise CertificateError(f"trace node is about {sys}, expected {expect}")
     return sys
@@ -451,10 +450,7 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
         if format_system(final) != node["final"]:
             raise CertificateError("reduction final system mismatch")
         leaf = _typed(node["leaf"], dict, "a trace node")
-        leaf_system = parse_system(leaf["system"]).normalize()
-        got = _check_node(leaf, leaf_system, replay_oracle)
-        if leaf_system != final.normalize():
-            raise CertificateError("reduction leaf is about the wrong system")
+        got = _check_node(leaf, _node_system(leaf, final.normalize()), replay_oracle)
         if got != node["ell"]:
             raise CertificateError("reduction ell mismatch")
         return got
@@ -486,9 +482,9 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
         if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
             raise CertificateError(f"rank oracle leaf: trials must be an int >= 1, got {trials!r}")
         cols = monomial_count(sys)
-        if cols > Budget.oracle_cols_cap:
+        if cols > ORACLE_COLS_CAP:
             raise CertificateError(f"rank oracle leaf: {cols} columns exceed "
-                                   f"the cap of {Budget.oracle_cols_cap}")
+                                   f"the cap of {ORACLE_COLS_CAP}")
         if replay_oracle:
             got = dimension_char_p(sys, node["seed"], node["prime"], trials)
             if got != node["ell"]:
@@ -525,61 +521,47 @@ def _is_minus_one_curve(curve: LinearSystem) -> bool:
 
 
 def _minus_one_curve(text) -> LinearSystem:
-    curve = parse_system(text)
+    curve = _system(text)
     if not _is_minus_one_curve(curve):
         raise CertificateError(f"{curve} is not a (-1)-curve")
     return curve
 
 
 def _check_removal(node: dict, system: LinearSystem) -> int:
-    d = system.degree
-    m = list(system.mults)
-    max_n = 0
-    curves: list[LinearSystem] = []
+    d, m = system.degree, system.mults
+    pieces: list[tuple[LinearSystem, int]] = []
     for step in _typed(node["steps"], list, "the step list of a removal"):
         _typed(step, dict, "a removal step")
         curve = _minus_one_curve(step["curve"])
         n = _typed(step["n"], int, "a split multiplicity")
-        width = max(len(m), len(curve.mults))
-        m += [0] * (width - len(m))
-        cur = LinearSystem(d, tuple(m))
-        if intersect(cur, curve) != -n or n < 1:
+        if intersect(LinearSystem(d, m), curve) != -n or n < 1:
             raise CertificateError(f"split {curve} x{n} does not match its intersection")
-        d -= n * curve.degree
-        for idx, mu in enumerate(curve.mults):
-            m[idx] -= n * mu
-        if d < 0 or any(x < 0 for x in m):
+        d, m = split_off(d, m, n, curve.degree, curve.mults)
+        if min(d, *m) < 0:
             raise CertificateError("split walks out of the effective cone")
-        max_n = max(max_n, n)
-        curves.append(curve)
+        pieces.append((curve, n))
     if node.get("rejected"):
         rej = _typed(node["rejected"], dict, "a rejected split")
         curve = _minus_one_curve(rej["curve"])
-        _typed(rej["n"], int, "a split multiplicity")
-        cur = LinearSystem(d, tuple(m))
-        if intersect(cur, curve) != -rej["n"] or rej["n"] < 1:
+        n = _typed(rej["n"], int, "a split multiplicity")
+        if intersect(LinearSystem(d, m), curve) != -n or n < 1:
             raise CertificateError("rejected split does not meet the residual negatively")
-        nd = d - rej["n"] * curve.degree
-        rest = [x - rej["n"] * y for x, y in
-                zip(m, list(curve.mults) + [0] * (len(m) - len(curve.mults)))]
-        if nd >= 0 and all(x >= 0 for x in rest):
+        rest_d, rest = split_off(d, m, n, curve.degree, curve.mults)
+        if min(rest_d, *rest) >= 0:
             raise CertificateError("rejected split would actually fit")
         if node["ell"] != -1:
             raise CertificateError("rejected removal must conclude emptiness")
         return -1
-    residual = LinearSystem(d, tuple(m))
-    if parse_system(node["residual"]).normalize() != residual.normalize():
+    residual = LinearSystem(d, m)
+    if _system(node["residual"]).normalize() != residual.normalize():
         raise CertificateError("removal residual mismatch")
     ell = max(-1, virtual_dim(residual))
     if node["ell"] != ell:
         raise CertificateError("removal ell mismatch")
     if node.get("special"):
-        if max_n < 2 or virtual_dim(residual) < 0:
-            raise CertificateError("claimed speciality without a valid witness")
-        for i in range(len(curves)):
-            for j in range(i + 1, len(curves)):
-                if intersect(curves[i], curves[j]) != 0:
-                    raise CertificateError("witness curves are not disjoint")
+        reason = speciality_failure(pieces, residual)
+        if reason is not None:
+            raise CertificateError(f"claimed speciality without a valid witness: {reason}")
     return ell
 
 
@@ -592,40 +574,17 @@ def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -
         raise CertificateError(f"degeneration: {err}") from None
     if b >= len(sys.tail):
         raise CertificateError("degeneration needs b < n")
-    expect = {"plane": split.plane, "ruled": split.ruled,
-              "plane_kernel": split.plane_kernel, "ruled_kernel": split.ruled_kernel}
     children = _typed(node["children"], dict, "the children map of a degeneration")
-    ells: dict[str, int] = {}
-    status: dict[str, str] = {}
-    for name, want in expect.items():
+    proved: dict[str, tuple[str, int]] = {}
+    for name, want in split.parts().items():
         child = _typed(children[name], dict, "a certificate")
-        child_system = parse_system(child["system"]).normalize()
-        if child_system != want.normalize():
-            raise CertificateError(f"degeneration child {name} is about the wrong system")
-        _check_verdict(child, child_system, replay_oracle)
-        ells[name] = child["ell"]
-        status[name] = child["status"]
-    v = virtual_dim(sys)
-    if status["plane"] not in (REGULAR, EMPTY) or status["ruled"] not in (REGULAR, EMPTY):
-        raise CertificateError("restrictions must be certified non-special")
-    if node["rule"] == "empty":
-        if v > -1:
-            raise CertificateError("emptiness rule needs v <= -1")
-        if status["plane_kernel"] != EMPTY or status["ruled_kernel"] != EMPTY:
-            raise CertificateError("emptiness rule needs empty kernels")
-        if split.v_plane_kernel > v:
-            raise CertificateError("emptiness rule needs v(plane_kernel) <= v")
-        if node["ell"] != -1:
-            raise CertificateError("emptiness rule proves ell = -1")
-        return -1
-    if node["rule"] == "nonspecial":
-        if v < -1:
-            raise CertificateError("non-speciality rule needs v >= -1")
-        if split.v_plane < -1 or split.v_ruled < -1:
-            raise CertificateError("non-speciality rule needs restriction v >= -1")
-        if ells["plane_kernel"] + ells["ruled_kernel"] > v - 1:
-            raise CertificateError("kernels too large for the non-speciality rule")
-        if node["ell"] != expected_dim(sys):
-            raise CertificateError("non-speciality rule proves ell = expected")
-        return node["ell"]
-    raise CertificateError(f"unknown degeneration rule {node['rule']!r}")
+        _check_verdict(child, _node_system(child, want.normalize()), replay_oracle)
+        proved[name] = (child["status"], child["ell"])
+    rule = node["rule"]
+    reason = criterion_failure(rule, split, virtual_dim(sys), proved)
+    if reason is not None:
+        raise CertificateError(reason)
+    ell = _proved_ell(rule, sys)
+    if node["ell"] != ell:
+        raise CertificateError(f"the {rule} rule proves ell = {ell}")
+    return ell

@@ -12,7 +12,9 @@ A system is ``(-1)-special`` when some catalog curve splits off at least
 twice and the residual system, after all fixed (-1)-parts are removed, still
 has nonnegative virtual dimension.  ``hh_dimension`` turns the same removal
 into a dimension value: the dimension of a special system equals the expected
-dimension of its residual.
+dimension of its residual.  ``split_off`` (the arithmetic of one split) and
+``speciality_failure`` (the speciality rule) are written once here; the
+certificate checker replays removals with the same two functions.
 
 ``generate_classification`` re-runs the case analysis over the catalog and
 produces the complete table of (-1)-special quasi-homogeneous systems of tail
@@ -24,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, NamedTuple
+from itertools import combinations, zip_longest
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import LinearSystem, arithmetic_genus, format_system, intersect, virtual_dim
 from .verdict import EMPTY, REGULAR, SPECIAL, DimVerdict
@@ -36,11 +38,13 @@ __all__ = [
     "ClassificationRow",
     "Splitting",
     "is_minus_one_class",
+    "check_regime",
     "catalog",
-    "configuration_total",
     "find_splittings",
     "is_minus_one_special",
     "hh_dimension",
+    "speciality_failure",
+    "split_off",
     "generate_classification",
 ]
 
@@ -137,54 +141,6 @@ def catalog(n: int, mult_cap: int) -> tuple[CurveCatalogEntry, ...]:
     return tuple(e for e in entries if e.tail_mult <= mult_cap)
 
 
-def configuration_total(base: CurveCatalogEntry | LinearSystem, n: int) -> LinearSystem:
-    """Sum of the distinct permuted copies of ``base`` over ``n`` tail slots.
-
-    ``base`` viewed on ``n`` slots must have exactly two distinct tail values
-    differing by one, one of which occurs a single time; the permuted copies
-    are then pairwise disjoint and their sum is again quasi-homogeneous.
-    """
-    if isinstance(base, CurveCatalogEntry):
-        if base.kind != "simple":
-            raise ValueError("base must be a simple class")
-        cls = base.instantiate(n)
-    else:
-        if len(base.tail) > n:
-            raise ValueError(f"{base} does not fit on {n} tail slots")
-        cls = LinearSystem(base.degree, (base.m0,) + base.tail + (0,) * (n - len(base.tail)))
-    if not is_minus_one_class(cls):
-        raise ValueError(f"{cls} is not a (-1)-class")
-    values = sorted(cls.tail, reverse=True)
-    distinct = sorted(set(values))
-    if len(distinct) != 2 or distinct[1] - distinct[0] != 1:
-        raise ValueError(f"tail of {cls} on {n} slots is not a configuration shape")
-    low, high = distinct
-    if values.count(high) == 1:
-        single, common = high, low
-    elif values.count(low) == 1:
-        single, common = low, high
-    else:
-        raise ValueError(f"tail of {cls} on {n} slots is not a configuration shape")
-    per_slot = single + (n - 1) * common
-    total = LinearSystem(n * cls.degree, (n * cls.m0,) + (per_slot,) * n)
-    # the permuted copies must be pairwise disjoint
-    perms = _distinct_single_permutations(cls, n, single, common)
-    for a, b in combinations(perms, 2):
-        assert intersect(a, b) == 0, f"constituents of {total} meet: {a}, {b}"
-    assert intersect(total, total) == -n
-    return total
-
-
-def _distinct_single_permutations(cls: LinearSystem, n: int, single: int, common: int
-                                  ) -> list[LinearSystem]:
-    out = []
-    for s in range(n):
-        tail = [common] * n
-        tail[s] = single
-        out.append(LinearSystem(cls.degree, (cls.m0,) + tuple(tail)))
-    return out
-
-
 # -- splitting engine --------------------------------------------------------
 
 
@@ -195,7 +151,8 @@ class Splitting(NamedTuple):
     placement: tuple[int, ...]
 
 
-def _check_regime(L: LinearSystem, op: str):
+def check_regime(L: LinearSystem, op: str):
+    """Raise ValueError unless ``L`` is quasi-homogeneous of tail multiplicity <= 6."""
     if not L.is_quasi_homogeneous():
         raise ValueError(f"{op} needs a quasi-homogeneous system, got {L}")
     if L.tail and L.tail_multiplicity() > 6:
@@ -206,26 +163,16 @@ def _check_regime(L: LinearSystem, op: str):
 def _scan_entries(t: int) -> tuple[CurveCatalogEntry, ...]:
     """Candidate families for a residual with ``t`` tail slots.
 
-    Compound configurations come first so that symmetric fixed parts are
-    removed as units, then simple classes by descending degree.  The result
-    is constant catalog data for each ``t`` (no verdict depends on a cache
-    hit), so it is built once per tail length and kept in a bounded cache.
+    The catalog's compound configurations come first, in catalog order, so
+    that symmetric fixed parts are removed as units, then its simple classes
+    by descending degree.  The result is constant catalog data for each ``t``
+    (no verdict depends on a cache hit), so it is built once per tail length
+    and kept in a bounded cache.
     """
-    compounds = [_bundle(k) for k in range(t, 1, -1)]
-    if t >= 3:
-        compounds.append(_TRIANGLE)
-    simples: list[CurveCatalogEntry] = []
-    if t >= 9:
-        simples.append(_BIGCURVE)
-    if t >= 7:
-        simples.append(_SEXTIC)
-    simples.extend(_pencil(e) for e in range(1, t // 2 + 1))
-    if t >= 5:
-        simples.append(_CONIC)
-    if t >= 1:
-        simples.append(_LINE0)
-    simples.sort(key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
-    return tuple(compounds + simples)
+    entries = catalog(t, 3)
+    simples = sorted((E for E in entries if E.kind == "simple"),
+                     key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
+    return tuple(E for E in entries if E.kind == "compound") + tuple(simples)
 
 
 @dataclass(frozen=True)
@@ -242,14 +189,40 @@ class _Chain:
     residual: tuple[int, tuple[int, ...]] | None
     rejected: tuple[tuple[int, tuple[int, ...]], int] | None
 
-    @property
-    def max_multiplicity(self) -> int:
-        return max((s.n for s in self.steps), default=0)
+    def pieces(self) -> tuple[tuple[LinearSystem, int], ...]:
+        """The removed curves, each with the number of times it splits off."""
+        return tuple((LinearSystem(*s.curve), s.n) for s in self.steps)
 
     def residual_system(self) -> LinearSystem | None:
         if self.residual is None:
             return None
         return LinearSystem(self.residual[0], self.residual[1])
+
+
+def split_off(d: int, mults: tuple[int, ...], n: int, curve_degree: int,
+              curve_mults: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``(d, mults)`` minus ``n`` times the curve, the shorter vector zero-padded."""
+    return d - n * curve_degree, tuple([
+        x - n * y for x, y in zip_longest(mults, curve_mults, fillvalue=0)])
+
+
+def speciality_failure(pieces: Sequence[tuple[LinearSystem, int]],
+                       residual: LinearSystem) -> str | None:
+    """Why removing ``pieces`` down to ``residual`` does not make a system
+    (-1)-special, or None when it does.
+
+    ``pieces`` are ``(curve, n)`` pairs.  (-1)-special means: some curve
+    splits off at least twice, the residual has nonnegative virtual
+    dimension, and the curves are pairwise disjoint.
+    """
+    if max((n for _, n in pieces), default=0) < 2:
+        return "no curve splits off twice"
+    if virtual_dim(residual) < 0:
+        return "the residual has negative virtual dimension"
+    for (a, _), (b, _) in combinations(pieces, 2):
+        if intersect(a, b) != 0:
+            return f"split curves meet: {a} . {b} != 0"
+    return None
 
 
 def _aligned(entry: CurveCatalogEntry, slots: list[int], width: int
@@ -275,7 +248,7 @@ def _fits(entry: CurveCatalogEntry, n: int, d: int, m0: int, low: int) -> bool:
             and low - n * entry.tail_mult >= 0)
 
 
-def _next_split(d: int, m: list[int], reverse: bool):
+def _next_split(d: int, m: tuple[int, ...], reverse: bool):
     """First applicable split in canonical (or reversed) candidate order.
 
     Returns ``("apply", constituents, n, unit_label)`` for a usable split,
@@ -335,7 +308,7 @@ def _next_split(d: int, m: list[int], reverse: bool):
 def _split_chain(L: LinearSystem, reverse: bool = False) -> _Chain:
     base = L.normalize()
     d = base.degree
-    m = list(base.mults)
+    m = base.mults
     steps: list[_Step] = []
     rounds = 0
     while True:
@@ -343,16 +316,15 @@ def _split_chain(L: LinearSystem, reverse: bool = False) -> _Chain:
         assert rounds <= base.degree + 2, f"splitting of {base} failed to terminate"
         action = _next_split(d, m, reverse)
         if action is None:
-            return _Chain(base, tuple(steps), (d, tuple(m)), None)
+            return _Chain(base, tuple(steps), (d, m), None)
         if action[0] == "reject":
             _, curve, n = action
             return _Chain(base, tuple(steps), None, (curve, n))
         _, constituents, n, unit = action
         for cd, cm in constituents:
-            d -= n * cd
-            m = [x - n * y for x, y in zip(m, cm)]
+            d, m = split_off(d, m, n, cd, cm)
             steps.append(_Step((cd, cm), n, unit))
-        assert d >= 0 and all(x >= 0 for x in m)
+        assert min(d, *m) >= 0
 
 
 def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
@@ -361,7 +333,7 @@ def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
     Deterministic order: by degree of the curve, then by multiplicity vector
     (largest first).
     """
-    _check_regime(L, "find_splittings")
+    check_regime(L, "find_splittings")
     base = L.normalize()
     t = len(base.tail)
     found: list[Splitting] = []
@@ -378,29 +350,26 @@ def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
 
 @dataclass(frozen=True)
 class SplittingWitness:
-    """A verified decomposition L = residual + sum(ni * Ai)."""
+    """A verified (-1)-special decomposition L = residual + sum(ni * Ai)."""
 
     system: LinearSystem
     entries: tuple[tuple[LinearSystem, int], ...]
     residual: LinearSystem
 
     def __post_init__(self):
-        d = self.system.degree
-        m = list(self.system.mults)
+        d, m = self.system.degree, self.system.mults
         for curve, n in self.entries:
             if n < 1:
                 raise ValueError("splitting multiplicities must be >= 1")
-            d -= n * curve.degree
-            for idx, mu in enumerate(curve.mults):
-                m[idx] -= n * mu
-        if d != self.residual.degree or tuple(m) != self.residual.mults:
+            d, m = split_off(d, m, n, curve.degree, curve.mults)
+        if (d, m) != (self.residual.degree, self.residual.mults):
             raise ValueError("residual does not match the splits componentwise")
         drop = sum((-n * n + n) // 2 for _, n in self.entries)
         if virtual_dim(self.system) != virtual_dim(self.residual) + drop:
             raise ValueError("virtual dimension bookkeeping is off")
-        for (a, _), (b, _) in combinations(self.entries, 2):
-            if intersect(a, b) != 0:
-                raise ValueError(f"split curves meet: {a} . {b} != 0")
+        reason = speciality_failure(self.entries, self.residual)
+        if reason is not None:
+            raise ValueError(reason)
 
 
 def is_minus_one_special(L: LinearSystem) -> tuple[bool, SplittingWitness | None]:
@@ -409,19 +378,14 @@ def is_minus_one_special(L: LinearSystem) -> tuple[bool, SplittingWitness | None
     The witness collects every removed curve with its multiplicity; it
     requires some multiplicity at least 2 and pairwise disjoint curves.
     """
-    _check_regime(L, "is_minus_one_special")
+    check_regime(L, "is_minus_one_special")
     chain = _split_chain(L)
-    if chain.rejected is not None or not chain.steps:
+    if chain.rejected is not None:
         return False, None
-    residual = chain.residual_system()
-    if chain.max_multiplicity < 2 or virtual_dim(residual) < 0:
+    pieces, residual = chain.pieces(), chain.residual_system()
+    if speciality_failure(pieces, residual) is not None:
         return False, None
-    witness = SplittingWitness(
-        chain.system,
-        tuple((LinearSystem(s.curve[0], s.curve[1]), s.n) for s in chain.steps),
-        residual,
-    )
-    return True, witness
+    return True, SplittingWitness(chain.system, pieces, residual)
 
 
 def hh_dimension(L: LinearSystem, conjecture: bool = False) -> DimVerdict:
@@ -432,30 +396,24 @@ def hh_dimension(L: LinearSystem, conjecture: bool = False) -> DimVerdict:
     outside it.
     """
     if not conjecture:
-        _check_regime(L, "hh_dimension")
+        check_regime(L, "hh_dimension")
     chain = _split_chain(L)
-    steps = [{"curve": format_system(LinearSystem(*s.curve)), "n": s.n, "unit": s.unit}
-             for s in chain.steps]
-    if chain.rejected is not None:
+    pieces, residual = chain.pieces(), chain.residual_system()
+    if chain.rejected is None:
+        ell = max(-1, virtual_dim(residual))
+        special = speciality_failure(pieces, residual) is None
+        rejected = None
+    else:
         curve, n = chain.rejected
-        ell = -1
-        trace = {"kind": "fixed_part_removal", "system": str(chain.system),
-                 "steps": steps, "residual": None,
-                 "rejected": {"curve": format_system(LinearSystem(*curve)), "n": n},
-                 "special": False, "ell": ell}
-        return DimVerdict(EMPTY, ell, chain.system, trace)
-    residual = chain.residual_system()
-    v_res = virtual_dim(residual)
-    ell = max(-1, v_res)
-    special = chain.max_multiplicity >= 2 and v_res >= 0
+        ell, special = -1, False
+        rejected = {"curve": format_system(LinearSystem(*curve)), "n": n}
     trace = {"kind": "fixed_part_removal", "system": str(chain.system),
-             "steps": steps, "residual": str(residual), "rejected": None,
-             "special": special, "ell": ell}
-    if special:
-        return DimVerdict(SPECIAL, ell, chain.system, trace)
-    if ell == -1:
-        return DimVerdict(EMPTY, ell, chain.system, trace)
-    return DimVerdict(REGULAR, ell, chain.system, trace)
+             "steps": [{"curve": format_system(c), "n": k, "unit": s.unit}
+                       for (c, k), s in zip(pieces, chain.steps)],
+             "residual": None if residual is None else str(residual),
+             "rejected": rejected, "special": special, "ell": ell}
+    status = SPECIAL if special else EMPTY if ell == -1 else REGULAR
+    return DimVerdict(status, ell, chain.system, trace)
 
 
 # -- classification table ----------------------------------------------------
@@ -554,11 +512,11 @@ def _family_rows(probe: int) -> list[ClassificationRow]:
                     samples.append(None)
                     continue
                 sys = LinearSystem(d, (d - x,) + (6,) * (2 * e))
-                special, _ = is_minus_one_special(sys)
-                if not special:
+                verdict = hh_dimension(sys)
+                if verdict.status != SPECIAL:
                     samples.append(None)
                     continue
-                samples.append((virtual_dim(sys), hh_dimension(sys).ell))
+                samples.append((virtual_dim(sys), verdict.ell))
             if samples[0] is None or samples[1] is None:
                 if samples[0] is not None:
                     raise RuntimeError(f"family x={x} mu={mu} valid only at e=1")
@@ -614,10 +572,10 @@ def _general_rows(families: list[ClassificationRow], probe: int) -> list[Classif
             lo = _general_lower(x, n)
             for d in range(lo, lo + 3):
                 sys = LinearSystem(d, (d - x,) + (6,) * n)
-                special, _ = is_minus_one_special(sys)
-                if not special:
+                verdict = hh_dimension(sys)
+                if verdict.status != SPECIAL:
                     raise RuntimeError(f"general x={x}: {sys} not special")
-                got = hh_dimension(sys).ell
+                got = verdict.ell
                 want = _general_ell(x, d, n)
                 at_boundary = any(n % 2 == 0 and d == a * (n // 2) + b for a, b in boundary)
                 if at_boundary and got <= want:
@@ -628,7 +586,7 @@ def _general_rows(families: list[ClassificationRow], probe: int) -> list[Classif
             # of the x-offset parameter families
             if lo - 1 - x >= 0:
                 below = LinearSystem(lo - 1, (lo - 1 - x,) + (6,) * n)
-                special, _ = is_minus_one_special(below)
+                special = hh_dimension(below).status == SPECIAL
                 covered = any(n % 2 == 0 and lo - 1 == f.payload[0] * (n // 2) + f.payload[1]
                               for f in families if f.offset == x)
                 if special and not covered:
@@ -687,14 +645,14 @@ def _single_rows(families: list[ClassificationRow], generals: list[Classificatio
             sys = LinearSystem(d, (m0,) + (6,) * n)
             if sys.normalize() in seen:
                 continue
-            special, _ = is_minus_one_special(sys)
-            if not special:
+            verdict = hh_dimension(sys)
+            if verdict.status != SPECIAL:
                 continue
             if _matches_parametric(sys, families, generals):
                 continue
             seen.add(sys.normalize())
             v = virtual_dim(sys)
-            ell = hh_dimension(sys).ell
+            ell = verdict.ell
             rows.append(ClassificationRow(
                 offset=d - m0,
                 shape="single",

@@ -87,7 +87,7 @@ __all__ = [
     "build_matrix",
     "rank_ff",
     "dimension_char_p",
-    "certify_regular",
+    "ORACLE_COLS_CAP",
     "trial_dimensions",
     "oracle_report",
 ]
@@ -100,6 +100,10 @@ DEFAULT_PRIME = 32003
 # Exclusive upper bound on the characteristic: 64 (p-1)^2 < 2^53 keeps the
 # float64 trailing update of ``rank_ff`` exact.
 MAX_PRIME = 1 << 23
+
+# Largest column count, (d+1)(d+2)/2, that the prover hands to the oracle and
+# that a certificate's oracle leaf may name: degree 100.
+ORACLE_COLS_CAP = 5151
 
 _PANEL = 64   # columns eliminated per panel; the inner dimension of the update
 _CHUNK = 128  # rows per trailing-update product, to bound temporaries
@@ -407,17 +411,6 @@ def dimension_char_p(L: LinearSystem, seed: int = 0, prime: int = DEFAULT_PRIME,
         if best == e:
             break
     return best
-
-
-def certify_regular(L: LinearSystem, seed: int = 0, prime: int = DEFAULT_PRIME,
-                    trials: int = 3) -> bool:
-    """True when some trial reaches the expected dimension.
-
-    Maximal rank at special points in characteristic p implies maximal rank at
-    general points in characteristic zero, so a True answer is a proof of
-    non-speciality; False is inconclusive.
-    """
-    return dimension_char_p(L, seed, prime, trials) == expected_dim(L)
 
 
 def oracle_report(L: LinearSystem, seed: int = 0, prime: int = DEFAULT_PRIME,

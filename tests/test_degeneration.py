@@ -7,12 +7,11 @@ import pytest
 
 from fatpoints import oracle
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
-from fatpoints.degeneration import (Budget, CertificateError, _is_minus_one_curve,
-                                    check_certificate, degenerate, limit_dimension,
-                                    limit_value, prove_empty, prove_nonspecial, recursive_dim)
-from fatpoints.neg_curves import catalog
+from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
+                                    check_certificate, degenerate, limit_value, recursive_dim)
+from fatpoints.neg_curves import catalog, hh_dimension
 from fatpoints.oracle import dimension_char_p
-from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
+from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
 
 def L(text):
@@ -82,52 +81,43 @@ class TestLimitValue:
         ells = [dimension_char_p(x)
                 for x in (s.plane, s.ruled, s.plane_kernel, s.ruled_kernel)]
         assert ells == [0, 11, -1, 4]
-        assert limit_dimension(s, *ells) == 4
-        assert limit_dimension(s, *ells) >= dimension_char_p(L("L(14,0,6^6)"))
+        d_minus_k = s.base.degree - s.k
+        assert limit_value(d_minus_k, *ells) == 4
+        assert limit_value(d_minus_k, *ells) >= dimension_char_p(L("L(14,0,6^6)"))
 
 
-class TestProveEmpty:
-    def test_success(self):
-        assert prove_empty(L("L(12,0,6^10)"), 5, 3)
+def proves(system, k, b, rule):
+    """Whether the prover's (k, b)-degeneration attempt at ``rule`` succeeds."""
+    return _try(L(system), k, b, rule, _Ctx(Budget()), 0) is not None
 
-    def test_failure_all_small_splits(self):
+
+class TestCriteria:
+    def test_emptiness(self):
+        assert proves("L(12,0,6^10)", 5, 3, "empty")
+
+    def test_emptiness_fails_on_all_small_splits(self):
         # every (k, b) fails here: the plane restriction L(9,0,6^3) is special
         # for b = 3, and other choices break a kernel or restriction condition
         for k in (5, 6):
             for b in range(6):
-                assert not prove_empty(L("L(14,0,6^6)"), k, b)
+                assert not proves("L(14,0,6^6)", k, b, "empty")
 
-    def test_nonempty_system_never_certified(self):
-        for k in (2, 5, 6):
-            for b in range(2):
-                assert not prove_empty(L("L(10,8,6^2)"), k, b)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            prove_empty(L("L(5,0,1^2)"), 2, 1)
-
-
-class TestProveNonspecial:
-    def test_successes(self):
-        assert prove_nonspecial(L("L(19,0,6^9)"), 5, 5)
-        assert prove_nonspecial(L("L(18,0,6^8)"), 5, 4)
-        assert prove_nonspecial(L("L(6,0,1^3)"), 1, 1)
+    def test_nonspeciality(self):
+        assert proves("L(19,0,6^9)", 5, 5, "nonspecial")
+        assert proves("L(18,0,6^8)", 5, 4, "nonspecial")
+        assert proves("L(6,0,1^3)", 1, 1, "nonspecial")
 
     def test_special_system_never_certified(self):
         for k in (2, 5, 6):
             for b in range(2):
-                assert not prove_nonspecial(L("L(10,8,6^2)"), k, b)
+                assert not proves("L(10,8,6^2)", k, b, "empty")
+                assert not proves("L(10,8,6^2)", k, b, "nonspecial")
 
-    def test_below_range_is_inconclusive(self):
-        assert not prove_nonspecial(L("L(10,8,6^2,6)"), 5, 1)  # v = -34
-
-    def test_never_both_true(self):
-        a, b = L("L(12,0,6^10)"), L("L(19,0,6^9)")
-        assert virtual_dim(a) < -1 and virtual_dim(b) > -1
-        assert prove_empty(a, 5, 3) and not prove_nonspecial(a, 5, 3)
-        assert prove_nonspecial(b, 5, 5)
-        with pytest.raises(ValueError):
-            prove_empty(b, 5, 5)
+    def test_never_both(self):
+        assert virtual_dim(L("L(12,0,6^10)")) < -1
+        assert not proves("L(12,0,6^10)", 5, 3, "nonspecial")
+        assert virtual_dim(L("L(19,0,6^9)")) > -1
+        assert not proves("L(19,0,6^9)", 5, 5, "empty")
 
 
 class TestRecursiveDim:
@@ -218,7 +208,49 @@ class TestCertificates:
         {"system": "L(2,1)", "status": REGULAR, "ell": 4, "trace": ["no_conditions"]},
     ])
     def test_badly_shaped_certificate_rejected(self, cert):
-        with pytest.raises(ValueError):  # CertificateError or SystemParseError
+        with pytest.raises(CertificateError):
+            check_certificate(cert)
+
+    @pytest.mark.parametrize("name,path", [
+        ("L(10,2,6^3)", "system"),
+        ("L(10,2,6^3)", "trace.system"),
+        ("L(14,0,6^6)", "trace.leaf.system"),
+        ("L(21,0,6^10)", "trace.children.plane.system"),
+        ("L(10,2,6^3)", "trace.steps.0.curve"),
+        ("L(10,2,6^3)", "trace.residual"),
+    ])
+    @pytest.mark.parametrize("value", ["L(1,", 5])
+    def test_malformed_system_string_raises_certificate_error(self, name, path, value):
+        cert = json.loads(recursive_dim(L(name)).dumps())
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = cert
+        for key in parents:
+            node = node[key]
+        assert isinstance(node[last], str)
+        node[last] = value
+        with pytest.raises(CertificateError, match="malformed system"):
+            check_certificate(cert, replay_oracle=False)
+
+    @pytest.mark.parametrize("value", ["L(1,", 5])
+    def test_malformed_rejected_curve_raises_certificate_error(self, value):
+        removal = hh_dimension(L("L(6,6,6^2)"))
+        cert = json.loads(removal.dumps())
+        check_certificate(cert)
+        cert["trace"]["rejected"]["curve"] = value
+        with pytest.raises(CertificateError, match="malformed system"):
+            check_certificate(cert)
+
+    @pytest.mark.parametrize("name,k,b,rule,flipped", [
+        ("L(12,0,6^10)", 5, 3, "empty", "nonspecial"),
+        ("L(21,0,6^10)", 5, 5, "nonspecial", "empty"),
+    ])
+    def test_flipped_rule_rejected(self, name, k, b, rule, flipped):
+        node = _try(L(name), k, b, rule, _Ctx(Budget()), 0)
+        status = EMPTY if rule == "empty" else REGULAR
+        cert = json.loads(DimVerdict(status, node["ell"], L(name), node).dumps())
+        check_certificate(cert)
+        cert["trace"]["rule"] = flipped
+        with pytest.raises(CertificateError):
             check_certificate(cert)
 
     @pytest.mark.parametrize("name,path,value", [

@@ -6,8 +6,7 @@ from itertools import combinations
 import pytest
 
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
-from fatpoints.neg_curves import (SplittingWitness, _split_chain, catalog,
-                                  configuration_total, find_splittings,
+from fatpoints.neg_curves import (SplittingWitness, _split_chain, catalog, find_splittings,
                                   generate_classification, hh_dimension,
                                   is_minus_one_class, is_minus_one_special)
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL
@@ -63,25 +62,6 @@ class TestCatalog:
                 summed = [sum(p.mults[i] for p in parts) for i in range(21)]
                 assert (total.degree, tuple(summed)) == (
                     sum(p.degree for p in parts), total.mults)
-
-
-class TestConfigurationTotal:
-    def test_lines_through_p0(self):
-        assert configuration_total(L("L(1,1,1)"), 4) == LinearSystem(4, (4, 1, 1, 1, 1))
-        assert configuration_total(L("L(1,1,1)"), 2) == LinearSystem(2, (2, 1, 1))
-
-    def test_triangle(self):
-        assert configuration_total(L("L(1,0,1^2)"), 3) == LinearSystem(3, (0, 2, 2, 2))
-
-    def test_rejects_wrong_shapes(self):
-        with pytest.raises(ValueError):
-            configuration_total(L("L(1,1,1)"), 1)  # single tail value
-        with pytest.raises(ValueError):
-            configuration_total(L("L(6,3,2^7)"), 8)  # values differ by two
-        with pytest.raises(ValueError):
-            configuration_total(L("L(1,0,1^2)"), 5)  # neither value is a singleton
-        with pytest.raises(ValueError):
-            configuration_total(L("L(2,0,1^4)"), 5)  # not a (-1)-class
 
 
 def _brute_splittings(sys):

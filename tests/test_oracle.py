@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints import oracle
-from fatpoints.core import LinearSystem, parse_system
+from fatpoints.core import LinearSystem, expected_dim, parse_system
 from fatpoints.degeneration import check_certificate, recursive_dim
 from fatpoints.neg_curves import hh_dimension
 from fatpoints.oracle import (DEFAULT_PRIME, MAX_PRIME, PrimeFieldMatrix, build_matrix,
-                              certify_regular, check_prime, condition_count,
+                              check_prime, condition_count,
                               dimension_char_p, monomial_count, monomial_exponents,
                               oracle_report, rank_ff, trial_dimensions)
 from fatpoints.tables import classification_table
@@ -389,11 +389,16 @@ class TestProjectiveFrame:
         assert digest.hexdigest() == TABLE_TRIALS_SHA256
 
 
+def certifies_regular(sys):
+    """Whether some oracle trial reaches the expected dimension."""
+    return dimension_char_p(sys) == expected_dim(sys)
+
+
 class TestCertifyRegular:
     def test_examples(self):
-        assert certify_regular(L("L(19,5,6^9)"))
-        assert not certify_regular(L("L(10,2,6^3)"))
-        assert certify_regular(L("L(9,0)"))
+        assert certifies_regular(L("L(19,5,6^9)"))
+        assert not certifies_regular(L("L(10,2,6^3)"))
+        assert certifies_regular(L("L(9,0)"))
 
     def test_report_shape(self):
         rep = oracle_report(L("L(10,2,6^3)"), seed=42)
@@ -419,6 +424,6 @@ class TestCertifyRegular:
             d = rng.randint(1, 16)
             n = rng.randint(0, 6)
             sys = LinearSystem(d, (rng.randint(0, d),) + (6,) * n)
-            if certify_regular(sys):
+            if certifies_regular(sys):
                 assert not is_minus_one_special(sys)[0]
                 certified += 1

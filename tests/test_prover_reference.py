@@ -18,7 +18,7 @@ from fatpoints.cremona import (Move, _slots_by_multiplicity, cremona, replay_tra
                                split_fixed_line, standard_reduce)
 from fatpoints.neg_curves import (_BIGCURVE, _CONIC, _LINE0, _SEXTIC, _TRIANGLE, _aligned,
                                   _bundle, _Chain, _line_vec, _next_split, _pencil,
-                                  _split_chain, _Step)
+                                  _scan_entries, _split_chain, _Step)
 
 
 def outcome(fn, *args):
@@ -113,7 +113,7 @@ def reference_standard_reduce(L):
 
 
 def reference_scan_entries(t):
-    """``_scan_entries`` as it was: a fresh list on every call."""
+    """``_scan_entries`` as it was: its own family lists, built afresh on every call."""
     compounds = [_bundle(k) for k in range(t, 1, -1)]
     if t >= 3:
         compounds.append(_TRIANGLE)
@@ -279,6 +279,10 @@ class TestCremonaMatchesReference:
 
 
 class TestSplitChainMatchesReference:
+    def test_scan_entries(self):
+        for t in range(1, 61):
+            assert _scan_entries(t) == tuple(reference_scan_entries(t))
+
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(systems, quasi_homogeneous), st.booleans())
     @with_edges(False)
