@@ -15,7 +15,7 @@ from .core import (LinearSystem, SystemParseError, expected_dim, parse_system,
 from .cremona import cremona, standard_reduce, transcript_to_jsonl
 from .degeneration import (Budget, CertificateError, check_certificate, degenerate,
                            recursive_dim)
-from .neg_curves import find_splittings, hh_dimension, is_minus_one_special
+from .neg_curves import find_splittings, hh_dimension
 from .oracle import DEFAULT_PRIME, ORACLE_COLS_CAP, monomial_count, oracle_report
 from .tables import (classification_table, classification_to_csv,
                      classification_to_json, hard_cases_to_csv, verify_table)
@@ -66,19 +66,17 @@ def _cmd_dim(args) -> int:
 
 def _cmd_classify(args) -> int:
     L = _parse(args.system)
-    special, witness = is_minus_one_special(L)
-    payload = {"system": str(L), "special": special,
-               "ell": hh_dimension(L).ell, "v": virtual_dim(L)}
-    lines = [f"system: {L}", f"(-1)-special: {special}", f"ell: {payload['ell']}"]
-    if witness is not None:
-        payload["witness"] = {
-            "splits": [{"curve": str(c), "n": n} for c, n in witness.entries],
-            "residual": str(witness.residual),
-        }
+    removal = hh_dimension(L)
+    special, ell, steps = removal.trace["special"], removal.ell, removal.trace["steps"]
+    payload = {"system": str(L), "special": special, "ell": ell, "v": virtual_dim(L)}
+    lines = [f"system: {L}", f"(-1)-special: {special}", f"ell: {ell}"]
+    if special:
+        residual = removal.trace["residual"]
+        payload["witness"] = {"splits": [{"curve": s["curve"], "n": s["n"]} for s in steps],
+                              "residual": residual}
         lines.append("splits:")
-        lines.extend(f"  {n} x {c}" for c, n in witness.entries)
-        lines.append(f"residual: {witness.residual} "
-                     f"(v = {virtual_dim(witness.residual)})")
+        lines.extend(f"  {s['n']} x {s['curve']}" for s in steps)
+        lines.append(f"residual: {residual} (v = {ell})")  # a special residual has v = ell
     if args.splittings:
         found = find_splittings(L)
         payload["splittings"] = [{"curve": str(s.curve), "intersection": s.intersection}

@@ -17,13 +17,14 @@ from above.  Two sufficient criteria follow, both decided by
 virtual dimension) and one proving non-speciality.  ``recursive_dim`` chains
 these with the speciality classifier, reduction to standard form, small base
 cases, and a finite-field rank fallback; every verdict carries a trace that
-``check_certificate`` replays without search, calling the same criterion and
-the same split arithmetic as the prover.
-"""
+``check_certificate`` replays without search: it calls the same criterion and
+split arithmetic as the prover and rebuilds each leaf with the function that
+wrote it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (LinearSystem, SystemParseError, expected_dim, format_system, intersect,
                    parse_system, virtual_dim)
@@ -33,7 +34,7 @@ from .neg_curves import (check_regime, hh_dimension, is_minus_one_class, special
                          split_off)
 from .oracle import (DEFAULT_PRIME, ORACLE_COLS_CAP, check_prime, dimension_char_p,
                      monomial_count)
-from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
+from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict, status_failure
 
 __all__ = [
     "DegenerationSplit",
@@ -167,6 +168,43 @@ def _proved_ell(rule: str, L: LinearSystem) -> int:
     return -1 if rule == "empty" else expected_dim(L)
 
 
+# -- certificate leaves: written by the prover, rebuilt by the checker ----------
+
+_BASE_CASES = ("no_conditions", "multiplicity_exceeds_degree", "standard_small", "bounded_tail")
+
+
+def _base_case(S: LinearSystem, kinds: tuple[str, ...],
+               removal: Callable[[LinearSystem], tuple[dict, int]] | None) -> dict | None:
+    """The leaf proving the dimension of ``S`` by the first base case among
+    ``kinds`` that ``S`` is, or None.  ``removal(S)`` gives the trace and ell
+    of the fixed-part removal behind a ``bounded_tail`` leaf: the prover
+    computes it, the checker replays the recorded one."""
+    d = S.degree
+    for kind in kinds:
+        if kind == "no_conditions" and S.base_points == 0:
+            return {"kind": kind, "system": str(S), "ell": d * (d + 3) // 2}
+        if kind == "multiplicity_exceeds_degree" and any(m > d for m in S.mults):
+            return {"kind": kind, "system": str(S), "ell": -1}
+        if kind == "standard_small" and S.base_points <= 9 and is_standard(S):
+            return {"kind": kind, "system": str(S), "points": S.base_points,
+                    "ell": expected_dim(S)}
+        if (kind == "bounded_tail" and S.is_quasi_homogeneous()
+                and 0 < S.tail_multiplicity() <= 5):
+            trace, ell = removal(S)
+            return {"kind": kind, "system": str(S), "tail": S.tail_multiplicity(),
+                    "removal": trace, "ell": ell}
+    return None
+
+
+def _oracle_leaf(S: LinearSystem, prime: int, seed: int, trials: int,
+                 ell: int | None = None) -> dict:
+    """The ``rank_oracle`` leaf for ``S``; ``ell`` defaults to the oracle's value."""
+    if ell is None:
+        ell = dimension_char_p(S, seed, prime, trials)
+    return {"kind": "rank_oracle", "system": str(S), "prime": prime, "seed": seed,
+            "trials": trials, "ell": ell, "expected": expected_dim(S)}
+
+
 # -- recursive prover ---------------------------------------------------------
 
 
@@ -230,15 +268,9 @@ def _solve(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
 
 
 def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
-    d = L.degree
-    if L.base_points == 0:
-        ell = d * (d + 3) // 2
-        return DimVerdict(REGULAR, ell, L,
-                          {"kind": "no_conditions", "system": str(L), "ell": ell})
-    if any(m > d for m in L.mults):
-        return DimVerdict(EMPTY, -1, L,
-                          {"kind": "multiplicity_exceeds_degree", "system": str(L),
-                           "ell": -1})
+    leaf = _base_case(L, _BASE_CASES[:2], None)  # neither kind reads a removal
+    if leaf is not None:
+        return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
 
     removal = ctx.removal(L)
     if removal.status == SPECIAL:
@@ -254,14 +286,9 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
             return found
 
     if ctx.budget.use_oracle and monomial_count(L) <= ORACLE_COLS_CAP:
-        b = ctx.budget
-        ell = dimension_char_p(L, b.seed, b.prime, b.trials)
-        e = expected_dim(L)
-        leaf = {"kind": "rank_oracle", "system": str(L), "prime": b.prime,
-                "seed": b.seed, "trials": b.trials, "ell": ell, "expected": e}
-        if ell == e:
-            status = EMPTY if ell == -1 else REGULAR
-            return DimVerdict(status, ell, L, leaf)
+        leaf = _oracle_leaf(L, ctx.budget.prime, ctx.budget.seed, ctx.budget.trials)
+        if leaf["ell"] == leaf["expected"]:
+            return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
         return DimVerdict(UNKNOWN, None, L,
                           {"kind": "unknown", "system": str(L),
                            "reason": "rank oracle exceeds the expected dimension",
@@ -271,30 +298,23 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
                       {"kind": "unknown", "system": str(L), "reason": "out of methods"})
 
 
+def _status(ell: int) -> str:
+    """The status of a non-special dimension."""
+    return EMPTY if ell == -1 else REGULAR
+
+
 def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
     final, moves = standard_reduce(L)
-    leaf: dict | None = None
-    if any(m > final.degree for m in final.mults):
-        ell = -1
-        leaf = {"kind": "multiplicity_exceeds_degree", "system": str(final), "ell": -1}
-    elif final.base_points <= 9 and is_standard(final):
-        ell = max(-1, virtual_dim(final))
-        leaf = {"kind": "standard_small", "system": str(final),
-                "points": final.base_points, "ell": ell}
-    elif final.is_quasi_homogeneous() and 0 < final.tail_multiplicity() <= 5:
-        inner = hh_dimension(final)
-        ell = inner.ell
-        leaf = {"kind": "bounded_tail", "system": str(final),
-                "tail": final.tail_multiplicity(), "removal": inner.trace, "ell": ell}
-    else:
+    leaf = _base_case(final, _BASE_CASES[1:],
+                      lambda S: (ctx.removal(S).trace, ctx.removal(S).ell))
+    if leaf is None:
         return None
+    ell = leaf["ell"]
     trace = {"kind": "cremona_reduction", "system": str(L),
              "moves": [m.to_json() for m in moves], "final": str(final),
              "leaf": leaf, "ell": ell}
-    if ell == -1:
-        return DimVerdict(EMPTY, -1, L, trace)
-    if ell == expected_dim(L):
-        return DimVerdict(REGULAR, ell, L, trace)
+    if ell == -1 or ell == expected_dim(L):
+        return DimVerdict(_status(ell), ell, L, trace)
     # a special value here would contradict the classifier run before us
     return DimVerdict(UNKNOWN, None, L,
                       {"kind": "unknown", "system": str(L),
@@ -317,7 +337,7 @@ def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | 
             for rule in rules:
                 node = _try(L, k, b, rule, ctx, depth)
                 if node is not None:
-                    return DimVerdict(EMPTY if rule == "empty" else REGULAR, node["ell"], L, node)
+                    return DimVerdict(_status(node["ell"]), node["ell"], L, node)
     return None
 
 
@@ -373,18 +393,13 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
 def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> None:
     """:func:`check_certificate` on a certificate whose system is parsed already."""
     status, ell = cert["status"], cert["ell"]
-    if status == UNKNOWN:
-        raise CertificateError("unknown verdicts carry no certificate")
+    reason = ("unknown verdicts carry no certificate" if status == UNKNOWN
+              else status_failure(status, ell, system))
+    if reason is not None:
+        raise CertificateError(reason)
     got = _check_node(cert["trace"], system, replay_oracle)
     if got != ell:
         raise CertificateError(f"trace for {system} proves ell={got}, verdict says {ell}")
-    e = expected_dim(system)
-    if status == EMPTY and ell != -1:
-        raise CertificateError("empty verdict with ell != -1")
-    if status == REGULAR and ell != e:
-        raise CertificateError("regular verdict with ell != expected")
-    if status == SPECIAL and ell <= e:
-        raise CertificateError("special verdict without excess dimension")
 
 
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
@@ -392,7 +407,7 @@ _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
 
 def _typed(value, kind: type, what: str):
     """``value`` itself when it has the JSON type ``kind``; raises otherwise."""
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or value is True or value is False:  # true is no integer
         raise CertificateError(f"{what} is {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
@@ -424,19 +439,13 @@ def _node_system(node: dict, expect: LinearSystem) -> LinearSystem:
 def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     _typed(node, dict, "a trace node")
     kind = node.get("kind")
-    if kind == "no_conditions":
-        _node_system(node, system)
-        if system.base_points != 0:
-            raise CertificateError(f"{system} has base conditions")
-        ell = system.degree * (system.degree + 3) // 2
-        if node["ell"] != ell:
-            raise CertificateError("wrong unconditioned dimension")
-        return ell
-    if kind == "multiplicity_exceeds_degree":
-        _node_system(node, system)
-        if not any(m > system.degree for m in system.mults):
-            raise CertificateError(f"no multiplicity exceeds the degree in {system}")
-        return -1
+    if kind in _BASE_CASES:
+        sys = _node_system(node, system)
+        leaf = _base_case(sys, (kind,), lambda S: (
+            node["removal"], _check_node(node["removal"], S, replay_oracle)))
+        if leaf is None:
+            raise CertificateError(f"{sys} is not a {kind} base case")
+        return _rebuilt(node, leaf)
     if kind == "fixed_part_removal":
         _node_system(node, system)
         return _check_removal(node, system)
@@ -454,22 +463,6 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
         if got != node["ell"]:
             raise CertificateError("reduction ell mismatch")
         return got
-    if kind == "standard_small":
-        sys = _node_system(node, system)
-        if sys.base_points > 9 or not is_standard(sys):
-            raise CertificateError(f"{sys} is not a small standard system")
-        ell = max(-1, virtual_dim(sys))
-        if node["ell"] != ell:
-            raise CertificateError("standard_small ell mismatch")
-        return ell
-    if kind == "bounded_tail":
-        sys = _node_system(node, system)
-        if not sys.is_quasi_homogeneous() or not 0 < sys.tail_multiplicity() <= 5:
-            raise CertificateError(f"{sys} is not a bounded-tail base case")
-        got = _check_node(node["removal"], sys, replay_oracle)
-        if got != node["ell"]:
-            raise CertificateError("bounded_tail ell mismatch")
-        return got
     if kind == "degeneration":
         return _check_degeneration(node, system, replay_oracle)
     if kind == "rank_oracle":
@@ -478,21 +471,29 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
             check_prime(node["prime"])
         except ValueError as err:
             raise CertificateError(f"rank oracle leaf: {err}") from None
-        trials = node["trials"]
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            raise CertificateError(f"rank oracle leaf: trials must be an int >= 1, got {trials!r}")
+        trials = _typed(node["trials"], int, "the trials count of an oracle leaf")
+        seed = _typed(node["seed"], int, "the seed of an oracle leaf")
+        if trials < 1:
+            raise CertificateError(f"rank oracle leaf: trials must be >= 1, got {trials}")
         cols = monomial_count(sys)
         if cols > ORACLE_COLS_CAP:
             raise CertificateError(f"rank oracle leaf: {cols} columns exceed "
                                    f"the cap of {ORACLE_COLS_CAP}")
-        if replay_oracle:
-            got = dimension_char_p(sys, node["seed"], node["prime"], trials)
-            if got != node["ell"]:
-                raise CertificateError(f"oracle replay got {got}, trace says {node['ell']}")
-        if node["ell"] != expected_dim(sys):
+        ell = None if replay_oracle else _typed(node["ell"], int, "the ell of an oracle leaf")
+        got = _rebuilt(node, _oracle_leaf(sys, node["prime"], seed, trials, ell))
+        if got != expected_dim(sys):
             raise CertificateError("rank oracle certifies regular values only")
-        return node["ell"]
+        return got
     raise CertificateError(f"unknown trace node kind {kind!r}")
+
+
+def _rebuilt(node: dict, leaf: dict) -> int:
+    """The ``ell`` of ``leaf``; raises unless the recorded ``node`` equals it key for key."""
+    if node != leaf:
+        fields = [key for key in {**leaf, **node} if node.get(key) != leaf.get(key)]
+        raise CertificateError(f"{leaf['kind']} leaf for {leaf['system']} differs from "
+                               f"its recomputation in {', '.join(fields)}")
+    return leaf["ell"]
 
 
 def _is_minus_one_curve(curve: LinearSystem) -> bool:
@@ -527,30 +528,31 @@ def _minus_one_curve(text) -> LinearSystem:
     return curve
 
 
+def _split(raw, what: str, d: int, m: tuple[int, ...]):
+    """The recorded split ``raw`` of the class ``(d, m)``: its (-1)-curve, its
+    multiplicity n, and the class left after subtracting n times the curve."""
+    _typed(raw, dict, what)
+    curve = _minus_one_curve(raw["curve"])
+    n = _typed(raw["n"], int, "a split multiplicity")
+    if intersect(LinearSystem(d, m), curve) != -n or n < 1:
+        raise CertificateError(f"{what} {curve} x{n} does not meet its system in -n")
+    return (curve, n, *split_off(d, m, n, curve.degree, curve.mults))
+
+
 def _check_removal(node: dict, system: LinearSystem) -> int:
     d, m = system.degree, system.mults
     pieces: list[tuple[LinearSystem, int]] = []
     for step in _typed(node["steps"], list, "the step list of a removal"):
-        _typed(step, dict, "a removal step")
-        curve = _minus_one_curve(step["curve"])
-        n = _typed(step["n"], int, "a split multiplicity")
-        if intersect(LinearSystem(d, m), curve) != -n or n < 1:
-            raise CertificateError(f"split {curve} x{n} does not match its intersection")
-        d, m = split_off(d, m, n, curve.degree, curve.mults)
+        curve, n, d, m = _split(step, "a removal step", d, m)
         if min(d, *m) < 0:
             raise CertificateError("split walks out of the effective cone")
         pieces.append((curve, n))
     if node.get("rejected"):
-        rej = _typed(node["rejected"], dict, "a rejected split")
-        curve = _minus_one_curve(rej["curve"])
-        n = _typed(rej["n"], int, "a split multiplicity")
-        if intersect(LinearSystem(d, m), curve) != -n or n < 1:
-            raise CertificateError("rejected split does not meet the residual negatively")
-        rest_d, rest = split_off(d, m, n, curve.degree, curve.mults)
+        _, _, rest_d, rest = _split(node["rejected"], "a rejected split", d, m)
         if min(rest_d, *rest) >= 0:
             raise CertificateError("rejected split would actually fit")
-        if node["ell"] != -1:
-            raise CertificateError("rejected removal must conclude emptiness")
+        if node["ell"] != -1 or node["special"] is not False:
+            raise CertificateError("rejected removal must conclude emptiness, not speciality")
         return -1
     residual = LinearSystem(d, m)
     if _system(node["residual"]).normalize() != residual.normalize():
@@ -558,10 +560,10 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
     ell = max(-1, virtual_dim(residual))
     if node["ell"] != ell:
         raise CertificateError("removal ell mismatch")
-    if node.get("special"):
-        reason = speciality_failure(pieces, residual)
-        if reason is not None:
-            raise CertificateError(f"claimed speciality without a valid witness: {reason}")
+    reason = speciality_failure(pieces, residual)
+    if node["special"] is not (reason is None):
+        raise CertificateError(f"removal records special={node['special']!r}, "
+                               f"but {reason or 'the removal is special'}")
     return ell
 
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, zip_longest
+from itertools import accumulate, combinations, zip_longest
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import LinearSystem, arithmetic_genus, format_system, intersect, virtual_dim
@@ -327,23 +328,31 @@ def _split_chain(L: LinearSystem, reverse: bool = False) -> _Chain:
         assert min(d, *m) >= 0
 
 
-def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
-    """Every catalog instantiation meeting ``L`` negatively, all placements.
+_MAX_SPLITTINGS = 100_000  # placements that find_splittings lists at most
 
-    Deterministic order: by degree of the curve, then by multiplicity vector
-    (largest first).
+
+def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
+    """Every catalog instantiation meeting ``L`` negatively, all placements,
+    by degree of the curve, then by multiplicity vector (largest first).
+
+    In the regime a family meets ``L`` in the same number wherever it is
+    placed, so each family is tested once, and more than ``_MAX_SPLITTINGS``
+    placements are refused (ValueError) before any is built.
     """
     check_regime(L, "find_splittings")
     base = L.normalize()
     t = len(base.tail)
-    found: list[Splitting] = []
-    if t >= 1:
-        for entry in catalog(t, 3):
-            for placement in combinations(range(t), entry.tail_points):
-                cls = entry.instantiate(t, placement)
-                val = intersect(base, cls)
-                if val <= -1:
-                    found.append(Splitting(cls, val, entry, placement))
+    m = base.tail_multiplicity()
+    negative = [(entry, val) for entry in (catalog(t, 3) if t else ())
+                if (val := entry.degree * base.degree - entry.m0 * base.m0
+                    - entry.tail_mult * m * entry.tail_points) <= -1]
+    sizes = accumulate(comb(t, entry.tail_points) for entry, _ in negative)
+    if any(size > _MAX_SPLITTINGS for size in sizes):
+        raise ValueError(f"{base} meets more than {_MAX_SPLITTINGS} catalog "
+                         f"placements negatively; refusing to list them")
+    found = [Splitting(entry.instantiate(t, placement), val, entry, placement)
+             for entry, val in negative
+             for placement in combinations(range(t), entry.tail_points)]
     found.sort(key=lambda s: (s.curve.degree, tuple(-x for x in s.curve.mults)))
     return tuple(found)
 
@@ -388,15 +397,13 @@ def is_minus_one_special(L: LinearSystem) -> tuple[bool, SplittingWitness | None
     return True, SplittingWitness(chain.system, pieces, residual)
 
 
-def hh_dimension(L: LinearSystem, conjecture: bool = False) -> DimVerdict:
+def hh_dimension(L: LinearSystem) -> DimVerdict:
     """Dimension predicted by iterated removal of fixed (-1)-parts.
 
     Sound for quasi-homogeneous systems of tail multiplicity at most 6 (the
-    classified range); pass ``conjecture=True`` to apply the same recipe
-    outside it.
+    classified range); other systems raise ValueError.
     """
-    if not conjecture:
-        check_regime(L, "hh_dimension")
+    check_regime(L, "hh_dimension")
     chain = _split_chain(L)
     pieces, residual = chain.pieces(), chain.residual_system()
     if chain.rejected is None:

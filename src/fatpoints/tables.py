@@ -24,7 +24,6 @@ from .oracle import DEFAULT_PRIME, dimension_char_p
 __all__ = [
     "classification_table",
     "classification_to_csv",
-    "parse_classification_csv",
     "classification_to_json",
     "HardCase",
     "known_hard_cases",
@@ -52,14 +51,6 @@ def classification_to_csv(rows: tuple[ClassificationRow, ...]) -> str:
     for r in rows:
         writer.writerow([r.offset, r.system, r.v, r.ell, r.range, r.boundary_case])
     return buf.getvalue()
-
-
-def parse_classification_csv(text: str) -> tuple[tuple[str, ...], ...]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != _CSV_HEADER:
-        raise ValueError(f"unexpected header {header}")
-    return tuple(tuple(row) for row in reader)
 
 
 def classification_to_json(rows: tuple[ClassificationRow, ...]) -> list[dict]:
@@ -183,11 +174,6 @@ def known_hard_cases() -> tuple[HardCase, ...]:
     return tuple(HardCase(*row) for row in _HARD_CASES)
 
 
-def direct_computation_cases() -> tuple[HardCase, ...]:
-    """The subset of hard cases settled purely by a finite-field rank run."""
-    return tuple(c for c in known_hard_cases() if c.method == "direct rank computation")
-
-
 def hard_cases_to_csv() -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -224,9 +210,6 @@ class TableReport:
     @property
     def ok(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def failures(self) -> tuple[RowResult, ...]:
-        return tuple(r for r in self.results if not r.passed)
 
 
 def _check_instance(mode: str, sys: LinearSystem, v: int, ell: int, boundary: bool,

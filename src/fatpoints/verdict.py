@@ -20,12 +20,27 @@ from typing import Any, Mapping
 
 from .core import LinearSystem, expected_dim, format_system
 
-__all__ = ["DimVerdict", "EMPTY", "REGULAR", "SPECIAL", "UNKNOWN"]
+__all__ = ["DimVerdict", "EMPTY", "REGULAR", "SPECIAL", "UNKNOWN", "status_failure"]
 
 EMPTY = "empty"
 REGULAR = "regular"
 SPECIAL = "special_known"
 UNKNOWN = "unknown"
+
+
+def status_failure(status, ell, system: LinearSystem) -> str | None:
+    """Why ``ell`` is not a value that ``status`` allows for ``system``, or None."""
+    if status not in (EMPTY, REGULAR, SPECIAL, UNKNOWN):
+        return f"bad status {status!r}"
+    if status == UNKNOWN:
+        return None if ell is None else "unknown verdict carries no ell"
+    if status == EMPTY and ell != -1:
+        return "empty verdict must carry ell = -1"
+    if status == REGULAR and ell != expected_dim(system):
+        return f"regular verdict for {system} must carry ell = expected_dim"
+    if status == SPECIAL and not (isinstance(ell, int) and ell > expected_dim(system)):
+        return f"special verdict for {system} must carry ell above expected_dim"
+    return None
 
 
 @dataclass(frozen=True)
@@ -36,15 +51,9 @@ class DimVerdict:
     trace: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.status not in (EMPTY, REGULAR, SPECIAL, UNKNOWN):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == EMPTY and self.ell != -1:
-            raise ValueError("empty verdict must carry ell = -1")
-        if self.status == REGULAR and self.ell != expected_dim(self.system):
-            raise ValueError(
-                f"regular verdict for {self.system} must carry ell = expected_dim")
-        if self.status == UNKNOWN and self.ell is not None:
-            raise ValueError("unknown verdict carries no ell")
+        reason = status_failure(self.status, self.ell, self.system)
+        if reason is not None:
+            raise ValueError(reason)
 
     @property
     def conclusive(self) -> bool:

@@ -18,8 +18,7 @@ from fatpoints.degeneration import (Budget, check_certificate, degenerate,
 from fatpoints.neg_curves import (catalog, generate_classification, hh_dimension,
                                   is_minus_one_class, is_minus_one_special)
 from fatpoints.oracle import dimension_char_p
-from fatpoints.tables import (EMPTY_CASE, classification_to_csv,
-                              direct_computation_cases, golden_classification_csv,
+from fatpoints.tables import (EMPTY_CASE, classification_to_csv, golden_classification_csv,
                               known_hard_cases, verify_table)
 from fatpoints.verdict import EMPTY, REGULAR, UNKNOWN
 
@@ -100,7 +99,7 @@ def test_criterion_3_oracle_agreement_on_table(rows):
     rep = verify_table(rows, "oracle", e_limit=4, d_cap=26)
     elapsed = time.time() - t0
     bad = [(c.system, c.expected, c.got)
-           for r in rep.failures() for c in r.checks if not c.passed]
+           for r in rep.results for c in r.checks if not c.passed]
     count = sum(len(r.checks) for r in rep.results)
     report(3, rep.ok and elapsed < 300,
            f"rank oracle equals the ell column on {count} instances with d<=26 "
@@ -120,7 +119,9 @@ def test_criterion_4_hard_case_regression():
             bad.append((case.system, case.status, verdict.status))
         check_certificate(json.loads(verdict.dumps()))
         certs += 1
-    for case in direct_computation_cases():
+    for case in known_hard_cases():
+        if case.method != "direct rank computation":
+            continue
         sys = case.parsed()
         got = dimension_char_p(sys)
         want = -1 if case.status == EMPTY_CASE else expected_dim(sys)

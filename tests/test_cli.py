@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fatpoints
-from fatpoints import oracle
+from fatpoints import neg_curves, oracle
 from fatpoints.cli import main
 from fatpoints.tables import golden_classification_csv
 
@@ -69,6 +69,33 @@ class TestClassify:
         code, out, _ = run(capsys, "--json", "classify", "L(14,0,6^5)", "--splittings")
         doc = json.loads(out)
         assert {"curve": "L(2,0,1^5)", "intersection": -2} in doc["splittings"]
+
+    @pytest.mark.parametrize("flag", [[], ["--json"]])
+    def test_split_chain_built_once(self, capsys, monkeypatch, flag):
+        calls = []
+        chain = neg_curves._split_chain
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return chain(*args, **kwargs)
+        monkeypatch.setattr(neg_curves, "_split_chain", counted)
+        code, out, _ = run(capsys, *flag, "classify", "L(10,2,6^3)")
+        assert code == 0 and len(calls) == 1
+        assert "L(4,2,2^3)" in out
+
+    def test_text_witness(self, capsys):
+        code, out, _ = run(capsys, "classify", "L(10,2,6^3)")
+        assert code == 0
+        assert out.splitlines() == [
+            "system: L(10,2,6^3)", "(-1)-special: True", "ell: 2", "splits:",
+            "  2 x L(1,0,1^2,0)", "  2 x L(1,0,1,0,1)", "  2 x L(1,0,0,1^2)",
+            "residual: L(4,2,2^3) (v = 2)"]
+
+    @pytest.mark.parametrize("system", ["L(30,20,6^30)", "L(3,0,6^10000)"])
+    def test_oversized_splitting_listing_refused(self, capsys, system):
+        code, out, err = run(capsys, "classify", system, "--splittings")
+        assert code == 2 and out == ""
+        assert "refusing to list" in err
 
 
 class TestCremonaCommand:

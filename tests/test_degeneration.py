@@ -194,6 +194,24 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="trials"):
             check_certificate(cert)
 
+    @pytest.mark.parametrize("seed", ["0", True, 0.0])
+    @pytest.mark.parametrize("replay_oracle", [True, False])
+    def test_oracle_leaf_with_bad_seed_rejected(self, monkeypatch, seed, replay_oracle):
+        cert = json.loads(recursive_dim(L("L(20,8,6^9)")).dumps())
+        assert cert["trace"]["kind"] == "rank_oracle"
+        cert["trace"]["seed"] = seed
+        monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
+        with pytest.raises(CertificateError, match="seed"):
+            check_certificate(cert, replay_oracle)
+
+    @pytest.mark.parametrize("status", ["bogus", None, "Regular", ["empty"]])
+    def test_unknown_status_rejected(self, status):
+        cert = json.loads(recursive_dim(L("L(10,2,6^3)")).dumps())
+        check_certificate(cert)
+        cert["status"] = status
+        with pytest.raises(CertificateError, match="bad status"):
+            check_certificate(cert)
+
     def test_oracle_leaf_over_the_column_cap_rejected(self, monkeypatch):
         sys = L("L(101,1)")  # 5253 monomials, over the default cap of 5151
         e = expected_dim(sys)
@@ -353,3 +371,77 @@ class TestMinusOneCurves:
     def test_catalog_constituents_accepted(self, n):
         pieces = [c for entry in catalog(n, 3) for c in entry.constituents(n)]
         assert pieces and all(_is_minus_one_curve(c) for c in pieces)
+
+
+LEAF_KINDS = ("no_conditions", "multiplicity_exceeds_degree", "standard_small",
+              "bounded_tail", "rank_oracle")
+# the oracle leaf's inputs: another valid choice replays to another valid leaf
+ORACLE_INPUTS = ("prime", "seed", "trials")
+
+
+def _nodes(tree):
+    """Every trace node inside a certificate, depth first."""
+    if isinstance(tree, dict):
+        if "kind" in tree:
+            yield tree
+        for value in tree.values():
+            yield from _nodes(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _nodes(value)
+
+
+def _mutated(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value + " "  # a system string that parses to the same system
+
+
+class TestLeafMutations:
+    """Every field of a leaf is rebuilt by the checker, so changing one is caught."""
+
+    @pytest.mark.parametrize("prove,name,kind,field,value", [
+        (recursive_dim, "L(6,0,6)", "standard_small", "points", 2),
+        (recursive_dim, "L(14,0,6^6)", "multiplicity_exceeds_degree", "ell", 0),
+        (recursive_dim, "L(19,5,6^9)", "rank_oracle", "expected", 6),
+        (recursive_dim, "L(10,2,6^3)", "fixed_part_removal", "special", False),
+        (hh_dimension, "L(6,6,6^2)", "fixed_part_removal", "special", True),
+        (recursive_dim, "L(20,8,6^9)", "rank_oracle", "seed", "0"),
+        (recursive_dim, "L(10,2,6^3)", None, "status", "bogus"),
+    ])
+    def test_named_mutation_rejected(self, prove, name, kind, field, value):
+        cert = json.loads(prove(L(name)).dumps())
+        check_certificate(cert)
+        node = cert if kind is None else next(n for n in _nodes(cert) if n["kind"] == kind)
+        assert node[field] != value or type(node[field]) is not type(value)
+        node[field] = value
+        with pytest.raises(CertificateError):
+            check_certificate(cert)
+
+    @pytest.mark.parametrize("prove,name", [
+        (recursive_dim, "L(0)"), (recursive_dim, "L(3,4)"), (recursive_dim, "L(6,0,6)"),
+        (recursive_dim, "L(10,2,6^3)"), (recursive_dim, "L(14,0,6^6)"),
+        (recursive_dim, "L(19,5,6^9)"), (recursive_dim, "L(21,0,6^10)"),
+        (recursive_dim, "L(46,36,6^22)"), (hh_dimension, "L(6,6,6^2)"),
+    ])
+    def test_every_leaf_field_is_checked(self, prove, name):
+        text = prove(L(name)).dumps()
+        check_certificate(json.loads(text))
+        mutants = 0
+        for i, node in enumerate(_nodes(json.loads(text))):
+            if node["kind"] in LEAF_KINDS:
+                fields = [f for f in node if f not in ("kind", "removal", *ORACLE_INPUTS)]
+            elif node["kind"] == "fixed_part_removal":
+                fields = ["special"]
+            else:
+                continue
+            for field in fields:
+                cert = json.loads(text)
+                target = list(_nodes(cert))[i]
+                target[field] = _mutated(target[field])
+                with pytest.raises(CertificateError):
+                    check_certificate(cert)
+                mutants += 1
+        assert mutants > 0

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
-from fatpoints.neg_curves import (SplittingWitness, _split_chain, catalog, find_splittings,
-                                  generate_classification, hh_dimension,
+from fatpoints.neg_curves import (CurveCatalogEntry, SplittingWitness, _split_chain, catalog,
+                                  find_splittings, generate_classification, hh_dimension,
                                   is_minus_one_class, is_minus_one_special)
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL
 
@@ -96,6 +96,25 @@ class TestFindSplittings:
     def test_empty(self):
         assert find_splittings(L("L(5,0,1^2)")) == ()
 
+    @pytest.fixture
+    def no_placement(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a placement was built")
+        monkeypatch.setattr(CurveCatalogEntry, "instantiate", refuse)
+
+    def test_no_placement_built_without_a_result(self, no_placement):
+        # 19 tail points: listing every placement of every family took
+        # seconds, but no family meets L(40,30,6^19) negatively
+        assert find_splittings(L("L(40,30,6^19)")) == ()
+
+    @pytest.mark.parametrize("name", ["L(30,20,6^30)", "L(3,0,6^10000)"])
+    def test_oversized_listing_refused_before_enumeration(self, no_placement, name):
+        with pytest.raises(ValueError, match="refusing to list"):
+            find_splittings(L(name))
+
+    def test_listing_below_the_cap(self):
+        assert len(find_splittings(L("L(14,10,6^14)"))) == 31919
+
     def test_regime_enforced(self):
         with pytest.raises(ValueError):
             find_splittings(L("L(9,1,7^3)"))
@@ -160,7 +179,6 @@ class TestHHDimension:
     def test_conjecture_opt_in(self):
         with pytest.raises(ValueError):
             hh_dimension(L("L(20,3,7^4)"))
-        assert hh_dimension(L("L(20,3,7^4)"), conjecture=True).ell >= -1
 
     def test_bound_and_equality_law(self):
         rng = random.Random(23)

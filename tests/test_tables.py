@@ -1,6 +1,8 @@
 """Table generation, golden files, verification reports, hard-case data."""
 
+import csv
 import dataclasses
+import io
 
 import pytest
 
@@ -8,10 +10,8 @@ from fatpoints.core import expected_dim, virtual_dim
 from fatpoints.neg_curves import generate_classification
 from fatpoints.tables import (EMPTY_CASE, REGULAR_CASE, classification_table,
                               classification_to_csv, classification_to_json,
-                              direct_computation_cases, golden_classification_csv,
-                              golden_hard_cases_csv, hard_cases_to_csv,
-                              known_hard_cases, parse_classification_csv,
-                              verify_table)
+                              golden_classification_csv, golden_hard_cases_csv,
+                              hard_cases_to_csv, known_hard_cases, verify_table)
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +42,12 @@ class TestClassificationTable:
         assert degrees == [5 * e + 5 for e in range(1, 11)]
 
     def test_csv_round_trip(self, rows):
-        text = classification_to_csv(rows)
-        parsed = parse_classification_csv(text)
+        header, *parsed = csv.reader(io.StringIO(classification_to_csv(rows)))
+        assert header == ["d_minus_m0", "system", "v", "ell", "range", "boundary_case"]
         assert len(parsed) == len(rows)
         for raw, row in zip(parsed, rows):
-            assert raw == (str(row.offset), row.system, row.v, row.ell,
-                           row.range, row.boundary_case)
+            assert raw == [str(row.offset), row.system, row.v, row.ell,
+                           row.range, row.boundary_case]
 
     def test_json_mirror(self, rows):
         data = classification_to_json(rows)
@@ -71,7 +71,7 @@ class TestVerifyTable:
                                   payload=(d, m0, n, v, ell + 1))
         mutated = rows[:target] + (bad,) + rows[target + 1:]
         report = verify_table(mutated, "hh", e_limit=2, d_cap=30)
-        assert [r.system for r in report.failures()] == ["L(13,2,6^5)"]
+        assert [r.system for r in report.results if not r.passed] == ["L(13,2,6^5)"]
 
     def test_reports_carry_repro_commands(self, rows):
         report = verify_table(rows[:1], "formula", e_limit=1, d_cap=10)
@@ -87,7 +87,8 @@ class TestHardCases:
         assert cases["L(46,36,6^22)"] == EMPTY_CASE
 
     def test_direct_computation_subset(self):
-        direct = {c.system for c in direct_computation_cases()}
+        direct = {c.system for c in known_hard_cases()
+                  if c.method == "direct rank computation"}
         assert direct == {"L(20,8,6^9)", "L(22,7,6^12)", "L(22,9,6^11)",
                           "L(23,11,6^11)", "L(25,12,6^13)", "L(26,14,6^13)",
                           "L(29,19,6^13)", "L(31,18,6^17)", "L(40,27,6^23)",
