@@ -6,9 +6,9 @@ from .cremona import (Move, NegativeEntryError, NotFixedError, cremona,
                       split_fixed_line, standard_reduce)
 from .degeneration import (Budget, CertificateError, DegenerationSplit,
                            check_certificate, degenerate, recursive_dim)
-from .neg_curves import (ClassificationRow, CurveCatalogEntry, SplittingWitness,
-                         catalog, find_splittings, generate_classification, hh_dimension,
-                         is_minus_one_class, is_minus_one_special)
+from .neg_curves import (ClassificationRow, CurveCatalogEntry, catalog, find_splittings,
+                         generate_classification, hh_dimension, is_minus_one_class,
+                         is_minus_one_special)
 from .oracle import DEFAULT_PRIME, PrimeFieldMatrix, build_matrix, dimension_char_p, rank_ff
 from .tables import classification_table, known_hard_cases, verify_table
 from .verdict import DimVerdict
@@ -23,7 +23,7 @@ __all__ = [
     "NegativeEntryError", "NotFixedError",
     "catalog", "CurveCatalogEntry", "find_splittings",
     "is_minus_one_class", "is_minus_one_special", "hh_dimension",
-    "generate_classification", "ClassificationRow", "SplittingWitness",
+    "generate_classification", "ClassificationRow",
     "degenerate", "DegenerationSplit", "recursive_dim", "Budget", "check_certificate",
     "CertificateError", "DimVerdict",
     "build_matrix", "rank_ff", "dimension_char_p",

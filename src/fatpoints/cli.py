@@ -18,7 +18,7 @@ from .degeneration import (Budget, CertificateError, check_certificate, degenera
 from .neg_curves import find_splittings, hh_dimension
 from .oracle import DEFAULT_PRIME, ORACLE_COLS_CAP, monomial_count, oracle_report
 from .tables import (classification_table, classification_to_csv,
-                     classification_to_json, hard_cases_to_csv, verify_table)
+                     classification_to_json, hard_cases_csv, verify_table)
 from .verdict import UNKNOWN
 
 
@@ -105,20 +105,12 @@ def _cmd_cremona(args) -> int:
 
 def _cmd_degen(args) -> int:
     L = _parse(args.system)
-    split = degenerate(L, args.k, args.b)
-    payload = {
-        "system": str(L), "k": args.k, "b": args.b,
-        "plane": str(split.plane), "ruled": str(split.ruled),
-        "plane_kernel": str(split.plane_kernel), "ruled_kernel": str(split.ruled_kernel),
-        "v_plane": split.v_plane, "v_ruled": split.v_ruled,
-        "v_plane_kernel": split.v_plane_kernel, "v_ruled_kernel": split.v_ruled_kernel,
-    }
-    _emit(args, payload, [
-        f"plane:         {split.plane}  (v = {split.v_plane})",
-        f"ruled:         {split.ruled}  (v = {split.v_ruled})",
-        f"plane kernel:  {split.plane_kernel}  (v = {split.v_plane_kernel})",
-        f"ruled kernel:  {split.ruled_kernel}  (v = {split.v_ruled_kernel})",
-    ])
+    parts = degenerate(L, args.k, args.b).parts()
+    payload = {"system": str(L), "k": args.k, "b": args.b,
+               **{name: str(S) for name, S in parts.items()},
+               **{f"v_{name}": virtual_dim(S) for name, S in parts.items()}}
+    _emit(args, payload, [f"{name.replace('_', ' ') + ':':<15}{S}  (v = {virtual_dim(S)})"
+                          for name, S in parts.items()])
     return 0
 
 
@@ -162,7 +154,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_hard_cases(args) -> int:
-    sys.stdout.write(hard_cases_to_csv())
+    sys.stdout.write(hard_cases_csv())
     return 0
 
 

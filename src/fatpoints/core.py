@@ -79,11 +79,6 @@ class LinearSystem:
         return self.mults[1:]
 
     @property
-    def npoints(self) -> int:
-        """Number of point slots, including zero-multiplicity ones."""
-        return len(self.mults)
-
-    @property
     def base_points(self) -> int:
         """Number of points actually imposing conditions."""
         return sum(1 for m in self.mults if m > 0)

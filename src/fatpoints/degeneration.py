@@ -58,22 +58,6 @@ class DegenerationSplit:
     plane_kernel: LinearSystem
     ruled_kernel: LinearSystem
 
-    @property
-    def v_plane(self) -> int:
-        return virtual_dim(self.plane)
-
-    @property
-    def v_ruled(self) -> int:
-        return virtual_dim(self.ruled)
-
-    @property
-    def v_plane_kernel(self) -> int:
-        return virtual_dim(self.plane_kernel)
-
-    @property
-    def v_ruled_kernel(self) -> int:
-        return virtual_dim(self.ruled_kernel)
-
     def parts(self) -> dict[str, LinearSystem]:
         """The four restricted systems by name, in the order the prover solves them."""
         return {"plane": self.plane, "ruled": self.ruled,
@@ -100,7 +84,7 @@ def degenerate(L: LinearSystem, k: int, b: int) -> DegenerationSplit:
         ruled_kernel=LinearSystem(d, (d - k + 1,) + (m,) * b),
     )
     # bookkeeping identity used throughout the induction
-    assert split.v_plane + split.v_ruled_kernel == virtual_dim(base) - 1
+    assert virtual_dim(split.plane) + virtual_dim(split.ruled_kernel) == virtual_dim(base) - 1
     return split
 
 
@@ -126,41 +110,54 @@ def limit_value(d_minus_k: int, ell_plane: int, ell_ruled: int,
 _NONSPECIAL = (REGULAR, EMPTY)
 
 
+def _numeric_failure(rule: str, split: DegenerationSplit, v: int) -> str | None:
+    """Why ``split`` fails the conditions of ``rule`` that need no child, or None.
+
+    ``v`` is the virtual dimension of the base system.  ``empty`` needs
+    v <= -1 and v(plane_kernel) <= v; ``nonspecial`` needs v >= -1 and
+    restrictions with v >= -1.
+    """
+    if rule == "empty":
+        if v > -1:
+            return "emptiness rule needs v <= -1"
+        if virtual_dim(split.plane_kernel) > v:
+            return "emptiness rule needs v(plane_kernel) <= v"
+        return None
+    if rule == "nonspecial":
+        if v < -1:
+            return "non-speciality rule needs v >= -1"
+        if virtual_dim(split.plane) < -1 or virtual_dim(split.ruled) < -1:
+            return "non-speciality rule needs restriction v >= -1"
+        return None
+    return f"unknown degeneration rule {rule!r}"
+
+
 def criterion_failure(rule: str, split: DegenerationSplit, v: int,
                       children: dict[str, tuple[str, int | None]]) -> str | None:
     """Why ``split`` does not prove ``rule`` for its base system, or None when it does.
 
     ``v`` is the virtual dimension of the base system and ``children`` maps
     each name of :meth:`DegenerationSplit.parts` to that system's certified
-    ``(status, ell)``.  Both rules need non-special restrictions.
-
-    * ``empty`` proves ell = -1: v <= -1, both kernels empty, and
-      v(plane_kernel) <= v.
-    * ``nonspecial`` proves ell = expected: v >= -1, restrictions with
-      v >= -1, and ell(plane_kernel) + ell(ruled_kernel) <= v - 1.
+    ``(status, ell)``.  Beyond :func:`_numeric_failure`, both rules need
+    non-special restrictions; ``empty`` (proving ell = -1) needs both kernels
+    empty, and ``nonspecial`` (proving ell = expected) needs
+    ell(plane_kernel) + ell(ruled_kernel) <= v - 1.
     """
+    reason = _numeric_failure(rule, split, v)
+    if reason is not None:
+        return reason
     if children["plane"][0] not in _NONSPECIAL or children["ruled"][0] not in _NONSPECIAL:
         return "restrictions must be certified non-special"
     (pk_status, pk_ell), (rk_status, rk_ell) = children["plane_kernel"], children["ruled_kernel"]
     if rule == "empty":
-        if v > -1:
-            return "emptiness rule needs v <= -1"
         if pk_status != EMPTY or rk_status != EMPTY:
             return "emptiness rule needs empty kernels"
-        if split.v_plane_kernel > v:
-            return "emptiness rule needs v(plane_kernel) <= v"
         return None
-    if rule == "nonspecial":
-        if v < -1:
-            return "non-speciality rule needs v >= -1"
-        if split.v_plane < -1 or split.v_ruled < -1:
-            return "non-speciality rule needs restriction v >= -1"
-        if UNKNOWN in (pk_status, rk_status):
-            return "non-speciality rule needs certified kernels"
-        if pk_ell + rk_ell > v - 1:
-            return "kernels too large for the non-speciality rule"
-        return None
-    return f"unknown degeneration rule {rule!r}"
+    if UNKNOWN in (pk_status, rk_status):
+        return "non-speciality rule needs certified kernels"
+    if pk_ell + rk_ell > v - 1:
+        return "kernels too large for the non-speciality rule"
+    return None
 
 
 def _proved_ell(rule: str, L: LinearSystem) -> int:
@@ -218,9 +215,9 @@ class Budget:
     prime: int = DEFAULT_PRIME
     seed: int = 0
     trials: int = 3
-    max_nodes: int = 50_000
 
 
+_MAX_NODES = 50_000  # distinct systems one run solves at most
 _MAX_SCAN_B = 24  # b values tried per (system, k)
 
 
@@ -249,7 +246,7 @@ def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
     finite-field rank oracle under the size cap.  Anything else is Unknown;
     a verdict is never guessed.
     """
-    check_regime(L, "recursive_dim")
+    check_regime(L)
     return _solve(L.normalize(), _Ctx(budget or Budget()), 0)
 
 
@@ -259,9 +256,8 @@ def _solve(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
     if hit is not None:
         return hit
     ctx.nodes += 1
-    if ctx.nodes > ctx.budget.max_nodes or depth > ctx.budget.max_depth:
-        return DimVerdict(UNKNOWN, None, L, {"kind": "unknown", "system": str(L),
-                                             "reason": "budget exhausted"})
+    if ctx.nodes > _MAX_NODES or depth > ctx.budget.max_depth:
+        return _unknown(L, "budget exhausted")
     verdict = _solve_fresh(L, ctx, depth)
     ctx.memo[L] = verdict
     return verdict
@@ -289,18 +285,19 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
         leaf = _oracle_leaf(L, ctx.budget.prime, ctx.budget.seed, ctx.budget.trials)
         if leaf["ell"] == leaf["expected"]:
             return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
-        return DimVerdict(UNKNOWN, None, L,
-                          {"kind": "unknown", "system": str(L),
-                           "reason": "rank oracle exceeds the expected dimension",
-                           "oracle": leaf})
-
-    return DimVerdict(UNKNOWN, None, L,
-                      {"kind": "unknown", "system": str(L), "reason": "out of methods"})
+        return _unknown(L, "rank oracle exceeds the expected dimension", oracle=leaf)
+    return _unknown(L, "out of methods")
 
 
 def _status(ell: int) -> str:
     """The status of a non-special dimension."""
     return EMPTY if ell == -1 else REGULAR
+
+
+def _unknown(L: LinearSystem, reason: str, **evidence) -> DimVerdict:
+    """The ``unknown`` verdict for ``L``; ``evidence`` joins its trace."""
+    return DimVerdict(UNKNOWN, None, L, {"kind": "unknown", "system": str(L),
+                                         "reason": reason, **evidence})
 
 
 def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
@@ -316,10 +313,7 @@ def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
     if ell == -1 or ell == expected_dim(L):
         return DimVerdict(_status(ell), ell, L, trace)
     # a special value here would contradict the classifier run before us
-    return DimVerdict(UNKNOWN, None, L,
-                      {"kind": "unknown", "system": str(L),
-                       "reason": f"reduction reports dimension {ell} above expected",
-                       "reduction": trace})
+    return _unknown(L, f"reduction reports dimension {ell} above expected", reduction=trace)
 
 
 def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | None:
@@ -344,19 +338,20 @@ def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | 
 def _try(L: LinearSystem, k: int, b: int, rule: str, ctx: _Ctx, depth: int) -> dict | None:
     """The node proving ``rule`` for ``L`` by the (k, b)-degeneration, or None.
 
-    Before any child is solved, the attempt is pruned by numeric conditions
-    of the rule and by a (-1)-special child that the rule needs non-special.
+    Before any child is solved, the attempt is pruned by the conditions of
+    the rule that need no child, by a ruled kernel that cannot be empty, and
+    by a (-1)-special child that the rule needs non-special.
     """
     split = degenerate(L, k, b)
     v = virtual_dim(L)
+    if _numeric_failure(rule, split, v) is not None:
+        return None
     parts = split.parts()
     if rule == "empty":
-        if split.v_ruled_kernel > -1 or split.v_plane_kernel > v:
+        if virtual_dim(split.ruled_kernel) > -1:
             return None
         needed = parts.values()
     else:
-        if split.v_plane < -1 or split.v_ruled < -1:
-            return None
         needed = (split.plane, split.ruled)
     if any(ctx.removal(s).status == SPECIAL for s in needed):
         return None

@@ -35,7 +35,6 @@ from .verdict import EMPTY, REGULAR, SPECIAL, DimVerdict
 
 __all__ = [
     "CurveCatalogEntry",
-    "SplittingWitness",
     "ClassificationRow",
     "Splitting",
     "is_minus_one_class",
@@ -152,12 +151,13 @@ class Splitting(NamedTuple):
     placement: tuple[int, ...]
 
 
-def check_regime(L: LinearSystem, op: str):
+def check_regime(L: LinearSystem):
     """Raise ValueError unless ``L`` is quasi-homogeneous of tail multiplicity <= 6."""
     if not L.is_quasi_homogeneous():
-        raise ValueError(f"{op} needs a quasi-homogeneous system, got {L}")
+        raise ValueError(f"{L} is not quasi-homogeneous: its tail multiplicities differ")
     if L.tail and L.tail_multiplicity() > 6:
-        raise ValueError(f"{op} needs tail multiplicity <= 6, got {L}")
+        raise ValueError(f"{L} has tail multiplicity {L.tail_multiplicity()}; "
+                         f"only systems of tail multiplicity <= 6 are handled")
 
 
 @lru_cache(maxsize=64)
@@ -339,7 +339,7 @@ def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
     placed, so each family is tested once, and more than ``_MAX_SPLITTINGS``
     placements are refused (ValueError) before any is built.
     """
-    check_regime(L, "find_splittings")
+    check_regime(L)
     base = L.normalize()
     t = len(base.tail)
     m = base.tail_multiplicity()
@@ -357,44 +357,14 @@ def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class SplittingWitness:
-    """A verified (-1)-special decomposition L = residual + sum(ni * Ai)."""
-
-    system: LinearSystem
-    entries: tuple[tuple[LinearSystem, int], ...]
-    residual: LinearSystem
-
-    def __post_init__(self):
-        d, m = self.system.degree, self.system.mults
-        for curve, n in self.entries:
-            if n < 1:
-                raise ValueError("splitting multiplicities must be >= 1")
-            d, m = split_off(d, m, n, curve.degree, curve.mults)
-        if (d, m) != (self.residual.degree, self.residual.mults):
-            raise ValueError("residual does not match the splits componentwise")
-        drop = sum((-n * n + n) // 2 for _, n in self.entries)
-        if virtual_dim(self.system) != virtual_dim(self.residual) + drop:
-            raise ValueError("virtual dimension bookkeeping is off")
-        reason = speciality_failure(self.entries, self.residual)
-        if reason is not None:
-            raise ValueError(reason)
-
-
-def is_minus_one_special(L: LinearSystem) -> tuple[bool, SplittingWitness | None]:
+def is_minus_one_special(L: LinearSystem) -> tuple[bool, DimVerdict | None]:
     """Classifier: does a multiple (-1)-part leave a residual with v >= 0?
 
-    The witness collects every removed curve with its multiplicity; it
-    requires some multiplicity at least 2 and pairwise disjoint curves.
+    The witness is the ``special_known`` verdict of :func:`hh_dimension`; its
+    trace is a fixed-part removal that ``check_certificate`` replays.
     """
-    check_regime(L, "is_minus_one_special")
-    chain = _split_chain(L)
-    if chain.rejected is not None:
-        return False, None
-    pieces, residual = chain.pieces(), chain.residual_system()
-    if speciality_failure(pieces, residual) is not None:
-        return False, None
-    return True, SplittingWitness(chain.system, pieces, residual)
+    verdict = hh_dimension(L)
+    return (True, verdict) if verdict.status == SPECIAL else (False, None)
 
 
 def hh_dimension(L: LinearSystem) -> DimVerdict:
@@ -403,7 +373,7 @@ def hh_dimension(L: LinearSystem) -> DimVerdict:
     Sound for quasi-homogeneous systems of tail multiplicity at most 6 (the
     classified range); other systems raise ValueError.
     """
-    check_regime(L, "hh_dimension")
+    check_regime(L)
     chain = _split_chain(L)
     pieces, residual = chain.pieces(), chain.residual_system()
     if chain.rejected is None:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from conftest import packaged_csv
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.cremona import NegativeEntryError, cremona_vector, split_fixed_line
 from fatpoints.degeneration import (Budget, check_certificate, degenerate,
@@ -18,8 +19,7 @@ from fatpoints.degeneration import (Budget, check_certificate, degenerate,
 from fatpoints.neg_curves import (catalog, generate_classification, hh_dimension,
                                   is_minus_one_class, is_minus_one_special)
 from fatpoints.oracle import dimension_char_p
-from fatpoints.tables import (EMPTY_CASE, classification_to_csv, golden_classification_csv,
-                              known_hard_cases, verify_table)
+from fatpoints.tables import classification_to_csv, known_hard_cases, verify_table
 from fatpoints.verdict import EMPTY, REGULAR, UNKNOWN
 
 
@@ -64,7 +64,7 @@ def test_criterion_1_virtual_dimension_suite(rows):
 
 def test_criterion_2_classification_reproduction(rows):
     t0 = time.time()
-    golden_ok = classification_to_csv(rows) == golden_classification_csv()
+    golden_ok = classification_to_csv(rows) == packaged_csv("classification_table.csv")
 
     covered = {}
     for row in rows:
@@ -114,7 +114,7 @@ def test_criterion_4_hard_case_regression():
     for case in known_hard_cases():
         sys = case.parsed()
         verdict = recursive_dim(sys, budget)
-        want = EMPTY if case.status == EMPTY_CASE else REGULAR
+        want = case.status
         if verdict.status != want:
             bad.append((case.system, case.status, verdict.status))
         check_certificate(json.loads(verdict.dumps()))
@@ -124,7 +124,7 @@ def test_criterion_4_hard_case_regression():
             continue
         sys = case.parsed()
         got = dimension_char_p(sys)
-        want = -1 if case.status == EMPTY_CASE else expected_dim(sys)
+        want = -1 if case.status == EMPTY else expected_dim(sys)
         if got != want:
             bad.append((case.system, "oracle", got))
     elapsed = time.time() - t0
@@ -223,7 +223,7 @@ def test_criterion_7_degeneration_consistency(sweep_verdicts):
         for k in range(1, d):
             for b in range(0, n + 1):
                 s = degenerate(sys, k, b)
-                assert s.v_plane + s.v_ruled_kernel == virtual_dim(sys) - 1
+                assert virtual_dim(s.plane) + virtual_dim(s.ruled_kernel) == virtual_dim(sys) - 1
 
     # prover vs oracle over the sweep box
     unknowns, mismatches = [], []

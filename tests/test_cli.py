@@ -1,7 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import fatpoints
+from conftest import packaged_csv
 from fatpoints import neg_curves, oracle
 from fatpoints.cli import main
-from fatpoints.tables import golden_classification_csv
 
 
 def run(capsys, *argv):
@@ -47,6 +50,23 @@ class TestDim:
         code, out, _ = run(capsys, "--budget", "0", "--json", "dim", "L(150,10,6^120)")
         assert code == 1
         assert json.loads(out)["status"] == "unknown"
+
+
+def _package_functions() -> set[str]:
+    modules = ["cli", "core", "cremona", "degeneration", "neg_curves", "oracle", "tables",
+               "verdict"]
+    return {name for mod in modules
+            for name, _ in inspect.getmembers(importlib.import_module(f"fatpoints.{mod}"),
+                                              inspect.isfunction)}
+
+
+class TestRegimeErrors:
+    @pytest.mark.parametrize("command", ["classify", "dim"])
+    def test_tail_over_six_names_the_system(self, capsys, command):
+        code, out, err = run(capsys, command, "L(9,1,7^3)")
+        assert code == 2 and out == ""
+        assert "L(9,1,7^3)" in err and "tail multiplicity" in err
+        assert not set(re.findall(r"\w+", err)) & _package_functions()
 
 
 class TestParseErrors:
@@ -118,6 +138,31 @@ class TestDegenCommand:
         doc = json.loads(out)
         assert doc["plane"] == "L(9,0,6^3)" and doc["ruled_kernel"] == "L(14,10,6^3)"
 
+    def test_text_exact(self, capsys):
+        code, out, _ = run(capsys, "degen", "L(14,0,6^6)", "5", "3")
+        assert code == 0
+        assert out == ("plane:         L(9,0,6^3)  (v = -9)\n"
+                       "ruled:         L(14,9,6^3)  (v = 11)\n"
+                       "plane kernel:  L(8,0,6^3)  (v = -19)\n"
+                       "ruled kernel:  L(14,10,6^3)  (v = 1)\n")
+
+    def test_json_exact(self, capsys):
+        code, out, _ = run(capsys, "--json", "degen", "L(14,0,6^6)", "5", "3")
+        assert code == 0
+        assert list(json.loads(out).items()) == [
+            ("system", "L(14,0,6^6)"), ("k", 5), ("b", 3),
+            ("plane", "L(9,0,6^3)"), ("ruled", "L(14,9,6^3)"),
+            ("plane_kernel", "L(8,0,6^3)"), ("ruled_kernel", "L(14,10,6^3)"),
+            ("v_plane", -9), ("v_ruled", 11), ("v_plane_kernel", -19), ("v_ruled_kernel", 1)]
+        assert out.startswith('{\n  "system": "L(14,0,6^6)",\n  "k": 5,\n')
+
+
+class TestHardCasesCommand:
+    def test_prints_the_packaged_csv(self, capsys):
+        code, out, _ = run(capsys, "hard-cases")
+        assert code == 0
+        assert out == packaged_csv("hard_cases.csv")
+
 
 class TestOracleCommand:
     def test_report(self, capsys):
@@ -166,7 +211,7 @@ class TestTableCommand:
     def test_generate_matches_golden(self, capsys):
         code, out, _ = run(capsys, "table", "generate", "--e-max", "4")
         assert code == 0
-        assert out == golden_classification_csv()
+        assert out == packaged_csv("classification_table.csv")
 
     def test_verify_formula(self, capsys):
         code, out, _ = run(capsys, "table", "verify", "--mode", "formula",

@@ -70,12 +70,12 @@ class TestIntersect:
         assert intersect(a, b) == intersect(b, a)
         # bilinearity over integer scaling, checked on the raw pairing
         lhs = s * intersect(a, c) + t * intersect(b, c)
-        width = max(a.npoints, b.npoints)
+        width = max(len(a.mults), len(b.mults))
         pad = lambda m, k: tuple(m) + (0,) * (k - len(m))
         combo_deg = s * a.degree + t * b.degree
         combo = [s * x + t * y for x, y in zip(pad(a.mults, width), pad(b.mults, width))]
         rhs = combo_deg * c.degree - sum(
-            x * y for x, y in zip(combo, pad(c.mults, max(width, c.npoints))))
+            x * y for x, y in zip(combo, pad(c.mults, max(width, len(c.mults)))))
         assert lhs == rhs
 
 

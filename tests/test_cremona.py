@@ -95,7 +95,7 @@ class TestCremonaProperties:
             # second class on the same slots, adjusted until the move is legal
             for _ in range(50):
                 b = LinearSystem(rng.randint(3, 30),
-                                 tuple(rng.randint(0, 8) for _ in range(a.npoints)))
+                                 tuple(rng.randint(0, 8) for _ in range(len(a.mults))))
                 w = b.degree - sum(b.mults[s] for s in slots)
                 if b.degree + w >= 0 and all(b.mults[s] + w >= 0 for s in slots):
                     break

@@ -34,7 +34,8 @@ class TestDegenerate:
         s = degenerate(L("L(14,0,6^6)"), 5, 3)
         assert (s.plane, s.ruled) == (L("L(9,0,6^3)"), L("L(14,9,6^3)"))
         assert (s.plane_kernel, s.ruled_kernel) == (L("L(8,0,6^3)"), L("L(14,10,6^3)"))
-        assert s.v_plane + s.v_ruled_kernel == virtual_dim(L("L(14,0,6^6)")) - 1
+        v = virtual_dim(L("L(14,0,6^6)"))
+        assert virtual_dim(s.plane) + virtual_dim(s.ruled_kernel) == v - 1
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -55,7 +56,7 @@ class TestDegenerate:
             k = rng.randint(1, d - 1)
             b = rng.randint(0, n)
             s = degenerate(sys, k, b)  # identity asserted inside
-            assert s.v_plane + s.v_ruled_kernel == virtual_dim(sys) - 1
+            assert virtual_dim(s.plane) + virtual_dim(s.ruled_kernel) == virtual_dim(sys) - 1
 
 
 class TestLimitValue:

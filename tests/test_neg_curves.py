@@ -1,12 +1,14 @@
 """Catalog soundness, the splitting classifier, and the classification table."""
 
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
-from fatpoints.neg_curves import (CurveCatalogEntry, SplittingWitness, _split_chain, catalog,
+from fatpoints.degeneration import CertificateError, check_certificate
+from fatpoints.neg_curves import (CurveCatalogEntry, _split_chain, catalog,
                                   find_splittings, generate_classification, hh_dimension,
                                   is_minus_one_class, is_minus_one_special)
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL
@@ -138,11 +140,13 @@ class TestIsMinusOneSpecial:
     def test_triangle_witness(self):
         special, witness = is_minus_one_special(L("L(10,2,6^3)"))
         assert special
-        assert witness.residual == L("L(4,2,2^3)")
-        assert virtual_dim(witness.residual) == 2
-        assert sorted(n for _, n in witness.entries) == [2, 2, 2]
-        verdict = hh_dimension(L("L(10,2,6^3)"))
-        assert any(step["unit"] == "L(3,0,2^3)" for step in verdict.trace["steps"])
+        assert witness == hh_dimension(L("L(10,2,6^3)"))
+        residual = L(witness.trace["residual"])
+        assert residual == L("L(4,2,2^3)")
+        assert virtual_dim(residual) == 2
+        assert sorted(step["n"] for step in witness.trace["steps"]) == [2, 2, 2]
+        assert any(step["unit"] == "L(3,0,2^3)" for step in witness.trace["steps"])
+        check_certificate(json.loads(witness.dumps()))
 
     def test_sporadic(self):
         assert is_minus_one_special(L("L(14,5,6^5)"))[0]
@@ -152,11 +156,13 @@ class TestIsMinusOneSpecial:
 
     def test_witness_validation(self):
         _, witness = is_minus_one_special(L("L(10,2,6^3)"))
-        with pytest.raises(ValueError):
-            SplittingWitness(witness.system, witness.entries,
-                             L("L(4,2,2,2,1)"))
-        with pytest.raises(ValueError):
-            SplittingWitness(witness.system, witness.entries[:-1], witness.residual)
+        wrong_residual = json.loads(witness.dumps())
+        wrong_residual["trace"]["residual"] = "L(4,2,2,2,1)"
+        dropped_step = json.loads(witness.dumps())
+        dropped_step["trace"]["steps"].pop()
+        for cert in (wrong_residual, dropped_step):
+            with pytest.raises(CertificateError):
+                check_certificate(cert)
 
 
 class TestHHDimension:
@@ -194,7 +200,7 @@ class TestHHDimension:
             assert (ell > expected_dim(sys)) == special
             if special:
                 # a multiple (-1)-part strictly raises the residual dimension
-                assert virtual_dim(witness.residual) > virtual_dim(sys)
+                assert virtual_dim(L(witness.trace["residual"])) > virtual_dim(sys)
 
     def test_order_independence(self):
         rng = random.Random(29)

@@ -6,12 +6,12 @@ import io
 
 import pytest
 
+from conftest import packaged_csv
 from fatpoints.core import expected_dim, virtual_dim
 from fatpoints.neg_curves import generate_classification
-from fatpoints.tables import (EMPTY_CASE, REGULAR_CASE, classification_table,
-                              classification_to_csv, classification_to_json,
-                              golden_classification_csv, golden_hard_cases_csv,
-                              hard_cases_to_csv, known_hard_cases, verify_table)
+from fatpoints.tables import (classification_table, classification_to_csv,
+                              classification_to_json, known_hard_cases, verify_table)
+from fatpoints.verdict import EMPTY, REGULAR
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def rows():
 
 class TestClassificationTable:
     def test_matches_golden_bytes(self, rows):
-        assert classification_to_csv(rows) == golden_classification_csv()
+        assert classification_to_csv(rows) == packaged_csv("classification_table.csv")
 
     def test_offset_six_block_at_e_one(self, rows):
         block = [r for r in rows if r.offset == 6]
@@ -82,9 +82,9 @@ class TestVerifyTable:
 class TestHardCases:
     def test_spot_values(self):
         cases = {c.system: c.status for c in known_hard_cases()}
-        assert cases["L(9,1,6^3)"] == EMPTY_CASE
-        assert cases["L(23,11,6^11)"] == REGULAR_CASE
-        assert cases["L(46,36,6^22)"] == EMPTY_CASE
+        assert cases["L(9,1,6^3)"] == EMPTY
+        assert cases["L(23,11,6^11)"] == REGULAR
+        assert cases["L(46,36,6^22)"] == EMPTY
 
     def test_direct_computation_subset(self):
         direct = {c.system for c in known_hard_cases()
@@ -98,13 +98,19 @@ class TestHardCases:
         for case in known_hard_cases():
             sys = case.parsed()
             assert case.offset == sys.degree - sys.m0
-            if case.status == EMPTY_CASE:
+            if case.status == EMPTY:
                 assert virtual_dim(sys) <= -1
             else:
                 assert expected_dim(sys) >= 0
 
     def test_matches_golden_bytes(self):
-        assert hard_cases_to_csv() == golden_hard_cases_csv()
+        cases = known_hard_cases()
+        assert len(cases) == 81
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["d_minus_m0", "system", "status", "method"])
+        writer.writerows([c.offset, c.system, c.status, c.method] for c in cases)
+        assert buf.getvalue() == packaged_csv("hard_cases.csv")
 
     def test_not_minus_one_special(self):
         from fatpoints.neg_curves import is_minus_one_special
