@@ -26,6 +26,7 @@ __all__ = [
     "cremona_vector",
     "cremona",
     "split_fixed_line",
+    "next_move",
     "standard_reduce",
     "is_standard",
     "replay_transcript",
@@ -124,29 +125,43 @@ def transcript_to_jsonl(moves: tuple[Move, ...]) -> str:
     return "\n".join(json.dumps(m.to_json(), separators=(",", ":")) for m in moves)
 
 
-def _slots_by_multiplicity(L: LinearSystem) -> list[int]:
-    """Slot indices ordered by multiplicity descending, ties by slot index."""
+def next_move(degree: int, mults: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
+    """The next move of the reduction to standard form, or None when there is none.
+
+    Slots are taken by multiplicity, descending, ties by slot index.  The
+    move is ``("line", (a, b))`` when the two heaviest sum to more than the
+    degree, otherwise ``("cremona", (a, b, c))`` when the three heaviest do.
+    """
     # a reversed sort keeps equal keys in their original (ascending) order
-    return sorted(range(len(L.mults)), key=L.mults.__getitem__, reverse=True)
+    top = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)[:3]
+    if len(top) >= 2 and mults[top[0]] + mults[top[1]] > degree:
+        return "line", tuple(top[:2])
+    if len(top) == 3 and mults[top[0]] + mults[top[1]] + mults[top[2]] > degree:
+        return "cremona", tuple(top)
+    return None
 
 
 def is_standard(L: LinearSystem) -> bool:
     """No fixed line and the three largest multiplicities sum to at most d."""
-    order = _slots_by_multiplicity(L)
-    if len(order) >= 2:
-        if L.degree - L.mults[order[0]] - L.mults[order[1]] < 0:
-            return False
-    if len(order) >= 3:
-        if L.mults[order[0]] + L.mults[order[1]] + L.mults[order[2]] > L.degree:
-            return False
-    return True
+    return next_move(L.degree, L.mults) is None
+
+
+def _apply(L: LinearSystem, kind: str, slots: tuple[int, ...]) -> tuple[LinearSystem, str]:
+    """``L`` after the move ``kind`` on ``slots``, normalized, with its canonical string."""
+    if kind == "cremona" and len(slots) == 3:
+        out = cremona(L, *slots).normalize()
+    elif kind == "line" and len(slots) == 2:
+        out = split_fixed_line(L, *slots).normalize()
+    else:
+        raise ValueError(f"unknown move kind {kind!r} on {len(slots)} slots")
+    return out, format_system(out)
 
 
 def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     """Iterate line splits and quadratic transformations until standard.
 
-    Each step works on the normalized form and is recorded as a
-    :class:`Move`; one line split per step even when the line splits off
+    Each step is :func:`next_move` on the normalized form and is recorded as
+    a :class:`Move`; one line split per step even when the line splits off
     several times.  Stops early when some multiplicity exceeds the degree
     (the system is then empty and no further move is meaningful).
     Terminates because every move strictly decreases the degree.
@@ -154,31 +169,14 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     moves: list[Move] = []
     cur = L.normalize()
     text = format_system(cur)
-    initial_degree = L.degree
-    while True:
-        mults = cur.mults
-        if mults and max(mults) > cur.degree:
+    while not cur.mults or max(cur.mults) <= cur.degree:
+        move = next_move(cur.degree, cur.mults)
+        if move is None:
             break
-        order = _slots_by_multiplicity(cur)
-        if len(order) >= 2:
-            a, b = order[0], order[1]
-            if cur.degree - mults[a] - mults[b] < 0 and \
-                    mults[a] >= 1 and mults[b] >= 1 and cur.degree >= 1:
-                nxt = split_fixed_line(cur, a, b).normalize()
-                after = format_system(nxt)
-                moves.append(Move("line", (a, b), text, after))
-                cur, text = nxt, after
-                continue
-        if len(order) >= 3:
-            a, b, c = order[0], order[1], order[2]
-            if mults[a] + mults[b] + mults[c] > cur.degree:
-                nxt = cremona(cur, a, b, c).normalize()
-                after = format_system(nxt)
-                moves.append(Move("cremona", (a, b, c), text, after))
-                cur, text = nxt, after
-                continue
-        break
-    assert len(moves) <= initial_degree + 1, "reduction failed to terminate"
+        nxt, after = _apply(cur, *move)
+        moves.append(Move(*move, text, after))
+        cur, text = nxt, after
+    assert len(moves) <= L.degree + 1, "reduction failed to terminate"
     return cur, tuple(moves)
 
 
@@ -189,13 +187,7 @@ def replay_transcript(moves: tuple[Move, ...], start: LinearSystem) -> LinearSys
     for move in moves:
         if text != move.before:
             raise ValueError(f"transcript mismatch: at {text}, expected {move.before}")
-        if move.kind == "cremona" and len(move.slots) == 3:
-            nxt = cremona(cur, *move.slots).normalize()
-        elif move.kind == "line" and len(move.slots) == 2:
-            nxt = split_fixed_line(cur, *move.slots).normalize()
-        else:
-            raise ValueError(f"unknown move kind {move.kind!r} on {len(move.slots)} slots")
-        text = format_system(nxt)
+        nxt, text = _apply(cur, move.kind, move.slots)
         if text != move.after:
             raise ValueError(f"transcript mismatch after move {move}: got {text}")
         cur = nxt

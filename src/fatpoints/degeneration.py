@@ -28,11 +28,11 @@ from typing import Callable
 
 from .core import (LinearSystem, SystemParseError, expected_dim, format_system, intersect,
                    parse_system, virtual_dim)
-from .cremona import (Move, NegativeEntryError, cremona_vector, is_standard, replay_transcript,
+from .cremona import (Move, cremona_vector, is_standard, next_move, replay_transcript,
                       standard_reduce)
 from .neg_curves import (check_regime, hh_dimension, is_minus_one_class, speciality_failure,
                          split_off)
-from .oracle import (DEFAULT_PRIME, ORACLE_COLS_CAP, check_prime, dimension_char_p,
+from .oracle import (DEFAULT_PRIME, ORACLE_COLS_CAP, check_request, dimension_char_p,
                      monomial_count)
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict, status_failure
 
@@ -209,7 +209,6 @@ def _oracle_leaf(S: LinearSystem, prime: int, seed: int, trials: int,
 class Budget:
     """Resource limits for :func:`recursive_dim`; exhaustion yields Unknown."""
 
-    max_depth: int = 4
     scan_depth: int = 2          # degeneration scans allowed at depth < scan_depth
     use_oracle: bool = True
     prime: int = DEFAULT_PRIME
@@ -256,7 +255,7 @@ def _solve(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
     if hit is not None:
         return hit
     ctx.nodes += 1
-    if ctx.nodes > _MAX_NODES or depth > ctx.budget.max_depth:
+    if ctx.nodes > _MAX_NODES:
         return _unknown(L, "budget exhausted")
     verdict = _solve_fresh(L, ctx, depth)
     ctx.memo[L] = verdict
@@ -319,8 +318,6 @@ def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
 def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | None:
     n = len(L.tail)
     d = L.degree
-    v = virtual_dim(L)
-    rules = [rule for rule, applies in (("empty", v <= -1), ("nonspecial", v >= -1)) if applies]
     for k in (5, 6):
         if not 1 <= k < d:
             continue
@@ -328,21 +325,22 @@ def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | 
         candidates = list(range(b0, -1, -1)) + list(range(b0 + 1, n))
         candidates = [b for b in candidates if 0 <= b < n][:_MAX_SCAN_B]
         for b in candidates:
-            for rule in rules:
-                node = _try(L, k, b, rule, ctx, depth)
+            split = degenerate(L, k, b)
+            for rule in ("empty", "nonspecial"):
+                node = _try(split, rule, ctx, depth)
                 if node is not None:
                     return DimVerdict(_status(node["ell"]), node["ell"], L, node)
     return None
 
 
-def _try(L: LinearSystem, k: int, b: int, rule: str, ctx: _Ctx, depth: int) -> dict | None:
-    """The node proving ``rule`` for ``L`` by the (k, b)-degeneration, or None.
+def _try(split: DegenerationSplit, rule: str, ctx: _Ctx, depth: int) -> dict | None:
+    """The node proving ``rule`` for the base of ``split``, or None.
 
     Before any child is solved, the attempt is pruned by the conditions of
     the rule that need no child, by a ruled kernel that cannot be empty, and
     by a (-1)-special child that the rule needs non-special.
     """
-    split = degenerate(L, k, b)
+    L = split.base
     v = virtual_dim(L)
     if _numeric_failure(rule, split, v) is not None:
         return None
@@ -359,7 +357,7 @@ def _try(L: LinearSystem, k: int, b: int, rule: str, ctx: _Ctx, depth: int) -> d
     proved = {name: (c.status, c.ell) for name, c in children.items()}
     if criterion_failure(rule, split, v, proved) is not None:
         return None
-    return {"kind": "degeneration", "system": str(L), "k": k, "b": b, "rule": rule,
+    return {"kind": "degeneration", "system": str(L), "k": split.k, "b": split.b, "rule": rule,
             "ell": _proved_ell(rule, L),
             "children": {name: c.to_json() for name, c in children.items()}}
 
@@ -383,6 +381,8 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
         _check_verdict(cert, _system(cert["system"]).normalize(), replay_oracle)
     except KeyError as err:
         raise CertificateError(f"missing field {err}") from None
+    except RecursionError:
+        raise CertificateError("certificate nested too deeply to replay") from None
 
 
 def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> None:
@@ -462,18 +462,12 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
         return _check_degeneration(node, system, replay_oracle)
     if kind == "rank_oracle":
         sys = _node_system(node, system)
-        try:
-            check_prime(node["prime"])
-        except ValueError as err:
-            raise CertificateError(f"rank oracle leaf: {err}") from None
         trials = _typed(node["trials"], int, "the trials count of an oracle leaf")
         seed = _typed(node["seed"], int, "the seed of an oracle leaf")
-        if trials < 1:
-            raise CertificateError(f"rank oracle leaf: trials must be >= 1, got {trials}")
-        cols = monomial_count(sys)
-        if cols > ORACLE_COLS_CAP:
-            raise CertificateError(f"rank oracle leaf: {cols} columns exceed "
-                                   f"the cap of {ORACLE_COLS_CAP}")
+        try:
+            check_request(sys, node["prime"], trials)
+        except ValueError as err:
+            raise CertificateError(f"rank oracle leaf: {err}") from None
         ell = None if replay_oracle else _typed(node["ell"], int, "the ell of an oracle leaf")
         got = _rebuilt(node, _oracle_leaf(sys, node["prime"], seed, trials, ell))
         if got != expected_dim(sys):
@@ -494,24 +488,20 @@ def _rebuilt(node: dict, leaf: dict) -> int:
 def _is_minus_one_curve(curve: LinearSystem) -> bool:
     """True when ``C.C = C.K = -1`` and ``C`` reduces to a line through two points.
 
-    The reduction applies quadratic transformations based on the three
-    largest multiplicities, each of which must lower the degree.  Classes
-    that reduce so are irreducible (-1)-curves on the blow-up at general
-    points (Nagata 1960).
+    The reduction applies the quadratic transformations of ``next_move``, each
+    of which lowers the degree; a fixed line rules the class out, and without
+    one no entry turns negative (they become ``d-mb-mc``, ``d-ma-mc``,
+    ``d-ma-mb`` and ``2d-ma-mb-mc``).  Classes that reduce so are irreducible
+    (-1)-curves on the blow-up at general points (Nagata 1960).
     """
     if not is_minus_one_class(curve):  # C.C = -1 and genus 0, i.e. C.K = -1
         return False
     d, mults = curve.degree, curve.mults
     while d > 1:
-        if len(mults) < 3:
+        move = next_move(d, mults)
+        if move is None or move[0] == "line":
             return False
-        i, j, k = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)[:3]
-        if mults[i] + mults[j] + mults[k] <= d:
-            return False
-        try:
-            d, mults = cremona_vector(d, mults, i, j, k)
-        except NegativeEntryError:
-            return False
+        d, mults = cremona_vector(d, mults, *move[1])
     # degree 1 with C.C = C.K = -1 leaves exactly two multiplicities 1
     return d == 1
 

@@ -120,25 +120,23 @@ def _bundle(k: int) -> CurveCatalogEntry:
     return CurveCatalogEntry("compound", k, k, 1, k, param=k)
 
 
-def catalog(n: int, mult_cap: int) -> tuple[CurveCatalogEntry, ...]:
-    """All catalog families instantiable on ``n`` tail slots, tail <= mult_cap."""
+def catalog(n: int) -> tuple[CurveCatalogEntry, ...]:
+    """All catalog families instantiable on ``n`` tail slots."""
     if n < 1:
         raise ValueError("need at least one tail slot")
-    if mult_cap not in (1, 2, 3):
-        raise ValueError("mult_cap must be 1, 2 or 3")
     entries: list[CurveCatalogEntry] = []
     if n >= 5:
         entries.append(_CONIC)
     entries.append(_LINE0)
     entries.extend(_pencil(e) for e in range(1, n // 2 + 1))
-    if n >= 7 and mult_cap >= 2:
+    if n >= 7:
         entries.append(_SEXTIC)
-    if n >= 9 and mult_cap >= 3:
+    if n >= 9:
         entries.append(_BIGCURVE)
     entries.extend(_bundle(k) for k in range(n, 1, -1))
-    if n >= 3 and mult_cap >= 2:
+    if n >= 3:
         entries.append(_TRIANGLE)
-    return tuple(e for e in entries if e.tail_mult <= mult_cap)
+    return tuple(entries)
 
 
 # -- splitting engine --------------------------------------------------------
@@ -147,8 +145,6 @@ def catalog(n: int, mult_cap: int) -> tuple[CurveCatalogEntry, ...]:
 class Splitting(NamedTuple):
     curve: LinearSystem
     intersection: int
-    entry: CurveCatalogEntry
-    placement: tuple[int, ...]
 
 
 def check_regime(L: LinearSystem):
@@ -170,34 +166,10 @@ def _scan_entries(t: int) -> tuple[CurveCatalogEntry, ...]:
     (no verdict depends on a cache hit), so it is built once per tail length
     and kept in a bounded cache.
     """
-    entries = catalog(t, 3)
+    entries = catalog(t)
     simples = sorted((E for E in entries if E.kind == "simple"),
                      key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
     return tuple(E for E in entries if E.kind == "compound") + tuple(simples)
-
-
-@dataclass(frozen=True)
-class _Step:
-    curve: tuple[int, tuple[int, ...]]  # aligned (degree, mults)
-    n: int
-    unit: str | None  # compound label when applied as part of a unit
-
-
-@dataclass(frozen=True)
-class _Chain:
-    system: LinearSystem                     # normalized start
-    steps: tuple[_Step, ...]
-    residual: tuple[int, tuple[int, ...]] | None
-    rejected: tuple[tuple[int, tuple[int, ...]], int] | None
-
-    def pieces(self) -> tuple[tuple[LinearSystem, int], ...]:
-        """The removed curves, each with the number of times it splits off."""
-        return tuple((LinearSystem(*s.curve), s.n) for s in self.steps)
-
-    def residual_system(self) -> LinearSystem | None:
-        if self.residual is None:
-            return None
-        return LinearSystem(self.residual[0], self.residual[1])
 
 
 def split_off(d: int, mults: tuple[int, ...], n: int, curve_degree: int,
@@ -306,25 +278,28 @@ def _next_split(d: int, m: tuple[int, ...], reverse: bool):
     return None
 
 
-def _split_chain(L: LinearSystem, reverse: bool = False) -> _Chain:
+def _split_chain(L: LinearSystem, reverse: bool = False):
+    """``(steps, residual, rejected)``: each ``(curve, n, unit)`` split off ``L``
+    in turn, then the ``(d, mults)`` left or the ``(curve, n)`` that does not fit
+    (the other is None).  Curves are aligned ``(d, mults)``; ``unit`` names a compound."""
     base = L.normalize()
     d = base.degree
     m = base.mults
-    steps: list[_Step] = []
+    steps = []
     rounds = 0
     while True:
         rounds += 1
         assert rounds <= base.degree + 2, f"splitting of {base} failed to terminate"
         action = _next_split(d, m, reverse)
         if action is None:
-            return _Chain(base, tuple(steps), (d, m), None)
+            return tuple(steps), (d, m), None
         if action[0] == "reject":
             _, curve, n = action
-            return _Chain(base, tuple(steps), None, (curve, n))
+            return tuple(steps), None, (curve, n)
         _, constituents, n, unit = action
         for cd, cm in constituents:
             d, m = split_off(d, m, n, cd, cm)
-            steps.append(_Step((cd, cm), n, unit))
+            steps.append(((cd, cm), n, unit))
         assert min(d, *m) >= 0
 
 
@@ -343,14 +318,14 @@ def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
     base = L.normalize()
     t = len(base.tail)
     m = base.tail_multiplicity()
-    negative = [(entry, val) for entry in (catalog(t, 3) if t else ())
+    negative = [(entry, val) for entry in (catalog(t) if t else ())
                 if (val := entry.degree * base.degree - entry.m0 * base.m0
                     - entry.tail_mult * m * entry.tail_points) <= -1]
     sizes = accumulate(comb(t, entry.tail_points) for entry, _ in negative)
     if any(size > _MAX_SPLITTINGS for size in sizes):
         raise ValueError(f"{base} meets more than {_MAX_SPLITTINGS} catalog "
                          f"placements negatively; refusing to list them")
-    found = [Splitting(entry.instantiate(t, placement), val, entry, placement)
+    found = [Splitting(entry.instantiate(t, placement), val)
              for entry, val in negative
              for placement in combinations(range(t), entry.tail_points)]
     found.sort(key=lambda s: (s.curve.degree, tuple(-x for x in s.curve.mults)))
@@ -374,23 +349,24 @@ def hh_dimension(L: LinearSystem) -> DimVerdict:
     classified range); other systems raise ValueError.
     """
     check_regime(L)
-    chain = _split_chain(L)
-    pieces, residual = chain.pieces(), chain.residual_system()
-    if chain.rejected is None:
+    base = L.normalize()
+    steps, residual, rejected = _split_chain(base)
+    pieces = [(LinearSystem(*curve), n) for curve, n, _ in steps]
+    if rejected is None:
+        residual = LinearSystem(*residual)
         ell = max(-1, virtual_dim(residual))
         special = speciality_failure(pieces, residual) is None
-        rejected = None
     else:
-        curve, n = chain.rejected
+        curve, n = rejected
         ell, special = -1, False
         rejected = {"curve": format_system(LinearSystem(*curve)), "n": n}
-    trace = {"kind": "fixed_part_removal", "system": str(chain.system),
-             "steps": [{"curve": format_system(c), "n": k, "unit": s.unit}
-                       for (c, k), s in zip(pieces, chain.steps)],
+    trace = {"kind": "fixed_part_removal", "system": str(base),
+             "steps": [{"curve": format_system(c), "n": n, "unit": unit}
+                       for (c, n), (_, _, unit) in zip(pieces, steps)],
              "residual": None if residual is None else str(residual),
              "rejected": rejected, "special": special, "ell": ell}
     status = SPECIAL if special else EMPTY if ell == -1 else REGULAR
-    return DimVerdict(status, ell, chain.system, trace)
+    return DimVerdict(status, ell, base, trace)
 
 
 # -- classification table ----------------------------------------------------

@@ -84,10 +84,12 @@ __all__ = [
     "MAX_PRIME",
     "PrimeFieldMatrix",
     "check_prime",
+    "check_request",
     "build_matrix",
     "rank_ff",
     "dimension_char_p",
     "ORACLE_COLS_CAP",
+    "ORACLE_MAX_TRIALS",
     "trial_dimensions",
     "oracle_report",
 ]
@@ -104,6 +106,9 @@ MAX_PRIME = 1 << 23
 # Largest column count, (d+1)(d+2)/2, that the prover hands to the oracle and
 # that a certificate's oracle leaf may name: degree 100.
 ORACLE_COLS_CAP = 5151
+
+# Most trials that one query, or the replay of an oracle leaf, may run.
+ORACLE_MAX_TRIALS = 16
 
 _PANEL = 64   # columns eliminated per panel; the inner dimension of the update
 _CHUNK = 128  # rows per trailing-update product, to bound temporaries
@@ -166,13 +171,22 @@ def _shifted_index(exps: np.ndarray, k: int) -> np.ndarray:
     return np.maximum(exps[None, :] - np.arange(k)[:, None], 0)
 
 
-def _check_field(L: LinearSystem, prime: int) -> None:
-    """Raise ValueError unless the conditions of ``L`` are taken over a usable F_p."""
+def check_request(L: LinearSystem, prime, trials: int) -> None:
+    """Raise ValueError unless the oracle takes ``L`` over F_prime for ``trials``
+    trials: a usable field, bounded trials and columns, and room for the points."""
     check_prime(prime)
     if prime <= L.degree:
         raise ValueError(f"prime {prime} must exceed the degree {L.degree}")
     if max(L.mults, default=0) > 1 and prime <= 720:
         raise ValueError("prime too small for derivative coefficients of order < 7")
+    if not 1 <= trials <= ORACLE_MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{ORACLE_MAX_TRIALS}, got {trials}")
+    cols = monomial_count(L)
+    if cols > ORACLE_COLS_CAP:
+        raise ValueError(f"{L} has {cols} monomials, over the oracle's cap of {ORACLE_COLS_CAP}")
+    npoints = sum(m > 0 for m in L.mults)
+    if npoints > (prime - 1) ** 2:
+        raise ValueError(f"{npoints} distinct points do not fit in F_{prime}^2 minus the axes")
 
 
 def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
@@ -180,14 +194,15 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
     """Condition rows (derivatives of order < mi at the i-th point) times monomials.
 
     ``points`` holds one affine pair per positive multiplicity of ``L``, in
-    slot order.  Requires ``prime > degree`` and pairwise distinct points.
+    slot order.  Requires pairwise distinct points and an input that
+    :func:`check_request` accepts.
     Rows run over the points, then the derivative order, then the order of
     the x-derivative from high to low.  With ``corners = (m0, m1, m2)``, the
     multiplicities at ``[0:0:1]``, ``[1:0:0]`` and ``[0:1:0]``, only the
     columns of the monomials ``x^a y^b`` with ``a + b >= m0``, ``a <= d - m1``
     and ``b <= d - m2`` are built, in their usual order.
     """
-    _check_field(L, prime)
+    check_request(L, prime, 1)
     d = L.degree
     positive = [m for m in L.mults if m > 0]
     points = [(int(x) % prime, int(y) % prime) for x, y in points]
@@ -379,16 +394,11 @@ def _trial_dimension(degree: int, mults: list[int], points: list[tuple[int, int]
 
 def _trials(L: LinearSystem, seed: int, prime: int, trials: int):
     """Yield the dimension ``cols - 1 - rank`` of each independently seeded trial."""
-    _check_field(L, prime)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_request(L, prime, trials)
     mults = [m for m in L.mults if m > 0]
-    npoints = len(mults)
-    if npoints > (prime - 1) ** 2:
-        raise ValueError(f"{npoints} distinct points do not fit in F_{prime}^2 minus the axes")
     for trial in range(trials):
         rng = random.Random(f"fatpoints:{seed}:{trial}")
-        yield _trial_dimension(L.degree, mults, _sample_points(npoints, rng, prime), prime)
+        yield _trial_dimension(L.degree, mults, _sample_points(len(mults), rng, prime), prime)
 
 
 def trial_dimensions(L: LinearSystem, seed: int = 0, prime: int = DEFAULT_PRIME,

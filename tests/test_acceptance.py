@@ -186,7 +186,7 @@ def test_criterion_6_catalog_soundness():
 
     checked = 0
     for n in (1, 2, 3, 5, 7, 9, 12, 20):
-        for entry in catalog(n, 3):
+        for entry in catalog(n):
             if entry.param is not None and entry.kind == "simple" and entry.param > 10:
                 continue
             if entry.kind == "simple":

@@ -51,6 +51,11 @@ class TestDim:
         assert code == 1
         assert json.loads(out)["status"] == "unknown"
 
+    def test_negative_budget_refused(self, capsys):
+        code, out, err = run(capsys, "dim", "L(12,3,6^4)", "--budget", "-3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--budget" in err
+
 
 def _package_functions() -> set[str]:
     modules = ["cli", "core", "cremona", "degeneration", "neg_curves", "oracle", "tables",
@@ -181,6 +186,12 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle")
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "17"])
+    def test_trials_out_of_bounds(self, capsys, trials):
+        code, out, err = run(capsys, "oracle", "L(10,2,6^3)", "--trials", trials)
+        assert code == 2 and out == ""
+        assert "error:" in err and "trials" in err
+
     @pytest.mark.parametrize("prime", ["32004", "4294967311"])
     def test_bad_prime(self, capsys, prime):
         code, out, err = run(capsys, "oracle", "--system", "L(4,2,2)", "--prime", prime)
@@ -270,6 +281,14 @@ class TestCertificateFlow:
         code, out, err = run(capsys, "check-certificate", str(path))
         assert code == 1 and out == ""
         assert err.startswith("certificate INVALID: ")
+
+    def test_too_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        depth = sys.getrecursionlimit() + 200
+        path = tmp_path / "cert.json"
+        path.write_text("[" * depth + "]" * depth)
+        code, out, err = run(capsys, "check-certificate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_forged_curve_exits_1(self, capsys, tmp_path):
         # L(2,1,1) has dimension 3; L(1,3) is no (-1)-curve

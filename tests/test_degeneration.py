@@ -2,10 +2,11 @@
 
 import json
 import random
+from sys import getrecursionlimit
 
 import pytest
 
-from fatpoints import oracle
+from fatpoints import degeneration, oracle
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
                                     check_certificate, degenerate, limit_value, recursive_dim)
@@ -89,7 +90,7 @@ class TestLimitValue:
 
 def proves(system, k, b, rule):
     """Whether the prover's (k, b)-degeneration attempt at ``rule`` succeeds."""
-    return _try(L(system), k, b, rule, _Ctx(Budget()), 0) is not None
+    return _try(degenerate(L(system), k, b), rule, _Ctx(Budget()), 0) is not None
 
 
 class TestCriteria:
@@ -142,6 +143,22 @@ class TestRecursiveDim:
     def test_trivial(self):
         v = recursive_dim(L("L(0)"))
         assert (v.status, v.ell) == (REGULAR, 0)
+
+    def test_one_degeneration_per_k_and_b(self, monkeypatch):
+        # v = -1: both rules apply, and each (k, b) split is built once for both
+        calls = []
+        split = degeneration.degenerate
+
+        def counted(system, k, b):
+            calls.append((system, k, b))
+            return split(system, k, b)
+        monkeypatch.setattr(degeneration, "degenerate", counted)
+        system = L("L(19,0,6^10)")
+        assert virtual_dim(system) == -1
+        recursive_dim(system, Budget(use_oracle=False))
+        assert len(calls) == len(set(calls))
+        assert sorted((k, b) for s, k, b in calls if s == system) == [
+            (k, b) for k in (5, 6) for b in range(10)]
 
     def test_budget_exhaustion_is_unknown(self):
         lean = Budget(use_oracle=False, scan_depth=0)
@@ -205,6 +222,17 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="seed"):
             check_certificate(cert, replay_oracle)
 
+    @pytest.mark.parametrize("field,value", [("trials", 17), ("prime", 7), ("prime", 701)])
+    @pytest.mark.parametrize("replay_oracle", [True, False])
+    def test_oracle_leaf_out_of_bounds_rejected(self, monkeypatch, field, value, replay_oracle):
+        # 7 is below the degree, 701 too small for a point of multiplicity 6
+        cert = json.loads(recursive_dim(L("L(20,8,6^9)")).dumps())
+        assert cert["trace"]["kind"] == "rank_oracle"
+        cert["trace"][field] = value
+        monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
+        with pytest.raises(CertificateError, match=field):
+            check_certificate(cert, replay_oracle)
+
     @pytest.mark.parametrize("status", ["bogus", None, "Regular", ["empty"]])
     def test_unknown_status_rejected(self, status):
         cert = json.loads(recursive_dim(L("L(10,2,6^3)")).dumps())
@@ -264,7 +292,7 @@ class TestCertificates:
         ("L(21,0,6^10)", 5, 5, "nonspecial", "empty"),
     ])
     def test_flipped_rule_rejected(self, name, k, b, rule, flipped):
-        node = _try(L(name), k, b, rule, _Ctx(Budget()), 0)
+        node = _try(degenerate(L(name), k, b), rule, _Ctx(Budget()), 0)
         status = EMPTY if rule == "empty" else REGULAR
         cert = json.loads(DimVerdict(status, node["ell"], L(name), node).dumps())
         check_certificate(cert)
@@ -321,6 +349,15 @@ class TestCertificates:
         with pytest.raises(CertificateError, match=f"need .*{field}"):
             check_certificate(cert, replay_oracle=False)
 
+    def test_too_deep_a_chain_raises_certificate_error(self):
+        # a reduction with no moves, its leaf another one, nested past the stack
+        node = {"kind": "no_conditions", "system": "L(1)", "ell": 2}
+        for _ in range(3 * getrecursionlimit()):
+            node = {"kind": "cremona_reduction", "system": "L(1)", "moves": [],
+                    "final": "L(1)", "leaf": node, "ell": 2}
+        with pytest.raises(CertificateError, match="nested too deeply"):
+            check_certificate({"system": "L(1)", "status": REGULAR, "ell": 2, "trace": node})
+
     def test_unknown_has_no_certificate(self):
         lean = Budget(use_oracle=False, scan_depth=0)
         cert = json.loads(recursive_dim(L("L(19,5,6^9)"), lean).dumps())
@@ -370,7 +407,7 @@ class TestMinusOneCurves:
 
     @pytest.mark.parametrize("n", [2, 5, 9, 14])
     def test_catalog_constituents_accepted(self, n):
-        pieces = [c for entry in catalog(n, 3) for c in entry.constituents(n)]
+        pieces = [c for entry in catalog(n) for c in entry.constituents(n)]
         assert pieces and all(_is_minus_one_curve(c) for c in pieces)
 
 

@@ -3,22 +3,25 @@
 ``format_system``, ``normalize``, ``virtual_dim``, the ``LinearSystem``
 constructor, ``standard_reduce`` and the split chain behind ``hh_dimension``
 were rewritten with C-level builtins, a cached scan order and one format per
-reduction state.  The functions below are those earlier forms, kept as
+reduction state; the checker's (-1)-curve test now takes its moves from
+``next_move``.  The functions below are those earlier forms, kept as
 references: the property tests require equal outputs, equal moves and equal
 exceptions (type and message) on the same inputs.
 """
 
+import random
 from itertools import combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.core import LinearSystem, format_system, virtual_dim
-from fatpoints.cremona import (Move, _slots_by_multiplicity, cremona, replay_transcript,
-                               split_fixed_line, standard_reduce)
+from fatpoints.cremona import (Move, NegativeEntryError, cremona, cremona_vector, next_move,
+                               replay_transcript, split_fixed_line, standard_reduce)
+from fatpoints.degeneration import _is_minus_one_curve
 from fatpoints.neg_curves import (_BIGCURVE, _CONIC, _LINE0, _SEXTIC, _TRIANGLE, _aligned,
-                                  _bundle, _Chain, _line_vec, _next_split, _pencil,
-                                  _scan_entries, _split_chain, _Step)
+                                  _bundle, _line_vec, _next_split, _pencil, _scan_entries,
+                                  _split_chain, is_minus_one_class)
 
 
 def outcome(fn, *args):
@@ -78,6 +81,16 @@ def reference_slots_by_multiplicity(L):
     return sorted(range(len(L.mults)), key=lambda s: (-L.mults[s], s))
 
 
+def reference_next_move(L):
+    """The move that ``reference_standard_reduce`` makes next, read off the slot order."""
+    order = reference_slots_by_multiplicity(L)
+    if len(order) >= 2 and L.degree - L.mults[order[0]] - L.mults[order[1]] < 0:
+        return "line", (order[0], order[1])
+    if len(order) >= 3 and sum(L.mults[s] for s in order[:3]) > L.degree:
+        return "cremona", (order[0], order[1], order[2])
+    return None
+
+
 def reference_standard_reduce(L):
     """``standard_reduce`` as it was: both sides of every move formatted afresh."""
     moves = []
@@ -107,6 +120,43 @@ def reference_standard_reduce(L):
         break
     assert len(moves) <= initial_degree + 1, "reduction failed to terminate"
     return cur, tuple(moves)
+
+
+def reference_is_minus_one_curve(curve):
+    """The checker's (-1)-curve test as it was: its own top-three sort."""
+    if not is_minus_one_class(curve):
+        return False
+    d, mults = curve.degree, curve.mults
+    while d > 1:
+        if len(mults) < 3:
+            return False
+        i, j, k = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)[:3]
+        if mults[i] + mults[j] + mults[k] <= d:
+            return False
+        try:
+            d, mults = cremona_vector(d, mults, i, j, k)
+        except NegativeEntryError:
+            return False
+    return d == 1
+
+
+def minus_one_classes(max_degree, max_points):
+    """Every ``(d, m)`` with ``m`` nonincreasing and positive, ``C.C = C.K = -1``."""
+    out = []
+
+    def grow(d, prefix, s, q, cap):
+        # s and q: what sum(m) and sum(m^2) still lack; k: slots left
+        k = max_points - len(prefix)
+        if s == q == 0:
+            out.append((d, tuple(prefix)))
+        elif 0 < s <= k * cap and s <= q and s * s <= k * q:
+            for m in range(min(cap, s), 0, -1):
+                if m * m <= q:
+                    grow(d, prefix + [m], s - m, q - m * m, m)
+
+    for d in range(1, max_degree + 1):
+        grow(d, [], 3 * d - 1, d * d + 1, d)
+    return out
 
 
 # -- references: the split chain -----------------------------------------------
@@ -189,15 +239,15 @@ def reference_split_chain(L, reverse=False):
         assert rounds <= base.degree + 2, f"splitting of {base} failed to terminate"
         action = reference_next_split(d, m, reverse)
         if action is None:
-            return _Chain(base, tuple(steps), (d, tuple(m)), None)
+            return tuple(steps), (d, tuple(m)), None
         if action[0] == "reject":
             _, curve, n = action
-            return _Chain(base, tuple(steps), None, (curve, n))
+            return tuple(steps), None, (curve, n)
         _, constituents, n, unit = action
         for cd, cm in constituents:
             d -= n * cd
             m = [x - n * y for x, y in zip(m, cm)]
-            steps.append(_Step((cd, cm), n, unit))
+            steps.append(((cd, cm), n, unit))
         assert d >= 0 and all(x >= 0 for x in m)
 
 
@@ -270,12 +320,29 @@ class TestCremonaMatchesReference:
     @given(st.one_of(systems, quasi_homogeneous))
     @with_edges()
     def test_standard_reduce(self, sys):
-        assert _slots_by_multiplicity(sys) == reference_slots_by_multiplicity(sys)
+        assert next_move(sys.degree, sys.mults) == reference_next_move(sys)
         got = outcome(standard_reduce, sys)
         assert got == outcome(reference_standard_reduce, sys)
         if got[0] == "value":
             final, moves = got[1]
             assert replay_transcript(moves, sys) == final
+
+
+class TestMinusOneCurveMatchesReference:
+    def test_enumerated_classes(self):
+        rng = random.Random(43)
+        classes = minus_one_classes(15, 12)
+        curves = 0
+        for d, m in classes:
+            for zeros in (0, 2):
+                mults = list(m) + [0] * zeros
+                rng.shuffle(mults)
+                curve = LinearSystem(d, tuple(mults))
+                got = _is_minus_one_curve(curve)
+                assert got == reference_is_minus_one_curve(curve), curve
+                curves += got
+        # both answers occur, so the comparison is not vacuous
+        assert len(classes) == 548 and 0 < curves < 2 * len(classes)
 
 
 class TestSplitChainMatchesReference:
