@@ -139,7 +139,7 @@ def _cmd_table(args) -> int:
                           d_cap=args.max_degree, prime=args.prime,
                           seed=args.seed, trials=args.trials)
     for result in report.results:
-        status = "ok" if result.passed else "FAIL"
+        status = "FAIL" if not result.passed else "ok" if result.checks else "skip"
         print(f"{status}  {result.system}  [{len(result.checks)} instances]")
         if not result.passed:
             for c in result.checks:
@@ -179,8 +179,8 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool):
                         help="characteristic for rank computations")
     parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--trials", type=int, default=default(3))
-    parser.add_argument("--budget", type=int, default=default(4),
-                        help="recursion depth for the prover")
+    parser.add_argument("--budget", type=int, default=default(2),
+                        help="degeneration scan depth of the prover; values above 2 act as 2")
     parser.add_argument("--json", action="store_true", default=default(False),
                         help="emit one JSON document")
 

@@ -26,6 +26,7 @@ __all__ = [
     "intersect",
     "canonical_intersect",
     "arithmetic_genus",
+    "slot_order",
     "parse_system",
     "format_system",
 ]
@@ -146,6 +147,12 @@ def arithmetic_genus(D: LinearSystem) -> int:
     if total % 2 != 0:
         raise ValueError(f"odd D.D + D.K for {D}; corrupted input")
     return total // 2 + 1
+
+
+def slot_order(mults, start: int = 0) -> list[int]:
+    """The slots from ``start`` on by multiplicity descending, ties by slot index."""
+    # a reversed sort keeps equal keys in their original (ascending) order
+    return sorted(range(start, len(mults)), key=mults.__getitem__, reverse=True)
 
 
 # -- text form ------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import LinearSystem, format_system, virtual_dim
+from .core import LinearSystem, format_system, slot_order, virtual_dim
 
 __all__ = [
     "NegativeEntryError",
@@ -132,8 +132,7 @@ def next_move(degree: int, mults: tuple[int, ...]) -> tuple[str, tuple[int, ...]
     move is ``("line", (a, b))`` when the two heaviest sum to more than the
     degree, otherwise ``("cremona", (a, b, c))`` when the three heaviest do.
     """
-    # a reversed sort keeps equal keys in their original (ascending) order
-    top = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)[:3]
+    top = slot_order(mults)[:3]
     if len(top) >= 2 and mults[top[0]] + mults[top[1]] > degree:
         return "line", tuple(top[:2])
     if len(top) == 3 and mults[top[0]] + mults[top[1]] + mults[top[2]] > degree:

@@ -374,7 +374,9 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
 
     ``cert`` is the JSON form of a :class:`DimVerdict`.  No search happens:
     recorded moves, splits and (k, b) choices are replayed and every claimed
-    inequality is recomputed.
+    inequality is recomputed.  Only the top-level ``system`` and the split curves
+    are parsed; every other system string must equal :func:`format_system` of the
+    system the checker derives for it.
     """
     _typed(cert, dict, "a certificate")
     try:
@@ -386,7 +388,8 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
 
 
 def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> None:
-    """:func:`check_certificate` on a certificate whose system is parsed already."""
+    """:func:`check_certificate` on a certificate that must restate ``system`` canonically."""
+    _restates(cert["system"], system)
     status, ell = cert["status"], cert["ell"]
     reason = ("unknown verdicts carry no certificate" if status == UNKNOWN
               else status_failure(status, ell, system))
@@ -417,60 +420,54 @@ def _moves(raw) -> tuple[Move, ...]:
 
 
 def _system(text) -> LinearSystem:
-    """A system string of a certificate, parsed; raises CertificateError if malformed."""
+    """A system string that a certificate supplies, parsed; CertificateError if malformed."""
     try:
         return parse_system(text)
     except SystemParseError as err:
         raise CertificateError(f"malformed system: {err}") from None
 
 
-def _node_system(node: dict, expect: LinearSystem) -> LinearSystem:
-    sys = _system(node["system"]).normalize()
-    if sys != expect:
-        raise CertificateError(f"trace node is about {sys}, expected {expect}")
-    return sys
+def _restates(text, system: LinearSystem) -> None:
+    """Raise unless the certificate string ``text`` is the canonical form of ``system``."""
+    if text != format_system(system):
+        raise CertificateError(f"malformed system: got {text!r}, expected {system}")
 
 
 def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     _typed(node, dict, "a trace node")
+    _restates(node["system"], system)
     kind = node.get("kind")
     if kind in _BASE_CASES:
-        sys = _node_system(node, system)
-        leaf = _base_case(sys, (kind,), lambda S: (
+        leaf = _base_case(system, (kind,), lambda S: (
             node["removal"], _check_node(node["removal"], S, replay_oracle)))
         if leaf is None:
-            raise CertificateError(f"{sys} is not a {kind} base case")
+            raise CertificateError(f"{system} is not a {kind} base case")
         return _rebuilt(node, leaf)
     if kind == "fixed_part_removal":
-        _node_system(node, system)
         return _check_removal(node, system)
     if kind == "cremona_reduction":
-        _node_system(node, system)
         moves = _moves(node["moves"])
         try:
             final = replay_transcript(moves, system)
         except ValueError as err:
             raise CertificateError(f"reduction transcript: {err}") from None
-        if format_system(final) != node["final"]:
-            raise CertificateError("reduction final system mismatch")
-        leaf = _typed(node["leaf"], dict, "a trace node")
-        got = _check_node(leaf, _node_system(leaf, final.normalize()), replay_oracle)
+        _restates(node["final"], final)
+        got = _check_node(node["leaf"], final, replay_oracle)
         if got != node["ell"]:
             raise CertificateError("reduction ell mismatch")
         return got
     if kind == "degeneration":
         return _check_degeneration(node, system, replay_oracle)
     if kind == "rank_oracle":
-        sys = _node_system(node, system)
         trials = _typed(node["trials"], int, "the trials count of an oracle leaf")
         seed = _typed(node["seed"], int, "the seed of an oracle leaf")
         try:
-            check_request(sys, node["prime"], trials)
+            check_request(system, node["prime"], trials)
         except ValueError as err:
             raise CertificateError(f"rank oracle leaf: {err}") from None
         ell = None if replay_oracle else _typed(node["ell"], int, "the ell of an oracle leaf")
-        got = _rebuilt(node, _oracle_leaf(sys, node["prime"], seed, trials, ell))
-        if got != expected_dim(sys):
+        got = _rebuilt(node, _oracle_leaf(system, node["prime"], seed, trials, ell))
+        if got != expected_dim(system):
             raise CertificateError("rank oracle certifies regular values only")
         return got
     raise CertificateError(f"unknown trace node kind {kind!r}")
@@ -506,18 +503,13 @@ def _is_minus_one_curve(curve: LinearSystem) -> bool:
     return d == 1
 
 
-def _minus_one_curve(text) -> LinearSystem:
-    curve = _system(text)
-    if not _is_minus_one_curve(curve):
-        raise CertificateError(f"{curve} is not a (-1)-curve")
-    return curve
-
-
 def _split(raw, what: str, d: int, m: tuple[int, ...]):
     """The recorded split ``raw`` of the class ``(d, m)``: its (-1)-curve, its
     multiplicity n, and the class left after subtracting n times the curve."""
     _typed(raw, dict, what)
-    curve = _minus_one_curve(raw["curve"])
+    curve = _system(raw["curve"])
+    if not _is_minus_one_curve(curve):
+        raise CertificateError(f"{curve} is not a (-1)-curve")
     n = _typed(raw["n"], int, "a split multiplicity")
     if intersect(LinearSystem(d, m), curve) != -n or n < 1:
         raise CertificateError(f"{what} {curve} x{n} does not meet its system in -n")
@@ -539,9 +531,8 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
         if node["ell"] != -1 or node["special"] is not False:
             raise CertificateError("rejected removal must conclude emptiness, not speciality")
         return -1
-    residual = LinearSystem(d, m)
-    if _system(node["residual"]).normalize() != residual.normalize():
-        raise CertificateError("removal residual mismatch")
+    residual = LinearSystem(d, m)  # as the prover writes it: not normalized
+    _restates(node["residual"], residual)
     ell = max(-1, virtual_dim(residual))
     if node["ell"] != ell:
         raise CertificateError("removal ell mismatch")
@@ -553,25 +544,24 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
 
 
 def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
-    sys = _node_system(node, system)
     k, b = _typed(node["k"], int, "k"), _typed(node["b"], int, "b")
     try:
-        split = degenerate(sys, k, b)
+        split = degenerate(system, k, b)
     except ValueError as err:
         raise CertificateError(f"degeneration: {err}") from None
-    if b >= len(sys.tail):
+    if b >= len(system.tail):
         raise CertificateError("degeneration needs b < n")
     children = _typed(node["children"], dict, "the children map of a degeneration")
     proved: dict[str, tuple[str, int]] = {}
     for name, want in split.parts().items():
         child = _typed(children[name], dict, "a certificate")
-        _check_verdict(child, _node_system(child, want.normalize()), replay_oracle)
+        _check_verdict(child, want, replay_oracle)
         proved[name] = (child["status"], child["ell"])
     rule = node["rule"]
-    reason = criterion_failure(rule, split, virtual_dim(sys), proved)
+    reason = criterion_failure(rule, split, virtual_dim(system), proved)
     if reason is not None:
         raise CertificateError(reason)
-    ell = _proved_ell(rule, sys)
+    ell = _proved_ell(rule, system)
     if node["ell"] != ell:
         raise CertificateError(f"the {rule} rule proves ell = {ell}")
     return ell

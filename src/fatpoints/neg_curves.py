@@ -30,7 +30,7 @@ from itertools import accumulate, combinations, zip_longest
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import LinearSystem, arithmetic_genus, format_system, intersect, virtual_dim
+from .core import LinearSystem, arithmetic_genus, format_system, intersect, slot_order, virtual_dim
 from .verdict import EMPTY, REGULAR, SPECIAL, DimVerdict
 
 __all__ = [
@@ -234,9 +234,7 @@ def _next_split(d: int, m: tuple[int, ...], reverse: bool):
     entries = _scan_entries(t)
     if reverse:
         entries = entries[::-1]
-    # tail slots by multiplicity descending, ties by slot index (a reversed
-    # sort keeps equal keys in ascending slot order)
-    order = sorted(range(1, len(m)), key=m.__getitem__, reverse=True)
+    order = slot_order(m, 1)  # the tail slots
     vals = [m[s] for s in order]
     width = len(m)
     m0 = m[0]

@@ -77,7 +77,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import LinearSystem, expected_dim
+from .core import LinearSystem, expected_dim, slot_order
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -190,7 +190,7 @@ def check_request(L: LinearSystem, prime, trials: int) -> None:
 
 
 def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
-                 corners: tuple[int, int, int] | None = None) -> PrimeFieldMatrix:
+                 corners: tuple[int, int, int] = (0, 0, 0)) -> PrimeFieldMatrix:
     """Condition rows (derivatives of order < mi at the i-th point) times monomials.
 
     ``points`` holds one affine pair per positive multiplicity of ``L``, in
@@ -212,11 +212,10 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
     if len(set(points)) != len(points):
         raise ValueError("duplicate points")
 
+    m0, m1, m2 = corners
     exps = monomial_exponents(d)
-    if corners is not None:
-        m0, m1, m2 = corners
-        a, b = exps.T
-        exps = exps[(a + b >= m0) & (a <= d - m1) & (b <= d - m2)]
+    a, b = exps.T
+    exps = exps[(a + b >= m0) & (a <= d - m1) & (b <= d - m2)]
     ax, ay = exps[:, 0], exps[:, 1]
     cols = len(exps)
     rows = condition_count(L)
@@ -374,8 +373,7 @@ def _trial_dimension(degree: int, mults: list[int], points: list[tuple[int, int]
     alone to the origin when the frame is unusable; their conditions are
     counted without elimination (see the module docstring).
     """
-    # a reversed sort keeps equal multiplicities in slot order
-    order = sorted(range(len(mults)), key=mults.__getitem__, reverse=True)
+    order = slot_order(mults)
     heavy, others = order[:3], sorted(order[3:])
     images = []
     if len(heavy) == 3:

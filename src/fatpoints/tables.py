@@ -135,7 +135,7 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
                  prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 3) -> TableReport:
     """Per-row checks of the v column, the ell column, or both against the oracle.
 
-    In oracle mode only instances with degree at most ``d_cap`` are run.
+    In every mode only instances with degree at most ``d_cap`` are run.
     Boundary instances of the all-n rows (where the value jumps onto a
     parameter family) are checked for a strict excess instead of equality.
     """

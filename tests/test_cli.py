@@ -56,6 +56,17 @@ class TestDim:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--budget" in err
 
+    def test_budget_above_two_acts_as_two(self, capsys, tmp_path):
+        texts = []
+        for budget in ("2", "4"):
+            path = tmp_path / f"cert{budget}.json"
+            code, _, _ = run(capsys, "dim", "L(21,0,6^10)", "--budget", budget,
+                             "--certificate", str(path))
+            assert code == 0
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["trace"]["kind"] == "degeneration"
+
 
 def _package_functions() -> set[str]:
     modules = ["cli", "core", "cremona", "degeneration", "neg_curves", "oracle", "tables",
@@ -229,6 +240,15 @@ class TestTableCommand:
                            "--e-max", "2", "--max-degree", "25")
         assert code == 0
         assert "all rows pass" in out
+
+    def test_verify_skips_rows_without_instances(self, capsys):
+        code, out, _ = run(capsys, "table", "verify", "--mode", "formula",
+                           "--max-degree", "3")
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "all rows pass"
+        assert len(lines) > 1
+        assert all(line.startswith("skip  ") and line.endswith("[0 instances]")
+                   for line in lines[:-1])
 
 
 class TestCertificateFlow:

@@ -7,7 +7,7 @@ from sys import getrecursionlimit
 import pytest
 
 from fatpoints import degeneration, oracle
-from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
+from fatpoints.core import LinearSystem, expected_dim, format_system, parse_system, virtual_dim
 from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
                                     check_certificate, degenerate, limit_value, recursive_dim)
 from fatpoints.neg_curves import catalog, hh_dimension
@@ -483,3 +483,58 @@ class TestLeafMutations:
                     check_certificate(cert)
                 mutants += 1
         assert mutants > 0
+
+
+def _spaced(text):
+    return text.replace(",", ", ")
+
+
+def _expanded(text):
+    """``text`` with every run-length group written out, e.g. L(3,1^2) as L(3,1,1)."""
+    S = parse_system(text)
+    return f"L({','.join(map(str, (S.degree, *S.mults)))})"
+
+
+class TestCanonicalRestatements:
+    """A system string the checker can derive must be its canonical form, unparsed."""
+
+    @pytest.mark.parametrize("name,path,restate", [
+        ("L(10,2,6^3)", "system", _spaced),
+        ("L(10,2,6^3)", "trace.system", _expanded),
+        ("L(14,0,6^6)", "trace.leaf.system", _expanded),
+        ("L(14,0,6^6)", "trace.final", _spaced),
+        ("L(21,0,6^10)", "trace.children.plane.system", _spaced),
+        ("L(21,0,6^10)", "trace.children.plane.trace.system", _spaced),
+        # the prover keeps the emptied slot; the normalized residual drops it
+        ("L(7,7,6)", "trace.residual", lambda text: format_system(parse_system(text).normalize())),
+    ])
+    def test_non_canonical_restatement_rejected(self, name, path, restate):
+        cert = json.loads(recursive_dim(L(name)).dumps())
+        check_certificate(cert, replay_oracle=False)
+        *parents, last = path.split(".")
+        node = cert
+        for key in parents:
+            node = node[key]
+        value = restate(node[last])
+        assert value != node[last]
+        assert parse_system(value).normalize() == parse_system(node[last]).normalize()
+        node[last] = value
+        with pytest.raises(CertificateError, match="malformed system"):
+            check_certificate(cert, replay_oracle=False)
+
+    def test_only_supplied_systems_are_parsed(self, monkeypatch):
+        cert = json.loads(recursive_dim(L("L(24,0,6^11)")).dumps())
+        assert cert["trace"]["kind"] == "degeneration"
+        removals = [n for n in _nodes(cert) if n["kind"] == "fixed_part_removal"]
+        curves = [s["curve"] for n in removals for s in n["steps"]]
+        curves += [n["rejected"]["curve"] for n in removals if n["rejected"]]
+        assert curves
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_system(text)
+
+        monkeypatch.setattr(degeneration, "parse_system", counting)
+        check_certificate(cert, replay_oracle=False)
+        assert len(calls) == 1 + len(curves)
