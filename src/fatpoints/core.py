@@ -15,18 +15,21 @@ functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 from operator import mul
+from typing import Sequence
 
 __all__ = [
     "LinearSystem",
     "SystemParseError",
     "virtual_dim",
+    "vector_dim",
     "expected_dim",
     "intersect",
     "canonical_intersect",
     "arithmetic_genus",
     "slot_order",
+    "normal_mults",
     "parse_system",
     "format_system",
 ]
@@ -99,30 +102,35 @@ class LinearSystem:
         return values.pop()
 
     def normalize(self) -> "LinearSystem":
-        """Canonical form: tail sorted descending, zero tail entries dropped.
-
-        The ``p0`` slot is kept (even when zero) so that the distinguished
-        point keeps its identity.
-        """
-        mults = self.mults
-        if not mults:
-            return self
-        # entries are nonnegative ints, so filter(None, ...) drops exactly the zeros
-        tail = tuple(sorted(filter(None, mults[1:]), reverse=True))
-        return LinearSystem(self.degree, mults[:1] + tail)
+        """Canonical form (see :func:`normal_mults`); ``self`` when already canonical."""
+        mults = normal_mults(self.mults)
+        return self if mults == self.mults else LinearSystem(self.degree, mults)
 
     def __str__(self) -> str:
-        return format_system(self)
+        return format_system(self.degree, self.mults)
 
-    def __repr__(self) -> str:
-        return format_system(self)
+    __repr__ = __str__
+
+
+def normal_mults(mults: tuple[int, ...]) -> tuple[int, ...]:
+    """Tail sorted descending, zero tail entries dropped.
+
+    The ``p0`` slot is kept (even when zero) so that the distinguished point
+    keeps its identity.
+    """
+    # entries are nonnegative ints, so filter(None, ...) drops exactly the zeros
+    return mults[:1] + tuple(sorted(filter(None, mults[1:]), reverse=True))
 
 
 def virtual_dim(L: LinearSystem) -> int:
     """d(d+3)/2 - sum(mi(mi+1)/2): the dimension if all conditions were independent."""
-    d, mults = L.degree, L.mults
+    return vector_dim(L.degree, L.mults)
+
+
+def vector_dim(degree: int, mults: Sequence[int]) -> int:
+    """:func:`virtual_dim` of the raw data ``(degree, mults)``."""
     # every term d(d+3) and m(m+1) is even, so one halving is exact
-    return (d * (d + 3) - sum(map(mul, mults, mults)) - sum(mults)) // 2
+    return (degree * (degree + 3) - sum(map(mul, mults, mults)) - sum(mults)) // 2
 
 
 def expected_dim(L: LinearSystem) -> int:
@@ -162,18 +170,25 @@ def slot_order(mults, start: int = 0) -> list[int]:
 # degree 22 with m0 = 7 and twelve further points of multiplicity 6.
 
 
-def format_system(L: LinearSystem) -> str:
-    """Canonical text form with run-length groups, e.g. ``L(22,7,6^12)``.
+def format_system(degree: int, mults: Sequence[int]) -> str:
+    """Text form of ``L(degree, *mults)`` with run-length groups, e.g. ``L(22,7,6^12)``.
 
-    The multiplicity at the distinguished point is always printed on its own,
+    Equal neighbours in the tail form one group, in the order given; the
+    multiplicity at the distinguished point is always printed on its own,
     never merged into a tail group.
     """
-    mults = L.mults
-    parts = [f"L({L.degree}", *map(str, mults[:1])]
-    for value, run in groupby(mults[1:]):
-        count = len(list(run))
-        parts.append(f"{value}^{count}" if count > 1 else str(value))
-    return ",".join(parts) + ")"
+    text = f"L({degree}"
+    if mults:
+        text += f",{mults[0]}"
+    run, count = None, 0
+    for m in (*mults[1:], None):  # None closes the last run
+        if m == run:
+            count += 1
+        else:
+            if count:
+                text += f",{run}^{count}" if count > 1 else f",{run}"
+            run, count = m, 1
+    return text + ")"
 
 
 _MAX_REPEAT = 10_000

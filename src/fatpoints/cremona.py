@@ -9,7 +9,8 @@ component and can be split off, dropping the degree and the two
 multiplicities by one.
 
 ``standard_reduce`` iterates both moves to a standard form and returns a
-replayable transcript.
+replayable transcript; ``replay_transcript`` checks one.  Both take every
+move with the same step on raw ``(degree, mults)`` data.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import LinearSystem, format_system, slot_order, virtual_dim
+from .core import LinearSystem, format_system, normal_mults, slot_order, vector_dim
 
 __all__ = [
     "NegativeEntryError",
     "NotFixedError",
     "Move",
     "cremona_vector",
+    "split_line_vector",
     "cremona",
     "split_fixed_line",
     "next_move",
@@ -67,40 +69,43 @@ def cremona_vector(degree: int, mults: tuple[int, ...], i: int, j: int, k: int
         new[s] = mults[s] + w
         if new[s] < 0:
             raise NegativeEntryError(s, new[s])
+    assert vector_dim(degree + w, new) == vector_dim(degree, mults)
     return degree + w, tuple(new)
 
 
-def cremona(L: LinearSystem, i: int, j: int, k: int) -> LinearSystem:
-    """Quadratic transformation based on the points in slots i, j, k."""
-    d, mults = cremona_vector(L.degree, L.mults, i, j, k)
-    out = LinearSystem(d, mults)
-    assert virtual_dim(out) == virtual_dim(L)
-    return out
-
-
-def split_fixed_line(L: LinearSystem, i: int, j: int) -> LinearSystem:
-    """Remove one copy of the fixed line through the points in slots i and j."""
+def split_line_vector(degree: int, mults: tuple[int, ...], i: int, j: int
+                      ) -> tuple[int, tuple[int, ...]]:
+    """Slot-level removal of one copy of the fixed line through slots i and j."""
     if i == j:
         raise ValueError("slots must be distinct")
     for s in (i, j):
-        if not 0 <= s < len(L.mults):
-            raise ValueError(f"slot {s} out of range for {len(L.mults)} slots")
-    mi, mj = L.mults[i], L.mults[j]
-    if L.degree - mi - mj >= 0:
-        raise NotFixedError(
-            f"line through slots {i},{j} of {L} is not fixed (d - mi - mj >= 0)")
-    if L.degree - 1 < 0:
-        raise NegativeEntryError(None, L.degree - 1)
-    new = list(L.mults)
+        if not 0 <= s < len(mults):
+            raise ValueError(f"slot {s} out of range for {len(mults)} slots")
+    mi, mj = mults[i], mults[j]
+    if degree - mi - mj >= 0:
+        raise NotFixedError(f"line through slots {i},{j} of {format_system(degree, mults)} "
+                            "is not fixed (d - mi - mj >= 0)")
+    if degree - 1 < 0:
+        raise NegativeEntryError(None, degree - 1)
+    new = list(mults)
     for s in (i, j):
         new[s] -= 1
         if new[s] < 0:
             raise NegativeEntryError(s, new[s])
-    out = LinearSystem(L.degree - 1, tuple(new))
     # v changes by exactly mi + mj - d - 1, which is >= 0 under the precondition
-    delta = virtual_dim(out) - virtual_dim(L)
-    assert delta == mi + mj - L.degree - 1 and delta >= 0
-    return out
+    delta = vector_dim(degree - 1, new) - vector_dim(degree, mults)
+    assert delta == mi + mj - degree - 1 and delta >= 0
+    return degree - 1, tuple(new)
+
+
+def cremona(L: LinearSystem, i: int, j: int, k: int) -> LinearSystem:
+    """Quadratic transformation based on the points in slots i, j, k."""
+    return LinearSystem(*cremona_vector(L.degree, L.mults, i, j, k))
+
+
+def split_fixed_line(L: LinearSystem, i: int, j: int) -> LinearSystem:
+    """Remove one copy of the fixed line through the points in slots i and j."""
+    return LinearSystem(*split_line_vector(L.degree, L.mults, i, j))
 
 
 @dataclass(frozen=True)
@@ -145,15 +150,16 @@ def is_standard(L: LinearSystem) -> bool:
     return next_move(L.degree, L.mults) is None
 
 
-def _apply(L: LinearSystem, kind: str, slots: tuple[int, ...]) -> tuple[LinearSystem, str]:
-    """``L`` after the move ``kind`` on ``slots``, normalized, with its canonical string."""
+def _step(degree: int, mults: tuple[int, ...], kind: str, slots: tuple[int, ...]
+          ) -> tuple[int, tuple[int, ...]]:
+    """The degree and normalized multiplicities after the move ``kind`` on ``slots``."""
     if kind == "cremona" and len(slots) == 3:
-        out = cremona(L, *slots).normalize()
+        degree, mults = cremona_vector(degree, mults, *slots)
     elif kind == "line" and len(slots) == 2:
-        out = split_fixed_line(L, *slots).normalize()
+        degree, mults = split_line_vector(degree, mults, *slots)
     else:
         raise ValueError(f"unknown move kind {kind!r} on {len(slots)} slots")
-    return out, format_system(out)
+    return degree, normal_mults(mults)
 
 
 def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
@@ -166,29 +172,31 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     Terminates because every move strictly decreases the degree.
     """
     moves: list[Move] = []
-    cur = L.normalize()
-    text = format_system(cur)
-    while not cur.mults or max(cur.mults) <= cur.degree:
-        move = next_move(cur.degree, cur.mults)
+    start = L.normalize()
+    d, m = start.degree, start.mults
+    text = format_system(d, m)
+    while not m or max(m) <= d:
+        move = next_move(d, m)
         if move is None:
             break
-        nxt, after = _apply(cur, *move)
+        d, m = _step(d, m, *move)
+        after = format_system(d, m)
         moves.append(Move(*move, text, after))
-        cur, text = nxt, after
+        text = after
     assert len(moves) <= L.degree + 1, "reduction failed to terminate"
-    return cur, tuple(moves)
+    return (LinearSystem(d, m) if moves else start), tuple(moves)
 
 
 def replay_transcript(moves: tuple[Move, ...], start: LinearSystem) -> LinearSystem:
     """Re-apply a transcript, checking every recorded step exactly."""
-    cur = start.normalize()
-    text = format_system(cur)
+    start = start.normalize()
+    d, m = start.degree, start.mults
+    text = format_system(d, m)
     for move in moves:
         if text != move.before:
             raise ValueError(f"transcript mismatch: at {text}, expected {move.before}")
-        nxt, text = _apply(cur, move.kind, move.slots)
+        d, m = _step(d, m, move.kind, move.slots)
+        text = format_system(d, m)
         if text != move.after:
             raise ValueError(f"transcript mismatch after move {move}: got {text}")
-        cur = nxt
-    return cur
-
+    return LinearSystem(d, m) if moves else start

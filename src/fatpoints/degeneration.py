@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (LinearSystem, SystemParseError, expected_dim, format_system, intersect,
-                   parse_system, virtual_dim)
+from .core import (LinearSystem, SystemParseError, expected_dim, intersect, parse_system,
+                   virtual_dim)
 from .cremona import (Move, cremona_vector, is_standard, next_move, replay_transcript,
                       standard_reduce)
 from .neg_curves import (check_regime, hh_dimension, is_minus_one_class, speciality_failure,
@@ -390,9 +390,11 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
 def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> None:
     """:func:`check_certificate` on a certificate that must restate ``system`` canonically."""
     _restates(cert["system"], system)
-    status, ell = cert["status"], cert["ell"]
-    reason = ("unknown verdicts carry no certificate" if status == UNKNOWN
-              else status_failure(status, ell, system))
+    status = cert["status"]
+    if status == UNKNOWN:
+        raise CertificateError("unknown verdicts carry no certificate")
+    ell = _typed(cert["ell"], int, "the ell of a verdict")
+    reason = status_failure(status, ell, system)
     if reason is not None:
         raise CertificateError(reason)
     got = _check_node(cert["trace"], system, replay_oracle)
@@ -429,13 +431,14 @@ def _system(text) -> LinearSystem:
 
 def _restates(text, system: LinearSystem) -> None:
     """Raise unless the certificate string ``text`` is the canonical form of ``system``."""
-    if text != format_system(system):
+    if text != str(system):
         raise CertificateError(f"malformed system: got {text!r}, expected {system}")
 
 
 def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     _typed(node, dict, "a trace node")
     _restates(node["system"], system)
+    _typed(node["ell"], int, "the ell of a trace node")
     kind = node.get("kind")
     if kind in _BASE_CASES:
         leaf = _base_case(system, (kind,), lambda S: (
@@ -465,7 +468,7 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
             check_request(system, node["prime"], trials)
         except ValueError as err:
             raise CertificateError(f"rank oracle leaf: {err}") from None
-        ell = None if replay_oracle else _typed(node["ell"], int, "the ell of an oracle leaf")
+        ell = None if replay_oracle else node["ell"]
         got = _rebuilt(node, _oracle_leaf(system, node["prime"], seed, trials, ell))
         if got != expected_dim(system):
             raise CertificateError("rank oracle certifies regular values only")
@@ -474,9 +477,11 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
 
 
 def _rebuilt(node: dict, leaf: dict) -> int:
-    """The ``ell`` of ``leaf``; raises unless the recorded ``node`` equals it key for key."""
-    if node != leaf:
-        fields = [key for key in {**leaf, **node} if node.get(key) != leaf.get(key)]
+    """The ``ell`` of ``leaf``; raises unless the recorded ``node`` equals it key for
+    key, in value and in type (JSON ``true`` and ``1.0`` are no ``1``)."""
+    fields = [key for key in {**leaf, **node} if node.get(key) != leaf.get(key)
+              or type(node.get(key)) is not type(leaf.get(key))]
+    if fields:
         raise CertificateError(f"{leaf['kind']} leaf for {leaf['system']} differs from "
                                f"its recomputation in {', '.join(fields)}")
     return leaf["ell"]
@@ -533,7 +538,7 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
         return -1
     residual = LinearSystem(d, m)  # as the prover writes it: not normalized
     _restates(node["residual"], residual)
-    ell = max(-1, virtual_dim(residual))
+    ell = expected_dim(residual)
     if node["ell"] != ell:
         raise CertificateError("removal ell mismatch")
     reason = speciality_failure(pieces, residual)

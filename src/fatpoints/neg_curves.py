@@ -30,7 +30,8 @@ from itertools import accumulate, combinations, zip_longest
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import LinearSystem, arithmetic_genus, format_system, intersect, slot_order, virtual_dim
+from .core import (LinearSystem, arithmetic_genus, expected_dim, format_system, intersect,
+                   slot_order, virtual_dim)
 from .verdict import EMPTY, REGULAR, SPECIAL, DimVerdict
 
 __all__ = [
@@ -75,8 +76,7 @@ class CurveCatalogEntry:
 
     @property
     def label(self) -> str:
-        return format_system(LinearSystem(
-            self.degree, (self.m0,) + (self.tail_mult,) * self.tail_points))
+        return format_system(self.degree, (self.m0,) + (self.tail_mult,) * self.tail_points)
 
     def instantiate(self, n: int, placement: tuple[int, ...] | None = None) -> LinearSystem:
         """The class on ``n`` tail slots; default placement is the first slots."""
@@ -349,18 +349,18 @@ def hh_dimension(L: LinearSystem) -> DimVerdict:
     check_regime(L)
     base = L.normalize()
     steps, residual, rejected = _split_chain(base)
-    pieces = [(LinearSystem(*curve), n) for curve, n, _ in steps]
     if rejected is None:
         residual = LinearSystem(*residual)
-        ell = max(-1, virtual_dim(residual))
+        ell = expected_dim(residual)
+        pieces = [(LinearSystem(*curve), n) for curve, n, _ in steps]
         special = speciality_failure(pieces, residual) is None
     else:
         curve, n = rejected
         ell, special = -1, False
-        rejected = {"curve": format_system(LinearSystem(*curve)), "n": n}
+        rejected = {"curve": format_system(*curve), "n": n}
     trace = {"kind": "fixed_part_removal", "system": str(base),
-             "steps": [{"curve": format_system(c), "n": n, "unit": unit}
-                       for (c, n), (_, _, unit) in zip(pieces, steps)],
+             "steps": [{"curve": format_system(*curve), "n": n, "unit": unit}
+                       for curve, n, unit in steps],
              "residual": None if residual is None else str(residual),
              "rejected": rejected, "special": special, "ell": ell}
     status = SPECIAL if special else EMPTY if ell == -1 else REGULAR
@@ -607,7 +607,7 @@ def _single_rows(families: list[ClassificationRow], generals: list[Classificatio
             rows.append(ClassificationRow(
                 offset=d - m0,
                 shape="single",
-                system=format_system(sys),
+                system=str(sys),
                 v=str(v),
                 ell=str(ell),
                 range="",

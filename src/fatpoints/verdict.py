@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .core import LinearSystem, expected_dim, format_system
+from .core import LinearSystem, expected_dim
 
 __all__ = ["DimVerdict", "EMPTY", "REGULAR", "SPECIAL", "UNKNOWN", "status_failure"]
 
@@ -61,7 +61,7 @@ class DimVerdict:
 
     def to_json(self) -> dict:
         return {
-            "system": format_system(self.system),
+            "system": str(self.system),
             "status": self.status,
             "ell": self.ell,
             "trace": dict(self.trace),

@@ -1,5 +1,6 @@
 """Quadratic transformations, line splitting, reduction transcripts."""
 
+import importlib
 import json
 import random
 
@@ -15,6 +16,10 @@ from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona,
 
 def L(text):
     return parse_system(text)
+
+
+# the attribute ``fatpoints.cremona`` of the package is the function
+CREMONA = importlib.import_module("fatpoints.cremona")
 
 
 class TestCremona:
@@ -146,3 +151,31 @@ class TestStandardReduce:
         broken = (Move(moves[0].kind, moves[0].slots, moves[0].before, "L(5,1)"),) + moves[1:]
         with pytest.raises(ValueError):
             replay_transcript(broken, sys)
+
+    @pytest.mark.parametrize("name,n_moves,exceeds", [
+        ("L(20,18,6^5)", 19, True),   # stops at L(1,1,2^4,1): a multiplicity above the degree
+        ("L(6,1,6^2)", 6, True),      # stops at L(0,0,1)
+        ("L(16,4,6^6)", 3, False),    # stops at the standard L(8,2,4,2^5)
+        ("L(21,0,6^10)", 0, False),   # already standard
+    ])
+    def test_formats_each_state_once(self, monkeypatch, name, n_moves, exceeds):
+        calls = []
+        real = CREMONA.format_system
+
+        def counting(degree, mults):
+            calls.append((degree, mults))
+            return real(degree, mults)
+
+        monkeypatch.setattr(CREMONA, "format_system", counting)
+        final, moves = standard_reduce(L(name))
+        assert len(moves) == n_moves and any(m > final.degree for m in final.mults) == exceeds
+        assert len(calls) == len(moves) + 1
+        assert [real(*state) for state in calls] == [name] + [m.after for m in moves]
+
+    def test_normalize_keeps_a_canonical_system(self):
+        for name in ("L(20,18,6^5)", "L(1,1,2^4,1)", "L(5,0)", "L(3)"):
+            sys = L(name)
+            assert sys.normalize() == sys and sys.normalize() is sys
+        loose = LinearSystem(9, (0, 1, 0, 6, 6))
+        once = loose.normalize()
+        assert once == LinearSystem(9, (0, 6, 6, 1)) and once.normalize() is once

@@ -7,7 +7,7 @@ from sys import getrecursionlimit
 import pytest
 
 from fatpoints import degeneration, oracle
-from fatpoints.core import LinearSystem, expected_dim, format_system, parse_system, virtual_dim
+from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
                                     check_certificate, degenerate, limit_value, recursive_dim)
 from fatpoints.neg_curves import catalog, hh_dimension
@@ -329,6 +329,38 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             check_certificate(cert, replay_oracle=False)
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize("path", ["ell", "trace.ell", "trace.leaf.ell", "every"])
+    def test_ell_that_is_no_integer_rejected(self, path, value):
+        # L(2,1,1^3) reduces to L(1,0,1); the verdict, the reduction and its leaf carry ell 1
+        cert = json.loads(recursive_dim(L("L(2,1,1^3)")).dumps())
+        check_certificate(cert)
+        nodes = [cert, cert["trace"], cert["trace"]["leaf"]]
+        assert [node["ell"] for node in nodes] == [1, 1, 1]
+        for node, where in zip(nodes, ["ell", "trace.ell", "trace.leaf.ell"]):
+            if path in (where, "every"):
+                node["ell"] = value
+        with pytest.raises(CertificateError, match="ell .* is an integer"):
+            check_certificate(cert)
+
+    @pytest.mark.parametrize("name,path,value", [
+        ("L(2,1,1^3)", "leaf.points", True),    # standard_small on one point
+        ("L(2,1,1^3)", "leaf.points", 1.0),
+        ("L(4,0,1^13)", "leaf.tail", True),     # bounded_tail of tail multiplicity 1
+        ("L(4,0,1^13)", "leaf.tail", 1.0),
+        ("L(19,5,6^9)", "expected", 5.0),       # rank_oracle, expected dimension 5
+    ])
+    def test_leaf_field_that_is_no_integer_rejected(self, name, path, value):
+        cert = json.loads(recursive_dim(L(name)).dumps())
+        *parents, last = path.split(".")
+        node = cert["trace"]
+        for key in parents:
+            node = node[key]
+        assert node[last] == value and type(node[last]) is int
+        node[last] = value
+        with pytest.raises(CertificateError, match=f"differs from its recomputation in {last}"):
+            check_certificate(cert, replay_oracle=False)
+
     def test_missing_ell_raises_certificate_error(self):
         cert = json.loads(recursive_dim(L("L(10,2,6^3)")).dumps())
         del cert["ell"]
@@ -506,7 +538,7 @@ class TestCanonicalRestatements:
         ("L(21,0,6^10)", "trace.children.plane.system", _spaced),
         ("L(21,0,6^10)", "trace.children.plane.trace.system", _spaced),
         # the prover keeps the emptied slot; the normalized residual drops it
-        ("L(7,7,6)", "trace.residual", lambda text: format_system(parse_system(text).normalize())),
+        ("L(7,7,6)", "trace.residual", lambda text: str(parse_system(text).normalize())),
     ])
     def test_non_canonical_restatement_rejected(self, name, path, restate):
         cert = json.loads(recursive_dim(L(name)).dumps())

@@ -1,23 +1,25 @@
 """The prover's arithmetic against its earlier element-by-element forms.
 
 ``format_system``, ``normalize``, ``virtual_dim``, the ``LinearSystem``
-constructor, ``standard_reduce`` and the split chain behind ``hh_dimension``
-were rewritten with C-level builtins, a cached scan order and one format per
-reduction state; the checker's (-1)-curve test now takes its moves from
-``next_move``.  The functions below are those earlier forms, kept as
-references: the property tests require equal outputs, equal moves and equal
-exceptions (type and message) on the same inputs.
+constructor, ``standard_reduce``, ``replay_transcript`` and the split chain
+behind ``hh_dimension`` were rewritten with C-level builtins, a cached scan
+order, one format per reduction state and moves on raw ``(degree, mults)``
+data; the checker's (-1)-curve test now takes its moves from ``next_move``.
+The functions below are those earlier forms, kept as references: the
+property tests require equal outputs, equal moves and equal exceptions (type
+and message) on the same inputs, forged transcripts included.
 """
 
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.core import LinearSystem, format_system, virtual_dim
-from fatpoints.cremona import (Move, NegativeEntryError, cremona, cremona_vector, next_move,
-                               replay_transcript, split_fixed_line, standard_reduce)
+from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
+                               next_move, replay_transcript, split_fixed_line, standard_reduce)
 from fatpoints.degeneration import _is_minus_one_curve
 from fatpoints.neg_curves import (_BIGCURVE, _CONIC, _LINE0, _SEXTIC, _TRIANGLE, _aligned,
                                   _bundle, _line_vec, _next_split, _pencil, _scan_entries,
@@ -120,6 +122,53 @@ def reference_standard_reduce(L):
         break
     assert len(moves) <= initial_degree + 1, "reduction failed to terminate"
     return cur, tuple(moves)
+
+
+def reference_move(L, kind, slots):
+    """One move of a transcript as it was: checks, arithmetic and messages of
+    ``cremona`` and ``split_fixed_line``, element by element."""
+    if kind == "cremona" and len(slots) == 3:
+        if len(set(slots)) != 3:
+            raise ValueError(f"slots must be distinct, got {tuple(slots)}")
+    elif kind == "line" and len(slots) == 2:
+        if slots[0] == slots[1]:
+            raise ValueError("slots must be distinct")
+    else:
+        raise ValueError(f"unknown move kind {kind!r} on {len(slots)} slots")
+    for s in slots:
+        if not 0 <= s < len(L.mults):
+            raise ValueError(f"slot {s} out of range for {len(L.mults)} slots")
+    d, new = L.degree, list(L.mults)
+    if kind == "cremona":
+        w = d - sum(new[s] for s in slots)
+        if d + w < 0:
+            raise NegativeEntryError(None, d + w)
+    else:
+        if d - new[slots[0]] - new[slots[1]] >= 0:
+            raise NotFixedError(f"line through slots {slots[0]},{slots[1]} of "
+                                f"{reference_format_system(L)} is not fixed (d - mi - mj >= 0)")
+        w = -1
+        if d + w < 0:
+            raise NegativeEntryError(None, d + w)
+    for s in slots:
+        new[s] += w
+        if new[s] < 0:
+            raise NegativeEntryError(s, new[s])
+    return LinearSystem(d + w, tuple(new))
+
+
+def reference_replay_transcript(moves, start):
+    """``replay_transcript`` as it was: a ``LinearSystem`` and two formats per move."""
+    cur = reference_normalize(start)
+    for move in moves:
+        text = reference_format_system(cur)
+        if text != move.before:
+            raise ValueError(f"transcript mismatch: at {text}, expected {move.before}")
+        cur = reference_normalize(reference_move(cur, move.kind, move.slots))
+        text = reference_format_system(cur)
+        if text != move.after:
+            raise ValueError(f"transcript mismatch after move {move}: got {text}")
+    return cur
 
 
 def reference_is_minus_one_curve(curve):
@@ -310,7 +359,7 @@ class TestCoreMatchesReference:
     @given(st.one_of(systems, quasi_homogeneous))
     @with_edges()
     def test_format_normalize_virtual_dim(self, sys):
-        assert format_system(sys) == reference_format_system(sys)
+        assert format_system(sys.degree, sys.mults) == reference_format_system(sys)
         assert sys.normalize() == reference_normalize(sys)
         assert virtual_dim(sys) == reference_virtual_dim(sys)
 
@@ -326,6 +375,80 @@ class TestCremonaMatchesReference:
         if got[0] == "value":
             final, moves = got[1]
             assert replay_transcript(moves, sys) == final
+
+
+def forge(sys, plan):
+    """A transcript from ``sys`` whose moves follow ``plan``: each entry is a kind,
+    its slots and which recorded side to corrupt.  The recorded strings are the
+    reference's own, so each move replays until it is corrupted or fails."""
+    cur = reference_normalize(sys)
+    moves = []
+    for kind, slots, corrupt in plan:
+        before = reference_format_system(cur)
+        try:
+            cur = reference_normalize(reference_move(cur, kind, slots))
+            after = reference_format_system(cur)
+        except ValueError:
+            after = before
+        moves.append(Move(kind, tuple(slots), "L(99)" if corrupt == "before" else before,
+                          "L(99)" if corrupt == "after" else after))
+    return tuple(moves)
+
+
+L14 = LinearSystem(14, (0,) + (6,) * 6)
+# (system, plan, the exception the replay raises); None: the transcript replays
+FORGED = [
+    (L14, [("cremona", (1, 2, 3), "before")], ValueError),       # wrong before
+    (L14, [("cremona", (1, 2, 3), None), ("cremona", (3, 4, 5), "after")],
+     ValueError),                                                # wrong after
+    (L14, [("cremona", (1, 2, 7), None)], ValueError),           # slot out of range
+    (L14, [("line", (-1, 2), None)], ValueError),                # slot out of range
+    (L14, [("cremona", (1, 2, 2), None)], ValueError),           # repeated slot
+    (L14, [("line", (3, 3), None)], ValueError),                 # repeated slot
+    (L14, [("flip", (1, 2), None)], ValueError),                 # unknown kind
+    (L14, [("line", (1, 2, 3), None)], ValueError),              # a line on three slots
+    (L14, [("line", (1, 2), None)], NotFixedError),              # 6 + 6 <= 14
+    (LinearSystem(10, (2, 6, 6, 6)), [("cremona", (1, 2, 3), None)], NegativeEntryError),
+    (LinearSystem(2, (3, 3, 3)), [("cremona", (0, 1, 2), None)], NegativeEntryError),  # degree
+    (LinearSystem(0, (1, 1)), [("line", (0, 1), None)], NegativeEntryError),  # degree
+    (LinearSystem(20, (18,) + (6,) * 5), [("line", (0, 1), None)] * 3, None),
+]
+
+
+slot = st.integers(-1, 12)
+corruptions = st.sampled_from([None] * 8 + ["before", "after"])
+forged_moves = st.one_of(
+    st.tuples(st.just("cremona"), st.tuples(slot, slot, slot), corruptions),
+    st.tuples(st.just("line"), st.tuples(slot, slot), corruptions),
+    st.tuples(st.sampled_from(["cremona", "line", "flip"]), st.lists(slot, max_size=4).map(tuple),
+              corruptions))
+
+
+class TestReplayMatchesReference:
+    @pytest.mark.parametrize("sys,plan,raised", FORGED)
+    def test_forged_transcripts(self, sys, plan, raised):
+        moves = forge(sys, plan)
+        got = outcome(replay_transcript, moves, sys)
+        assert got == outcome(reference_replay_transcript, moves, sys)
+        assert got[:2] == (("value", reference_replay_transcript(moves, sys)) if raised is None
+                           else ("raised", raised))
+
+    @settings(max_examples=500)
+    @given(st.one_of(systems, quasi_homogeneous), st.lists(forged_moves, max_size=6))
+    def test_random_transcripts(self, sys, plan):
+        moves = forge(sys, plan)
+        assert outcome(replay_transcript, moves, sys) == \
+            outcome(reference_replay_transcript, moves, sys)
+
+    @settings(max_examples=300)
+    @given(st.one_of(systems, quasi_homogeneous))
+    @with_edges()
+    def test_recorded_transcripts(self, sys):
+        """The transcripts ``standard_reduce`` writes replay to its final system."""
+        got = outcome(standard_reduce, sys)
+        if got[0] == "value":
+            final, moves = got[1]
+            assert reference_replay_transcript(moves, sys) == final
 
 
 class TestMinusOneCurveMatchesReference:
