@@ -15,16 +15,16 @@ limit, which by semicontinuity bounds the dimension of the original system
 from above.  Two sufficient criteria follow, both decided by
 ``criterion_failure``: one proving emptiness (for systems with negative
 virtual dimension) and one proving non-speciality.  ``recursive_dim`` chains
-these with the speciality classifier, reduction to standard form, small base
-cases, and a finite-field rank fallback; every verdict carries a trace that
-``check_certificate`` replays without search: it calls the same criterion and
-split arithmetic as the prover and rebuilds each leaf with the function that
-wrote it."""
+these with the speciality classifier, reduction to standard form (ending in a
+small base case or in the proof of the reduced system), and a finite-field
+rank fallback; a fixed-part removal proves only speciality or emptiness.
+Every verdict carries a trace that ``check_certificate`` replays without
+search: it calls the same criterion and split arithmetic as the prover and
+rebuilds each leaf with the function that wrote it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (LinearSystem, SystemParseError, expected_dim, intersect, parse_system,
                    virtual_dim)
@@ -167,15 +167,12 @@ def _proved_ell(rule: str, L: LinearSystem) -> int:
 
 # -- certificate leaves: written by the prover, rebuilt by the checker ----------
 
-_BASE_CASES = ("no_conditions", "multiplicity_exceeds_degree", "standard_small", "bounded_tail")
+_BASE_CASES = ("no_conditions", "multiplicity_exceeds_degree", "standard_small")
 
 
-def _base_case(S: LinearSystem, kinds: tuple[str, ...],
-               removal: Callable[[LinearSystem], tuple[dict, int]] | None) -> dict | None:
+def _base_case(S: LinearSystem, kinds: tuple[str, ...]) -> dict | None:
     """The leaf proving the dimension of ``S`` by the first base case among
-    ``kinds`` that ``S`` is, or None.  ``removal(S)`` gives the trace and ell
-    of the fixed-part removal behind a ``bounded_tail`` leaf: the prover
-    computes it, the checker replays the recorded one."""
+    ``kinds`` that ``S`` is, or None."""
     d = S.degree
     for kind in kinds:
         if kind == "no_conditions" and S.base_points == 0:
@@ -185,11 +182,6 @@ def _base_case(S: LinearSystem, kinds: tuple[str, ...],
         if kind == "standard_small" and S.base_points <= 9 and is_standard(S):
             return {"kind": kind, "system": str(S), "points": S.base_points,
                     "ell": expected_dim(S)}
-        if (kind == "bounded_tail" and S.is_quasi_homogeneous()
-                and 0 < S.tail_multiplicity() <= 5):
-            trace, ell = removal(S)
-            return {"kind": kind, "system": str(S), "tail": S.tail_multiplicity(),
-                    "removal": trace, "ell": ell}
     return None
 
 
@@ -238,12 +230,13 @@ class _Ctx:
 def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
     """Sound decision procedure for the dimension of a tail-6 system.
 
-    Order of attack: speciality classifier; reduction to standard form plus
-    the known base classes (at most nine base points, or quasi-homogeneous
-    tail multiplicity at most 5); a scan of (5, b)- and (6, b)-degenerations
-    applying the emptiness / non-speciality criteria recursively; the
-    finite-field rank oracle under the size cap.  Anything else is Unknown;
-    a verdict is never guessed.
+    Order of attack: speciality classifier; reduction to standard form,
+    concluding from a base case (at most nine base points) or, for a
+    quasi-homogeneous reduced system of lower degree, from its own proof; a
+    scan of (k, b)-degenerations for k in {5, 6, m-1, m} (m the tail
+    multiplicity) applying the emptiness / non-speciality criteria
+    recursively; the finite-field rank oracle under the size cap.  Anything
+    else is Unknown; a verdict is never guessed.
     """
     check_regime(L)
     return _solve(L.normalize(), _Ctx(budget or Budget()), 0)
@@ -263,7 +256,7 @@ def _solve(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
 
 
 def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
-    leaf = _base_case(L, _BASE_CASES[:2], None)  # neither kind reads a removal
+    leaf = _base_case(L, _BASE_CASES[:2])
     if leaf is not None:
         return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
 
@@ -271,7 +264,7 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
     if removal.status == SPECIAL:
         return DimVerdict(SPECIAL, removal.ell, L, removal.trace)
 
-    reduced = _conclude_from_reduction(L, ctx)
+    reduced = _conclude_from_reduction(L, ctx, depth)
     if reduced is not None:
         return reduced
 
@@ -299,12 +292,19 @@ def _unknown(L: LinearSystem, reason: str, **evidence) -> DimVerdict:
                                          "reason": reason, **evidence})
 
 
-def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
+def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | None:
+    """The reduction of ``L`` to standard form, concluding from a base case or,
+    when at least one move lowered the degree, from the proof of the final
+    quasi-homogeneous system; None when neither settles it."""
     final, moves = standard_reduce(L)
-    leaf = _base_case(final, _BASE_CASES[1:],
-                      lambda S: (ctx.removal(S).trace, ctx.removal(S).ell))
+    leaf = _base_case(final, _BASE_CASES[1:])
     if leaf is None:
-        return None
+        if not moves or not final.is_quasi_homogeneous():
+            return None
+        proof = _solve(final, ctx, depth)
+        if proof.status == UNKNOWN:
+            return None
+        leaf = proof.trace
     ell = leaf["ell"]
     trace = {"kind": "cremona_reduction", "system": str(L),
              "moves": [m.to_json() for m in moves], "final": str(final),
@@ -318,7 +318,8 @@ def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
 def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | None:
     n = len(L.tail)
     d = L.degree
-    for k in (5, 6):
+    m = L.tail_multiplicity()
+    for k in dict.fromkeys((5, 6, m - 1, m)):  # (5, 6) alone for tail multiplicity 6
         if not 1 <= k < d:
             continue
         b0 = min(n, (2 * d) // 7)
@@ -441,8 +442,7 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     _typed(node["ell"], int, "the ell of a trace node")
     kind = node.get("kind")
     if kind in _BASE_CASES:
-        leaf = _base_case(system, (kind,), lambda S: (
-            node["removal"], _check_node(node["removal"], S, replay_oracle)))
+        leaf = _base_case(system, (kind,))
         if leaf is None:
             raise CertificateError(f"{system} is not a {kind} base case")
         return _rebuilt(node, leaf)
@@ -538,13 +538,15 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
         return -1
     residual = LinearSystem(d, m)  # as the prover writes it: not normalized
     _restates(node["residual"], residual)
+    reason = speciality_failure(pieces, residual)
+    if reason is not None:  # a removal proves speciality or emptiness, never expected values
+        raise CertificateError(f"removal proves no speciality: {reason}")
+    if node["special"] is not True:
+        raise CertificateError(f"removal records special={node['special']!r}, "
+                               f"but the removal is special")
     ell = expected_dim(residual)
     if node["ell"] != ell:
         raise CertificateError("removal ell mismatch")
-    reason = speciality_failure(pieces, residual)
-    if node["special"] is not (reason is None):
-        raise CertificateError(f"removal records special={node['special']!r}, "
-                               f"but {reason or 'the removal is special'}")
     return ell
 
 

@@ -62,9 +62,7 @@ def is_minus_one_class(D: LinearSystem) -> bool:
 class CurveCatalogEntry:
     """One catalog family, instantiable on a choice of tail slots.
 
-    All entries have a uniform tail multiplicity.  ``param`` is the degree
-    parameter of the ``L(e, e-1, 1^2e)`` family, or the size of a compound
-    line bundle ``L(k, k, 1^k)``.
+    All entries have a uniform tail multiplicity.
     """
 
     kind: str  # "simple" | "compound"
@@ -72,7 +70,6 @@ class CurveCatalogEntry:
     m0: int
     tail_mult: int
     tail_points: int
-    param: int | None = None
 
     @property
     def label(self) -> str:
@@ -113,11 +110,11 @@ _TRIANGLE = CurveCatalogEntry("compound", 3, 0, 2, 3)
 
 
 def _pencil(e: int) -> CurveCatalogEntry:
-    return CurveCatalogEntry("simple", e, e - 1, 1, 2 * e, param=e)
+    return CurveCatalogEntry("simple", e, e - 1, 1, 2 * e)
 
 
 def _bundle(k: int) -> CurveCatalogEntry:
-    return CurveCatalogEntry("compound", k, k, 1, k, param=k)
+    return CurveCatalogEntry("compound", k, k, 1, k)
 
 
 def catalog(n: int) -> tuple[CurveCatalogEntry, ...]:
@@ -221,10 +218,10 @@ def _fits(entry: CurveCatalogEntry, n: int, d: int, m0: int, low: int) -> bool:
             and low - n * entry.tail_mult >= 0)
 
 
-def _next_split(d: int, m: tuple[int, ...], reverse: bool):
-    """First applicable split in canonical (or reversed) candidate order.
+def _next_split(d: int, m: tuple[int, ...]):
+    """First applicable split in the order of :func:`_scan_entries`.
 
-    Returns ``("apply", constituents, n, unit_label)`` for a usable split,
+    Returns ``("apply", constituents, n)`` for a usable split,
     ``("reject", curve, n)`` when a negative simple class cannot be
     subtracted (which proves the system empty), or None at a fixpoint.
     """
@@ -232,8 +229,6 @@ def _next_split(d: int, m: tuple[int, ...], reverse: bool):
     if t < 1:
         return None
     entries = _scan_entries(t)
-    if reverse:
-        entries = entries[::-1]
     order = slot_order(m, 1)  # the tail slots
     vals = [m[s] for s in order]
     width = len(m)
@@ -262,7 +257,7 @@ def _next_split(d: int, m: tuple[int, ...], reverse: bool):
                 cons = [_line_vec(0, s, width) for s in slots]
             else:
                 cons = [_line_vec(a, b, width) for a, b in combinations(slots, 2)]
-            return ("apply", cons, n, entry.label)
+            return ("apply", cons, n)
         inter = entry.degree * d - entry.m0 * m0 - entry.tail_mult * sum(vals[:r])
         if inter >= 0:
             continue
@@ -272,14 +267,14 @@ def _next_split(d: int, m: tuple[int, ...], reverse: bool):
             # a fixed irreducible curve that cannot be subtracted: the system
             # has no members at all
             return ("reject", curve, n)
-        return ("apply", [curve], n, None)
+        return ("apply", [curve], n)
     return None
 
 
-def _split_chain(L: LinearSystem, reverse: bool = False):
-    """``(steps, residual, rejected)``: each ``(curve, n, unit)`` split off ``L``
-    in turn, then the ``(d, mults)`` left or the ``(curve, n)`` that does not fit
-    (the other is None).  Curves are aligned ``(d, mults)``; ``unit`` names a compound."""
+def _split_chain(L: LinearSystem):
+    """``(steps, residual, rejected)``: each ``(curve, n)`` split off ``L`` in
+    turn, then the ``(d, mults)`` left or the ``(curve, n)`` that does not fit
+    (the other is None).  Curves are aligned ``(d, mults)``."""
     base = L.normalize()
     d = base.degree
     m = base.mults
@@ -288,16 +283,16 @@ def _split_chain(L: LinearSystem, reverse: bool = False):
     while True:
         rounds += 1
         assert rounds <= base.degree + 2, f"splitting of {base} failed to terminate"
-        action = _next_split(d, m, reverse)
+        action = _next_split(d, m)
         if action is None:
             return tuple(steps), (d, m), None
         if action[0] == "reject":
             _, curve, n = action
             return tuple(steps), None, (curve, n)
-        _, constituents, n, unit = action
+        _, constituents, n = action
         for cd, cm in constituents:
             d, m = split_off(d, m, n, cd, cm)
-            steps.append(((cd, cm), n, unit))
+            steps.append(((cd, cm), n))
         assert min(d, *m) >= 0
 
 
@@ -352,15 +347,14 @@ def hh_dimension(L: LinearSystem) -> DimVerdict:
     if rejected is None:
         residual = LinearSystem(*residual)
         ell = expected_dim(residual)
-        pieces = [(LinearSystem(*curve), n) for curve, n, _ in steps]
+        pieces = [(LinearSystem(*curve), n) for curve, n in steps]
         special = speciality_failure(pieces, residual) is None
     else:
         curve, n = rejected
         ell, special = -1, False
         rejected = {"curve": format_system(*curve), "n": n}
     trace = {"kind": "fixed_part_removal", "system": str(base),
-             "steps": [{"curve": format_system(*curve), "n": n, "unit": unit}
-                       for curve, n, unit in steps],
+             "steps": [{"curve": format_system(*curve), "n": n} for curve, n in steps],
              "residual": None if residual is None else str(residual),
              "rejected": rejected, "special": special, "ell": ell}
     status = SPECIAL if special else EMPTY if ell == -1 else REGULAR

@@ -18,3 +18,30 @@ settings.load_profile("reproducible")
 def packaged_csv(name: str) -> str:
     """The text of ``fatpoints/data/<name>``."""
     return resources.files("fatpoints.data").joinpath(name).read_text()
+
+
+def _removal(system, status, ell, steps, residual):
+    """A certificate whose whole proof is a fixed-part removal that is not special."""
+    return {"system": system, "status": status, "ell": ell, "trace": {
+        "kind": "fixed_part_removal", "system": system, "steps": steps, "residual": residual,
+        "rejected": None, "special": False, "ell": ell}}
+
+
+# Certificates resting on a fixed-part removal that is neither special nor
+# rejected, which proves no dimension.  The checker rejects each.  The first two
+# are false: the rank oracle gives 0 for L(4,0,2^5) (twice the conic through the
+# five points) and 5 for L(10,0,6^3).  The third is hh_dimension(L(2,0,1^5)),
+# one simple split.  The last is the certificate of L(4,0,1^13) with a
+# bounded_tail leaf, which trusted such a removal for tail multiplicity <= 5.
+NON_SPECIAL_REMOVALS = {
+    "zero-steps-empty": _removal("L(4,0,2^5)", "empty", -1, [], "L(4,0,2^5)"),
+    "zero-steps-regular": _removal("L(10,0,6^3)", "regular", 2, [], "L(10,0,6^3)"),
+    "one-step": _removal("L(2,0,1^5)", "regular", 0, [{"curve": "L(2,0,1^5)", "n": 1}],
+                         "L(0,0,0^5)"),
+    "bounded-tail": {
+        "system": "L(4,0,1^13)", "status": "regular", "ell": 1, "trace": {
+            "kind": "cremona_reduction", "system": "L(4,0,1^13)", "moves": [],
+            "final": "L(4,0,1^13)", "ell": 1, "leaf": {
+                "kind": "bounded_tail", "system": "L(4,0,1^13)", "tail": 1, "ell": 1,
+                "removal": _removal("L(4,0,1^13)", "regular", 1, [], "L(4,0,1^13)")["trace"]}}},
+}

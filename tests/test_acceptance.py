@@ -106,19 +106,29 @@ def test_criterion_3_oracle_agreement_on_table(rows):
            f"({elapsed:.1f}s){'; first failures ' + str(bad[:3]) if bad else ''}")
 
 
+# sha256 over the hard-case certificates: each verdict's dumps() in the order of
+# data/hard_cases.csv, one per line, hashed like the criterion-7 box below.
+HARD_CASE_CERTIFICATES_SHA256 = "d966e5da36911a46ab0696560726e7513a138a5dd3841fc5b67d5c641be4d4d0"
+
+
 def test_criterion_4_hard_case_regression():
     t0 = time.time()
     budget = Budget()
     bad = []
     certs = 0
+    digest = hashlib.sha256()
     for case in known_hard_cases():
         sys = case.parsed()
         verdict = recursive_dim(sys, budget)
         want = case.status
         if verdict.status != want:
             bad.append((case.system, case.status, verdict.status))
-        check_certificate(json.loads(verdict.dumps()))
+        text = verdict.dumps()
+        digest.update(text.encode() + b"\n")
+        check_certificate(json.loads(text))
         certs += 1
+    if digest.hexdigest() != HARD_CASE_CERTIFICATES_SHA256:
+        bad.append(("certificates", "sha256", digest.hexdigest()))
     for case in known_hard_cases():
         if case.method != "direct rank computation":
             continue
@@ -187,8 +197,8 @@ def test_criterion_6_catalog_soundness():
     checked = 0
     for n in (1, 2, 3, 5, 7, 9, 12, 20):
         for entry in catalog(n):
-            if entry.param is not None and entry.kind == "simple" and entry.param > 10:
-                continue
+            if entry.kind == "simple" and entry.tail_mult == 1 and entry.degree > 10:
+                continue  # the L(e, e-1, 1^2e) family beyond e = 10
             if entry.kind == "simple":
                 assert is_minus_one_class(entry.instantiate(n))
             else:
@@ -256,8 +266,10 @@ def test_criterion_8_certificate_replay(sweep_verdicts):
 
 # sha256 over the criterion-7 box: each verdict's dumps() in fixture order, one
 # per line.  A change that alters a certificate on purpose records the new
-# digest here and says why.
-SWEEP_CERTIFICATES_SHA256 = "1fe715411b9c203e01287586223cb1536d05e06d30ff2a6b82ea0e918161c66b"
+# digest here and says why.  Last change: fixed-part removal steps no longer
+# carry the unread "unit" label of a compound split (224 certificates of the
+# box); no verdict changed.  The digest before was 1fe715411b9c203e….
+SWEEP_CERTIFICATES_SHA256 = "c5115934e8b7e84bd38f48371db9a867e64bfeef8a9c468830e760a4f452df3d"
 
 
 def test_sweep_certificates_byte_identical(sweep_verdicts):

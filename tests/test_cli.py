@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fatpoints
-from conftest import packaged_csv
+from conftest import NON_SPECIAL_REMOVALS, packaged_csv
 from fatpoints import neg_curves, oracle
 from fatpoints.cli import main
 
@@ -309,6 +309,14 @@ class TestCertificateFlow:
         code, out, err = run(capsys, "check-certificate", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", NON_SPECIAL_REMOVALS)
+    def test_non_special_removal_exits_1(self, capsys, tmp_path, name):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(NON_SPECIAL_REMOVALS[name]))
+        code, out, err = run(capsys, "check-certificate", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("certificate INVALID: ")
 
     def test_forged_curve_exits_1(self, capsys, tmp_path):
         # L(2,1,1) has dimension 3; L(1,3) is no (-1)-curve

@@ -6,6 +6,7 @@ from sys import getrecursionlimit
 
 import pytest
 
+from conftest import NON_SPECIAL_REMOVALS
 from fatpoints import degeneration, oracle
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
@@ -176,7 +177,7 @@ class TestCertificates:
         "L(14,0,6^6)",    # reduction to a small standard system
         "L(21,0,6^10)",   # degeneration rule
         "L(19,5,6^9)",    # rank oracle leaf
-        "L(46,36,6^22)",  # reduction landing in a bounded-tail base case
+        "L(46,36,6^22)",  # reduction concluding from a degeneration of its final system
     ])
     def test_round_trip(self, name):
         verdict = recursive_dim(L(name))
@@ -308,7 +309,7 @@ class TestCertificates:
         ("L(14,0,6^6)", "moves.0.slots.0", "1"),
         ("L(14,0,6^6)", "moves.0.slots", [1, 2]),
         ("L(14,0,6^6)", "moves.0.after", "L(5,1)"),
-        ("L(46,36,6^22)", "leaf.removal", 5),
+        ("L(46,36,6^22)", "leaf.children", 5),
         ("L(10,2,6^3)", "steps", 5),
         ("L(10,2,6^3)", "steps.0", 5),
         ("L(10,2,6^3)", "steps.0.n", "x"),
@@ -346,8 +347,9 @@ class TestCertificates:
     @pytest.mark.parametrize("name,path,value", [
         ("L(2,1,1^3)", "leaf.points", True),    # standard_small on one point
         ("L(2,1,1^3)", "leaf.points", 1.0),
-        ("L(4,0,1^13)", "leaf.tail", True),     # bounded_tail of tail multiplicity 1
-        ("L(4,0,1^13)", "leaf.tail", 1.0),
+        # standard_small on one point, inside a degeneration
+        ("L(4,0,1^13)", "children.ruled_kernel.trace.leaf.points", True),
+        ("L(4,0,1^13)", "children.ruled_kernel.trace.leaf.points", 1.0),
         ("L(19,5,6^9)", "expected", 5.0),       # rank_oracle, expected dimension 5
     ])
     def test_leaf_field_that_is_no_integer_rejected(self, name, path, value):
@@ -410,6 +412,27 @@ FORGED_SPLIT_STEP = {
               "steps": [{"curve": "L(1,0,2)", "n": 1}], "residual": "L(2,3)", "ell": -1}}
 
 
+class TestRemovalProvesOnlySpecialityOrEmptiness:
+    @pytest.mark.parametrize("name,match", [
+        ("zero-steps-empty", "removal proves no speciality"),
+        ("zero-steps-regular", "removal proves no speciality"),
+        ("one-step", "removal proves no speciality"),
+        ("bounded-tail", "unknown trace node kind 'bounded_tail'"),
+    ])
+    def test_non_special_removal_rejected(self, name, match):
+        with pytest.raises(CertificateError, match=match):
+            check_certificate(json.loads(json.dumps(NON_SPECIAL_REMOVALS[name])))
+
+    def test_the_prover_writes_none(self):
+        # hh_dimension still reports a non-special removal, but no certificate rests on it
+        removal = json.loads(hh_dimension(L("L(2,0,1^5)")).dumps())
+        assert removal == NON_SPECIAL_REMOVALS["one-step"]
+        verdict = recursive_dim(L("L(2,0,1^5)"))
+        assert (verdict.status, verdict.ell) == (REGULAR, 0)
+        assert not any(n["kind"] == "fixed_part_removal" for n in _nodes(verdict.to_json()))
+        check_certificate(json.loads(verdict.dumps()))
+
+
 class TestMinusOneCurves:
     @pytest.mark.parametrize("cert", [FORGED_REJECTED_SPLIT, FORGED_SPLIT_STEP],
                              ids=["rejected", "step"])
@@ -443,8 +466,7 @@ class TestMinusOneCurves:
         assert pieces and all(_is_minus_one_curve(c) for c in pieces)
 
 
-LEAF_KINDS = ("no_conditions", "multiplicity_exceeds_degree", "standard_small",
-              "bounded_tail", "rank_oracle")
+LEAF_KINDS = ("no_conditions", "multiplicity_exceeds_degree", "standard_small", "rank_oracle")
 # the oracle leaf's inputs: another valid choice replays to another valid leaf
 ORACLE_INPUTS = ("prime", "seed", "trials")
 
@@ -502,7 +524,7 @@ class TestLeafMutations:
         mutants = 0
         for i, node in enumerate(_nodes(json.loads(text))):
             if node["kind"] in LEAF_KINDS:
-                fields = [f for f in node if f not in ("kind", "removal", *ORACLE_INPUTS)]
+                fields = [f for f in node if f not in ("kind", *ORACLE_INPUTS)]
             elif node["kind"] == "fixed_part_removal":
                 fields = ["special"]
             else:

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from fatpoints import neg_curves
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.degeneration import CertificateError, check_certificate
 from fatpoints.neg_curves import (CurveCatalogEntry, _split_chain, catalog,
@@ -140,8 +141,10 @@ class TestIsMinusOneSpecial:
         residual = L(witness.trace["residual"])
         assert residual == L("L(4,2,2^3)")
         assert virtual_dim(residual) == 2
-        assert sorted(step["n"] for step in witness.trace["steps"]) == [2, 2, 2]
-        assert any(step["unit"] == "L(3,0,2^3)" for step in witness.trace["steps"])
+        # the triangle L(3,0,2^3) splits off as its three lines, each twice
+        assert witness.trace["steps"] == [
+            {"curve": "L(1,0,1^2,0)", "n": 2}, {"curve": "L(1,0,1,0,1)", "n": 2},
+            {"curve": "L(1,0,0,1^2)", "n": 2}]
         check_certificate(json.loads(witness.dumps()))
 
     def test_sporadic(self):
@@ -198,19 +201,26 @@ class TestHHDimension:
                 # a multiple (-1)-part strictly raises the residual dimension
                 assert virtual_dim(L(witness.trace["residual"])) > virtual_dim(sys)
 
-    def test_order_independence(self):
+    def test_order_independence(self, monkeypatch):
         rng = random.Random(29)
+        systems = []
         for _ in range(500):
             d = rng.randint(0, 28)
             n = rng.randint(0, 10)
             m = rng.randint(1, 6)
             m0 = rng.randint(0, d) if d else 0
-            sys = LinearSystem(d, (m0,) + (m,) * n)
-            _, fr, _ = _split_chain(sys, reverse=False)
-            _, rr, _ = _split_chain(sys, reverse=True)
+            systems.append(LinearSystem(d, (m0,) + (m,) * n))
+        forward = [_split_chain(sys) for sys in systems]
+        scan = neg_curves._scan_entries
+        monkeypatch.setattr(neg_curves, "_scan_entries", lambda t: scan(t)[::-1])
+        reordered = 0
+        for sys, (steps, fr, _) in zip(systems, forward):
+            reversed_steps, rr, _ = _split_chain(sys)
+            reordered += reversed_steps != steps
             assert (fr is None) == (rr is None)
             if fr is not None:
                 assert LinearSystem(*fr).normalize() == LinearSystem(*rr).normalize()
+        assert reordered  # the reversed scan order takes effect
 
 
 @pytest.fixture(scope="module")
