@@ -39,13 +39,6 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
-def _budget(args) -> Budget:
-    if args.budget < 0:
-        raise ValueError(f"--budget must be >= 0, got {args.budget}")
-    return Budget(scan_depth=min(2, args.budget), prime=args.prime, seed=args.seed,
-                  trials=args.trials)
-
-
 def _cmd_vdim(args) -> int:
     L = _parse(args.system)
     v, e = virtual_dim(L), expected_dim(L)
@@ -56,7 +49,7 @@ def _cmd_vdim(args) -> int:
 
 def _cmd_dim(args) -> int:
     L = _parse(args.system)
-    verdict = recursive_dim(L, _budget(args))
+    verdict = recursive_dim(L, Budget(prime=args.prime, seed=args.seed, trials=args.trials))
     if args.certificate:
         with open(args.certificate, "w") as fh:
             fh.write(verdict.dumps(indent=2))
@@ -179,8 +172,6 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool):
                         help="characteristic for rank computations")
     parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--trials", type=int, default=default(3))
-    parser.add_argument("--budget", type=int, default=default(2),
-                        help="degeneration scan depth of the prover; values above 2 act as 2")
     parser.add_argument("--json", action="store_true", default=default(False),
                         help="emit one JSON document")
 

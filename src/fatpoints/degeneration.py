@@ -199,9 +199,10 @@ def _oracle_leaf(S: LinearSystem, prime: int, seed: int, trials: int,
 
 @dataclass
 class Budget:
-    """Resource limits for :func:`recursive_dim`; exhaustion yields Unknown."""
+    """Leaf settings for :func:`recursive_dim`: whether the rank oracle may
+    conclude, and its prime, seed and trial count.  The search itself is
+    bounded only by ``_MAX_NODES``."""
 
-    scan_depth: int = 2          # degeneration scans allowed at depth < scan_depth
     use_oracle: bool = True
     prime: int = DEFAULT_PRIME
     seed: int = 0
@@ -235,14 +236,23 @@ def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
     quasi-homogeneous reduced system of lower degree, from its own proof; a
     scan of (k, b)-degenerations for k in {5, 6, m-1, m} (m the tail
     multiplicity) applying the emptiness / non-speciality criteria
-    recursively; the finite-field rank oracle under the size cap.  Anything
-    else is Unknown; a verdict is never guessed.
+    recursively, until a proof is found; the finite-field rank oracle under
+    the size cap.  Anything else is Unknown; a verdict is never guessed.  A
+    run solves each distinct system once and at most ``_MAX_NODES`` of them
+    (beyond that, ``budget exhausted``); short of that bound a system's
+    verdict and trace depend on the system alone, not on where the search
+    first met it.
     """
     check_regime(L)
-    return _solve(L.normalize(), _Ctx(budget or Budget()), 0)
+    return _solve(L.normalize(), _Ctx(budget or Budget()))
 
 
-def _solve(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
+# The recursion ends: ``(degree, number of tail points)`` strictly decreases
+# along every chain.  A degeneration's ``plane`` and ``plane_kernel`` have a
+# lower degree, and its ``ruled`` and ``ruled_kernel`` the same degree on
+# ``b < n`` tail points; a reduction recurses into a final system of lower
+# degree.
+def _solve(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
     L = L.normalize()
     hit = ctx.memo.get(L)
     if hit is not None:
@@ -250,12 +260,12 @@ def _solve(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
     ctx.nodes += 1
     if ctx.nodes > _MAX_NODES:
         return _unknown(L, "budget exhausted")
-    verdict = _solve_fresh(L, ctx, depth)
+    verdict = _solve_fresh(L, ctx)
     ctx.memo[L] = verdict
     return verdict
 
 
-def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
+def _solve_fresh(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
     leaf = _base_case(L, _BASE_CASES[:2])
     if leaf is not None:
         return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
@@ -264,21 +274,20 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict:
     if removal.status == SPECIAL:
         return DimVerdict(SPECIAL, removal.ell, L, removal.trace)
 
-    reduced = _conclude_from_reduction(L, ctx, depth)
+    reduced = _conclude_from_reduction(L, ctx)
     if reduced is not None:
         return reduced
 
-    if depth < ctx.budget.scan_depth:
-        found = _scan_degenerations(L, ctx, depth)
-        if found is not None:
-            return found
+    found = _scan_degenerations(L, ctx)
+    if found is not None:
+        return found
 
     if ctx.budget.use_oracle and monomial_count(L) <= ORACLE_COLS_CAP:
         leaf = _oracle_leaf(L, ctx.budget.prime, ctx.budget.seed, ctx.budget.trials)
         if leaf["ell"] == leaf["expected"]:
             return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
         return _unknown(L, "rank oracle exceeds the expected dimension", oracle=leaf)
-    return _unknown(L, "out of methods")
+    return _unknown(L, "out of methods" if ctx.nodes <= _MAX_NODES else "budget exhausted")
 
 
 def _status(ell: int) -> str:
@@ -292,7 +301,7 @@ def _unknown(L: LinearSystem, reason: str, **evidence) -> DimVerdict:
                                          "reason": reason, **evidence})
 
 
-def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | None:
+def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
     """The reduction of ``L`` to standard form, concluding from a base case or,
     when at least one move lowered the degree, from the proof of the final
     quasi-homogeneous system; None when neither settles it."""
@@ -301,7 +310,7 @@ def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdi
     if leaf is None:
         if not moves or not final.is_quasi_homogeneous():
             return None
-        proof = _solve(final, ctx, depth)
+        proof = _solve(final, ctx)
         if proof.status == UNKNOWN:
             return None
         leaf = proof.trace
@@ -315,26 +324,25 @@ def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdi
     return _unknown(L, f"reduction reports dimension {ell} above expected", reduction=trace)
 
 
-def _scan_degenerations(L: LinearSystem, ctx: _Ctx, depth: int) -> DimVerdict | None:
+def _scan_degenerations(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
     n = len(L.tail)
     d = L.degree
     m = L.tail_multiplicity()
+    b0 = min(n - 1, (2 * d) // 7)  # b < n: the ruled pieces must lose a point
+    candidates = (list(range(b0, -1, -1)) + list(range(b0 + 1, n)))[:_MAX_SCAN_B]
     for k in dict.fromkeys((5, 6, m - 1, m)):  # (5, 6) alone for tail multiplicity 6
         if not 1 <= k < d:
             continue
-        b0 = min(n, (2 * d) // 7)
-        candidates = list(range(b0, -1, -1)) + list(range(b0 + 1, n))
-        candidates = [b for b in candidates if 0 <= b < n][:_MAX_SCAN_B]
         for b in candidates:
             split = degenerate(L, k, b)
             for rule in ("empty", "nonspecial"):
-                node = _try(split, rule, ctx, depth)
+                node = _try(split, rule, ctx)
                 if node is not None:
                     return DimVerdict(_status(node["ell"]), node["ell"], L, node)
     return None
 
 
-def _try(split: DegenerationSplit, rule: str, ctx: _Ctx, depth: int) -> dict | None:
+def _try(split: DegenerationSplit, rule: str, ctx: _Ctx) -> dict | None:
     """The node proving ``rule`` for the base of ``split``, or None.
 
     Before any child is solved, the attempt is pruned by the conditions of
@@ -354,7 +362,7 @@ def _try(split: DegenerationSplit, rule: str, ctx: _Ctx, depth: int) -> dict | N
         needed = (split.plane, split.ruled)
     if any(ctx.removal(s).status == SPECIAL for s in needed):
         return None
-    children = {name: _solve(s, ctx, depth + 1) for name, s in parts.items()}
+    children = {name: _solve(s, ctx) for name, s in parts.items()}
     proved = {name: (c.status, c.ell) for name, c in children.items()}
     if criterion_failure(rule, split, v, proved) is not None:
         return None

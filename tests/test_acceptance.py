@@ -278,3 +278,27 @@ def test_sweep_certificates_byte_identical(sweep_verdicts):
         digest.update(verdict.dumps().encode() + b"\n")
     assert len(sweep_verdicts) == 1617
     assert digest.hexdigest() == SWEEP_CERTIFICATES_SHA256
+
+
+# sha256 over the benchmark sweep (perfbench's `sweep` workload): every
+# L(d,m0,6^n) with d <= 32, m0 <= d and n <= 12 under Budget(use_oracle=False),
+# each verdict's dumps() in (d, m0, n) order, one per line.  Last change: the
+# degeneration induction recurses without a depth cap, which changed only the
+# certificate of L(31,23,6^12); no verdict changed.  The digest before was
+# bff70db80fb2855c….
+BENCHMARK_SWEEP_CERTIFICATES_SHA256 = (
+    "02b90ce1be7250ea6aa0e19bbc0fa3cefdecc6474cda31d6474c5bb55e3368bb")
+
+
+def test_benchmark_sweep_certificates_byte_identical():
+    lean = Budget(use_oracle=False)
+    digest = hashlib.sha256()
+    count = 0
+    for d in range(33):
+        for m0 in range(d + 1):
+            for n in range(13):
+                verdict = recursive_dim(LinearSystem(d, (m0,) + (6,) * n), lean)
+                digest.update(verdict.dumps().encode() + b"\n")
+                count += 1
+    assert count == 7293
+    assert digest.hexdigest() == BENCHMARK_SWEEP_CERTIFICATES_SHA256

@@ -13,7 +13,7 @@ import pytest
 
 import fatpoints
 from conftest import NON_SPECIAL_REMOVALS, packaged_csv
-from fatpoints import neg_curves, oracle
+from fatpoints import degeneration, neg_curves, oracle
 from fatpoints.cli import main
 
 
@@ -46,26 +46,20 @@ class TestDim:
         doc = json.loads(out)
         assert doc["status"] == "regular" and doc["ell"] == 0
 
-    def test_unknown_exit_code(self, capsys):
-        code, out, _ = run(capsys, "--budget", "0", "--json", "dim", "L(150,10,6^120)")
+    def test_unknown_exit_code(self, capsys, monkeypatch):
+        # L(150,10,6^120) is regular (8900) unless the node budget runs out
+        monkeypatch.setattr(degeneration, "_MAX_NODES", 3)
+        code, out, _ = run(capsys, "--json", "dim", "L(150,10,6^120)")
         assert code == 1
-        assert json.loads(out)["status"] == "unknown"
+        doc = json.loads(out)
+        assert doc["status"] == "unknown" and doc["trace"]["reason"] == "budget exhausted"
 
-    def test_negative_budget_refused(self, capsys):
-        code, out, err = run(capsys, "dim", "L(12,3,6^4)", "--budget", "-3")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "--budget" in err
-
-    def test_budget_above_two_acts_as_two(self, capsys, tmp_path):
-        texts = []
-        for budget in ("2", "4"):
-            path = tmp_path / f"cert{budget}.json"
-            code, _, _ = run(capsys, "dim", "L(21,0,6^10)", "--budget", budget,
-                             "--certificate", str(path))
-            assert code == 0
-            texts.append(path.read_bytes())
-        assert texts[0] == texts[1]
-        assert json.loads(texts[0])["trace"]["kind"] == "degeneration"
+    def test_budget_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "L(12,3,6^4)", "--budget", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--budget" in err
 
 
 def _package_functions() -> set[str]:

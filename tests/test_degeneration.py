@@ -91,7 +91,7 @@ class TestLimitValue:
 
 def proves(system, k, b, rule):
     """Whether the prover's (k, b)-degeneration attempt at ``rule`` succeeds."""
-    return _try(degenerate(L(system), k, b), rule, _Ctx(Budget()), 0) is not None
+    return _try(degenerate(L(system), k, b), rule, _Ctx(Budget())) is not None
 
 
 class TestCriteria:
@@ -161,10 +161,42 @@ class TestRecursiveDim:
         assert sorted((k, b) for s, k, b in calls if s == system) == [
             (k, b) for k in (5, 6) for b in range(10)]
 
-    def test_budget_exhaustion_is_unknown(self):
-        lean = Budget(use_oracle=False, scan_depth=0)
-        v = recursive_dim(L("L(19,5,6^9)"), lean)
+    def test_out_of_methods_without_oracle_is_unknown(self):
+        v = recursive_dim(L("L(19,5,6^9)"), Budget(use_oracle=False))
         assert v.status == UNKNOWN and v.ell is None
+        assert v.trace["reason"] == "out of methods"
+
+    def test_beyond_the_oracle_cap(self):
+        # too many columns for the rank oracle: the degeneration induction proves it alone
+        system = L("L(150,10,6^120)")
+        assert oracle.monomial_count(system) > oracle.ORACLE_COLS_CAP
+        v = recursive_dim(system)
+        assert (v.status, v.ell) == (REGULAR, 8900)
+        check_certificate(json.loads(v.dumps()))
+
+    def test_node_budget_exhaustion_is_unknown(self, monkeypatch):
+        # regular with the full budget (test_beyond_the_oracle_cap), too large for the oracle
+        solved = []
+        fresh = degeneration._solve_fresh
+
+        def counted(system, ctx):
+            solved.append(system)
+            return fresh(system, ctx)
+        monkeypatch.setattr(degeneration, "_solve_fresh", counted)
+        monkeypatch.setattr(degeneration, "_MAX_NODES", 3)
+        v = recursive_dim(L("L(150,10,6^120)"))
+        assert v.status == UNKNOWN and v.ell is None
+        assert v.trace["reason"] == "budget exhausted"
+        assert len(solved) == 3
+
+    def test_verdict_independent_of_context(self):
+        # the L(7,3,2^11) subproof of L(31,23,6^12) is the proof of L(7,3,2^11) itself
+        lean = Budget(use_oracle=False)
+        outer = json.loads(recursive_dim(L("L(31,23,6^12)"), lean).dumps())
+        inner = [child for node in _nodes(outer) if node["kind"] == "degeneration"
+                 for child in node["children"].values() if child["system"] == "L(7,3,2^11)"]
+        own = recursive_dim(L("L(7,3,2^11)"), lean).to_json()
+        assert inner and all(node == own for node in inner)
 
     def test_regime_enforced(self):
         with pytest.raises(ValueError):
@@ -293,7 +325,7 @@ class TestCertificates:
         ("L(21,0,6^10)", 5, 5, "nonspecial", "empty"),
     ])
     def test_flipped_rule_rejected(self, name, k, b, rule, flipped):
-        node = _try(degenerate(L(name), k, b), rule, _Ctx(Budget()), 0)
+        node = _try(degenerate(L(name), k, b), rule, _Ctx(Budget()))
         status = EMPTY if rule == "empty" else REGULAR
         cert = json.loads(DimVerdict(status, node["ell"], L(name), node).dumps())
         check_certificate(cert)
@@ -393,8 +425,7 @@ class TestCertificates:
             check_certificate({"system": "L(1)", "status": REGULAR, "ell": 2, "trace": node})
 
     def test_unknown_has_no_certificate(self):
-        lean = Budget(use_oracle=False, scan_depth=0)
-        cert = json.loads(recursive_dim(L("L(19,5,6^9)"), lean).dumps())
+        cert = json.loads(recursive_dim(L("L(19,5,6^9)"), Budget(use_oracle=False)).dumps())
         with pytest.raises(CertificateError):
             check_certificate(cert)
 
