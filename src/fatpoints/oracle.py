@@ -56,12 +56,19 @@ infinity empty.  For random points over F_p that happens with probability
 about ``n^2 / p``.  With two points there is nothing to check, and with one
 only the origin is used.
 
-The rank is computed by blocked right-looking elimination after FFLAS-FFPACK
-(Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).  Each panel of 64 columns is
-eliminated exactly in int64, keeping its multipliers; the remaining rows are
-then updated with one float64 matrix product per chunk of rows.  Every entry
-of that product is a sum of at most 64 products of residues, below
-``64 (p-1)^2 < 2^52`` for ``p < 2^23``, so the update is exact in float64.
+The rank is computed by blocked left-looking elimination after FFLAS-FFPACK
+(Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008), over panels of 64 columns of
+the current Schur complement ``A``.  A panel keeps the multipliers ``F`` of
+its pivots and their normalised pivot rows ``U`` over the full remaining
+width.  Column ``c`` is brought up to date only when it is reached, as
+``A[:, c] - F @ U[:, c]`` reduced mod p; its first nonzero entry in a row
+without a pivot is the next pivot, whose row of ``U`` is
+``inv * (A[r, c:] - F[r] @ U[:, c:])``.  So no pivot updates the whole
+panel, and ``U`` needs no forward substitution.  After the panel, the rows
+without a pivot become ``A[:, w:] - F @ U[:, w:]``, one float64 matrix
+product per chunk of rows.  Every product in the panel and after it has
+inner dimension at most 64 over residues, so each entry is below
+``64 (p-1)^2 + p < 2^52`` for ``p < 2^23`` and the float64 arithmetic is exact.
 Hence only primes ``p < 2^23`` are accepted, at every entry point:
 the trial functions, ``build_matrix`` and ``PrimeFieldMatrix``.
 
@@ -99,8 +106,8 @@ __all__ = [
 # inside int64.
 DEFAULT_PRIME = 32003
 
-# Exclusive upper bound on the characteristic: 64 (p-1)^2 < 2^53 keeps the
-# float64 trailing update of ``rank_ff`` exact.
+# Exclusive upper bound on the characteristic: 64 (p-1)^2 + p < 2^52 keeps
+# every float64 product of ``rank_ff`` exact.
 MAX_PRIME = 1 << 23
 
 # Largest column count, (d+1)(d+2)/2, that the prover hands to the oracle and
@@ -110,7 +117,7 @@ ORACLE_COLS_CAP = 5151
 # Most trials that one query, or the replay of an oracle leaf, may run.
 ORACLE_MAX_TRIALS = 16
 
-_PANEL = 64   # columns eliminated per panel; the inner dimension of the update
+_PANEL = 64   # columns eliminated per panel; the inner dimension of every product
 _CHUNK = 128  # rows per trailing-update product, to bound temporaries
 
 
@@ -126,6 +133,8 @@ def check_prime(prime) -> None:
 
 @dataclass(frozen=True)
 class PrimeFieldMatrix:
+    """A ``rows x cols`` matrix over F_prime: a 2-D integer array of residues."""
+
     prime: int
     rows: int
     cols: int
@@ -133,6 +142,9 @@ class PrimeFieldMatrix:
 
     def __post_init__(self):
         check_prime(self.prime)
+        if not (isinstance(self.data, np.ndarray) and self.data.ndim == 2
+                and self.data.dtype.kind in "iu"):
+            raise ValueError("data must be a 2-D numpy array of integers")
         if self.data.shape != (self.rows, self.cols):
             raise ValueError("shape mismatch")
         if self.data.size and (self.data.min() < 0 or self.data.max() >= self.prime):
@@ -255,73 +267,46 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _eliminate_panel(P: np.ndarray, p: int):
-    """Row-echelon form of the int64 panel ``P`` in place, LU style.
-
-    Returns ``(perm, pivots, inv)``.  Row i of ``P`` now holds input row
-    ``perm[i]``, and the first ``len(pivots)`` rows are the pivot rows.  With
-    ``F[i, j] = P[i, pivots[j]]``, the j-th normalised pivot row is
-    ``U[j] = inv[j] * (row[j] - F[j, :j] @ U[:j])``, and every other row i is
-    eliminated as ``row[i] - F[i] @ U``.
-    """
-    m, w = P.shape
-    perm = np.arange(m)
-    pivots, inv = [], []
-    k = 0
-    for c in range(w):
-        nz = P[k:, c].nonzero()[0]
-        if not nz.size:
-            continue
-        r = k + int(nz[0])
-        if r != k:
-            P[[k, r]] = P[[r, k]]
-            perm[[k, r]] = perm[[r, k]]
-        pivots.append(c)
-        inv.append(pow(int(P[k, c]), p - 2, p))
-        P[k, c + 1:] = P[k, c + 1:] * inv[-1] % p
-        below = k + nz[1:]  # the zero row swapped out of k is not among them
-        if below.size:
-            # column c keeps the multipliers
-            P[below, c + 1:] = (P[below, c + 1:] - P[below, c, None] * P[k, c + 1:]) % p
-        k += 1
-        if k == m:
-            break
-    return perm, pivots, inv
-
-
 def rank_ff(M: PrimeFieldMatrix) -> int:
-    """Rank over F_p by blocked right-looking elimination (see the module docstring)."""
+    """Rank over F_p by blocked left-looking elimination (see the module docstring)."""
     p = M.prime
     A = M.data  # rows without a pivot so far, columns not yet eliminated
     rank = 0
     while A.shape[0] and A.shape[1]:
-        w = min(_PANEL, A.shape[1])
-        P = A[:, :w].astype(np.int64)
-        perm, pivots, inv = _eliminate_panel(P, p)
-        k = len(pivots)
+        m, n = A.shape
+        w = min(_PANEL, n)
+        P = A[:, :w].T.astype(np.float64)  # the panel's columns, each contiguous
+        F = np.zeros((w, m))  # F[j]: multipliers of the j-th pivot
+        U = np.zeros((w, n))  # U[j]: the j-th normalised pivot row
+        free = np.ones(m, dtype=np.int64)  # 1 on the rows without a pivot
+        k = 0
+        for c in range(w):
+            col = (P[c] - U[:k, c] @ F[:k]).astype(np.int64) % p
+            col *= free
+            nz = col.nonzero()[0]
+            if not nz.size:
+                continue
+            r = nz[0]
+            F[k] = col
+            row = (A[r, c:] - F[:k, r] @ U[:k, c:]).astype(np.int64) % p
+            U[k, c:] = row * pow(int(col[r]), p - 2, p) % p
+            free[r] = 0
+            k += 1
+            if k == m:
+                break
         rank += k
         if k == 0:
             A = A[:, w:]
             continue
-        if k == A.shape[0] or w == A.shape[1]:
+        if k == m or w == n:
             break
-        F = P[:, pivots]
-        # trailing part of the normalised pivot rows, by forward substitution:
-        # U[j] = inv[j] * (T[j] - F[j, :j] @ U[:j]), with inv[j] folded in
-        invs = np.array(inv, dtype=np.int64)[:, None]
-        G = (F[:k] * invs % p).astype(np.float64)  # only G[j, :j] is read
-        U = (A[perm[:k], w:] * invs % p).astype(np.float64)
-        for j in range(1, k):
-            U[j] -= G[j, :j] @ U[:j]
-            _reduce(U[j], p)
         # Schur complement of the other rows: one exact float64 product per chunk
-        rest = perm[k:]
-        F21 = F[k:].astype(np.float64)
-        S = np.empty((len(rest), A.shape[1] - w))
+        rest = free.nonzero()[0]
+        S = np.empty((len(rest), n - w))
         for s in range(0, len(rest), _CHUNK):
-            x = A[rest[s:s + _CHUNK], w:].astype(np.float64, copy=False)
-            x -= F21[s:s + _CHUNK] @ U
-            S[s:s + _CHUNK] = _reduce(x, p)
+            rows = rest[s:s + _CHUNK]
+            np.subtract(A[rows, w:], F[:k, rows].T @ U[:k, w:], out=S[s:s + _CHUNK])
+            _reduce(S[s:s + _CHUNK], p)
         A = S
     return rank
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ BIG_PRIME = 8388593  # the largest prime below 2^23
 # classification-table instances with d <= 22, recorded before the rank
 # oracle moved its points to a projective frame.
 TABLE_TRIALS_SHA256 = "2fa87c67d213f8719af164a13913dd2a1f0e216e1590690487af67a6b2126716"
+
+# The systems of the 28 rank-oracle leaves in the certificates of the 81 hard
+# cases (matrices up to 441 x 441, up to seven panels), and the sha256 of their
+# "<system> <trial_dimensions(system, 0)>" lines, recorded before the rank
+# became left-looking.
+HARD_ORACLE_SYSTEMS = (
+    "L(19,0,6^10)", "L(19,1,6^10)", "L(19,2,6^10)", "L(19,4,6^9)", "L(19,5,6^9)",
+    "L(19,6,6^9)", "L(19,7,6^9)", "L(20,8,6^9)", "L(20,9,6^9)", "L(21,10,6^9)",
+    "L(22,0,6^13)", "L(22,1,6^13)", "L(22,2,6^13)", "L(22,3,6^13)", "L(22,6,6^12)",
+    "L(22,7,6^12)", "L(22,9,6^11)", "L(22,12,6^9)", "L(23,11,6^11)", "L(25,12,6^13)",
+    "L(25,15,6^11)", "L(26,14,6^13)", "L(29,19,6^13)", "L(31,18,6^17)", "L(40,27,6^23)",
+    "L(40,30,6^19)", "L(19,14,4^9)", "L(24,19,4^13)",
+)
+HARD_ORACLE_TRIALS_SHA256 = "115e6d51fecfe1d0a8ea72514a3a8ee52880cfa5da21ff2aa772128c2c6b31f7"
 
 
 def L(text):
@@ -186,6 +201,67 @@ class TestRank:
                    for e in (-1, 0, 1)]
         got = oracle._reduce(np.array(values, dtype=np.float64), p)
         assert got.tolist() == [float(v % p) for v in values]
+
+    @pytest.mark.parametrize("data", [
+        np.array([[0.5, 0], [0, 0]]),           # ranked 0 when accepted
+        np.array([[np.nan, 1], [1, 0]]),        # ranked 2 when accepted
+        np.array([[True, False], [False, True]]),
+        [[1, 0], [0, 1]],
+    ], ids=["fraction", "nan", "bool", "nested_list"])
+    def test_non_integer_matrix_rejected(self, data):
+        with pytest.raises(ValueError):
+            PrimeFieldMatrix(101, 2, 2, data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(129, 200), st.integers(129, 200), st.integers(0, 8), st.just(0),
+           st.integers(0, 2**32))
+    @example(40, 100, 0, 0, 1)    # full row rank: the first panel runs out of rows
+    @example(150, 140, 0, 64, 2)  # an all-zero first panel
+    @example(1, 150, 0, 0, 3)     # 1 x n
+    @example(150, 1, 0, 0, 4)     # n x 1
+    def test_top_of_the_range_against_reference(self, rows, cols, drop, zero_cols, seed):
+        # data = lower @ upper for unit triangular factors whose other entries
+        # lie within 2^8 of p - 1 at the largest accepted prime.  Elimination
+        # recovers these factors as its multipliers and pivot rows, so each
+        # product sums up to 64 terms near (p - 1)^2; at least 129 rows and
+        # columns fill the first panel and leave two more.  ``drop`` rows of
+        # ``upper`` are zeroed to lower the rank.
+        rng = np.random.default_rng(seed)
+        inner = min(rows, cols)
+
+        def top(shape):
+            return BIG_PRIME - 1 - rng.integers(0, 1 << 8, shape)
+
+        lower = np.tril(top((rows, inner)), -1) + np.eye(rows, inner, dtype=np.int64)
+        upper = np.triu(top((inner, cols)), 1) + np.eye(inner, cols, dtype=np.int64)
+        upper[rng.choice(inner, min(drop, inner), replace=False)] = 0
+        data = lower @ upper % BIG_PRIME
+        data[:, :zero_cols] = 0
+        M = PrimeFieldMatrix(BIG_PRIME, rows, cols, data)
+        assert rank_ff(M) == reference_rank(data, BIG_PRIME)
+
+    def test_hard_case_oracle_trials_unchanged(self):
+        digest = hashlib.sha256()
+        for name in HARD_ORACLE_SYSTEMS:
+            digest.update(f"{name} {trial_dimensions(L(name), 0)}\n".encode())
+        assert digest.hexdigest() == HARD_ORACLE_TRIALS_SHA256
+
+    def test_memory_bounded_and_input_untouched(self):
+        # the trailing products go by chunks of rows, and the caller's array
+        # is read, never eliminated in place
+        rng = np.random.default_rng(11)
+        data = rng.integers(0, DEFAULT_PRIME, (1500, 1500))
+        before = data.copy()
+        M = PrimeFieldMatrix(DEFAULT_PRIME, 1500, 1500, data)
+        tracemalloc.start()
+        try:
+            rank = rank_ff(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == 1500
+        assert peak <= 3 * data.nbytes
+        assert np.array_equal(data, before)
 
     def test_prime_beyond_int64_products_rejected(self):
         # int64 elimination overflowed here and reported rank 2 for a rank-1 matrix
