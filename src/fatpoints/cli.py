@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 1 inconclusive (Unknown verdict or failed check),
 2 malformed input.
+
+:func:`main` may be called repeatedly in one process: the argument parser is
+built on the first call and reused, and each call parses into a fresh
+namespace, so no call sees another's flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -176,6 +181,7 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool):
                         help="emit one JSON document")
 
 
+@functools.cache  # built on first use, not at import: argparse set-up costs ~2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fatpoints",

@@ -217,11 +217,14 @@ def parse_system(text: str) -> LinearSystem:
         nonlocal pos
         skip_ws()
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and text[pos] in "0123456789":  # str.isdigit admits "²"
             pos += 1
         if pos == start:
             raise SystemParseError("expected integer", text, pos)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:  # more digits than int() converts (4300 by default)
+            raise SystemParseError("integer too long", text, start) from None
 
     expect("L")
     expect("(")
@@ -230,6 +233,7 @@ def parse_system(text: str) -> LinearSystem:
     while True:
         skip_ws()
         if pos < len(text) and text[pos] == ",":
+            group = pos
             pos += 1
             value = integer()
             skip_ws()
@@ -239,6 +243,9 @@ def parse_system(text: str) -> LinearSystem:
                 count = integer()
                 if count < 1 or count > _MAX_REPEAT:
                     raise SystemParseError("repeat count out of range", text, pos - 1)
+            if len(mults) + count > 1 + _MAX_REPEAT:  # bound the list before building it
+                raise SystemParseError(f"more than {1 + _MAX_REPEAT} multiplicities",
+                                       text, group)
             mults.extend([value] * count)
         else:
             break

@@ -537,8 +537,9 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
         if min(d, *m) < 0:
             raise CertificateError("split walks out of the effective cone")
         pieces.append((curve, n))
-    if node.get("rejected"):
-        _, _, rest_d, rest = _split(node["rejected"], "a rejected split", d, m)
+    rejected = node["rejected"]  # JSON null, or a split object
+    if rejected is not None:
+        _, _, rest_d, rest = _split(rejected, "a rejected split", d, m)
         if min(rest_d, *rest) >= 0:
             raise CertificateError("rejected split would actually fit")
         if node["ell"] != -1 or node["special"] is not False:

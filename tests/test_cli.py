@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import os
 import re
@@ -10,17 +12,40 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fatpoints
 from conftest import NON_SPECIAL_REMOVALS, packaged_csv
 from fatpoints import degeneration, neg_curves, oracle
-from fatpoints.cli import main
+from fatpoints.cli import build_parser, main
+from fatpoints.core import parse_system
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def captured(argv):
+    """``main(argv)`` with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reports a usage error so; the shell sees exit 2
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_process(argv):
+    """``python -m fatpoints ARGV`` in a new interpreter: (exit code, stdout, stderr)."""
+    src = str(Path(fatpoints.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fatpoints", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestVdim:
@@ -213,14 +238,9 @@ class TestOracleCommand:
         assert "error:" in err and "5151" in err
 
     def test_python_dash_m(self):
-        src = str(Path(fatpoints.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fatpoints", "oracle", "--system", "L(4,2)", "--json"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-            timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["ell"] == 11
+        code, out, err = fresh_process(["oracle", "--system", "L(4,2)", "--json"])
+        assert code == 0, err
+        assert json.loads(out)["ell"] == 11
 
 
 class TestTableCommand:
@@ -322,3 +342,107 @@ class TestCertificateFlow:
         code, out, err = run(capsys, "check-certificate", str(path))
         assert code == 1 and out == ""
         assert "not a (-1)-curve" in err
+
+
+REUSE_SYSTEM = "L(4,2,2)"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and no call sees another's flags."""
+
+    @pytest.mark.parametrize("calls,codes,last_ok", [
+        ([["--seed", "5", "oracle", REUSE_SYSTEM, "--json"], ["oracle", REUSE_SYSTEM, "--json"]],
+         [0, 0], lambda out: json.loads(out)["seed"] == 0),
+        ([["--json", "vdim", REUSE_SYSTEM], ["vdim", REUSE_SYSTEM]],
+         [0, 0], lambda out: out.startswith(f"system: {REUSE_SYSTEM}\n")),
+        ([["dim", REUSE_SYSTEM, "--budget", "2"], ["vdim", REUSE_SYSTEM]],
+         [2, 0], lambda out: "v: " in out),
+    ], ids=["seed", "json", "usage-error"])
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch, calls, codes,
+                                                         last_ok):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        build_parser.cache_clear()
+        results = [captured(argv) for argv in calls]
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        assert [code for code, _, _ in results] == codes and last_ok(results[-1][1])
+        assert results == [fresh_process(argv) for argv in calls]
+
+
+class TestOversizedSystem:
+    def test_million_multiplicities_exit_2(self, capsys):
+        code, out, err = run(capsys, "vdim", "L(5" + ",1^10000" * 100 + ")")
+        assert code == 2 and out == ""
+        assert "more than 10001 multiplicities" in err
+
+
+# -- shape fuzz: malformed input of any shape ends in exit 1 or 2, never a traceback
+
+FUZZ_PROOFS = {"L(10,2,6^3)": degeneration.recursive_dim,   # special: a fixed-part removal
+               "L(14,0,6^6)": degeneration.recursive_dim,   # empty: a Cremona reduction
+               "L(21,0,6^10)": degeneration.recursive_dim,  # regular: a degeneration
+               "L(6,6,6^2)": neg_curves.hh_dimension}       # empty: a rejected split
+
+
+def _positions(doc, prefix=()):
+    """(path, value) of every value inside the JSON document ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
+        else ()
+    for key, value in items:
+        yield prefix + (key,), value
+        yield from _positions(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_certificates():
+    return {name: json.loads(prove(parse_system(name)).dumps())
+            for name, prove in FUZZ_PROOFS.items()}
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cert.json"
+
+
+class TestShapeFuzz:
+    @pytest.mark.parametrize("name", FUZZ_PROOFS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_certificate(self, fuzz_file, fuzz_certificates, name, data):
+        original = fuzz_certificates[name]
+        positions = list(_positions(original))
+        path = data.draw(st.sampled_from([path for path, _ in positions]), label="path")
+        cert = json.loads(json.dumps(original))
+        *parents, last = path
+        node = cert
+        for key in parents:
+            node = node[key]
+        if data.draw(st.booleans(), label="delete"):
+            del node[last]
+        else:
+            texts = sorted({value for _, value in positions if isinstance(value, str)})
+            scalars = (st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
+                       | st.text(max_size=4)
+                       | st.sampled_from(texts + ["L(0)", "L(3,0,6^10000)", "L(1,"]))
+            node[last] = data.draw(st.recursive(
+                scalars, lambda kids: st.lists(kids, max_size=2)
+                | st.dictionaries(st.sampled_from(["curve", "n", "kind", "system"]), kids,
+                                  max_size=2), max_leaves=3), label="value")
+        fuzz_file.write_text(json.dumps(cert))
+        code, out, err = captured(["check-certificate", str(fuzz_file), "--no-oracle-replay"])
+        if code == 0:
+            assert out.endswith(f"(ell = {original['ell']})\n"), (path, cert)
+        else:
+            assert code in (1, 2) and out == "" and err, (path, cert)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(["L", "(", ")", ",", "^", " ", "0", "1", "6", "12",
+                                     "10000", "-", "²", "x"]), max_size=14).map("".join)
+           | st.builds(lambda d, groups: f"L({d}" + "".join(f",{m}^{c}" for m, c in groups)
+                       + ")", st.integers(0, 60),
+                       st.lists(st.tuples(st.integers(0, 9), st.integers(0, 12000)),
+                                max_size=3)))
+    def test_random_system_string(self, text):
+        code, out, err = captured(["vdim", text])
+        assert code in (0, 2)
+        assert (out.startswith("system: ") and err == "") if code == 0 else (out == "" and err)

@@ -1,5 +1,7 @@
 """Core arithmetic: dimension formulas, intersection pairing, text form."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,9 +157,39 @@ class TestTextForm:
         ("L(3", 3),
         ("L(3,2)x", 6),
         ("L(3,2^0)", 6),
+        ("L(²)", 2),      # str.isdigit() is true, int() refuses it
+        ("L(3,٣)", 4),    # an Arabic-Indic three is no INT either
+        ("L(3,0,6^10000,1)", 13),  # 10002 multiplicities
     ])
     def test_errors_carry_position(self, text, pos):
         with pytest.raises(SystemParseError) as err:
             parse_system(text)
         assert err.value.pos == pos
         assert err.value.caret().splitlines()[1].index("^") == pos
+
+    @pytest.mark.parametrize("text,pos", [
+        ("L(" + "9" * 5000 + ")", 2),   # more digits than int() converts
+        ("L(3" + ",1" * 10002 + ")", 20005),
+    ], ids=["5000-digits", "10002-singles"])
+    def test_oversized_input_carries_position(self, text, pos):
+        with pytest.raises(SystemParseError) as err:
+            parse_system(text)
+        assert err.value.pos == pos
+
+    @pytest.mark.parametrize("text", ["L(3,0,6^10000)", "L(3,0,6^9999,1)",
+                                      "L(3" + ",1" * 10001 + ")"],
+                             ids=["one-group", "two-groups", "10001-singles"])
+    def test_most_multiplicities_accepted(self, text):
+        assert len(parse_system(text).mults) == 10001
+
+    def test_total_multiplicities_bounded_before_allocation(self):
+        # 804 characters that would expand to a million multiplicities (8 MB of list)
+        text = "L(5" + ",1^10000" * 100 + ")"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemParseError, match="more than 10001 multiplicities"):
+                parse_system(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

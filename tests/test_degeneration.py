@@ -320,6 +320,12 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="malformed system"):
             check_certificate(cert)
 
+    def test_million_point_curve_refused(self):
+        removal = json.loads(hh_dimension(L("L(6,6,6^2)")).dumps())
+        removal["trace"]["rejected"]["curve"] = "L(5" + ",1^10000" * 100 + ")"
+        with pytest.raises(CertificateError, match="more than 10001 multiplicities"):
+            check_certificate(removal)
+
     @pytest.mark.parametrize("name,k,b,rule,flipped", [
         ("L(12,0,6^10)", 5, 3, "empty", "nonspecial"),
         ("L(21,0,6^10)", 5, 5, "nonspecial", "empty"),
@@ -453,6 +459,19 @@ class TestRemovalProvesOnlySpecialityOrEmptiness:
     def test_non_special_removal_rejected(self, name, match):
         with pytest.raises(CertificateError, match=match):
             check_certificate(json.loads(json.dumps(NON_SPECIAL_REMOVALS[name])))
+
+    @pytest.mark.parametrize("rejected", [None, 0, [], {}, False],
+                             ids=["missing", "zero", "empty-list", "empty-object", "false"])
+    def test_rejected_field_is_null_or_a_split(self, rejected):
+        cert = json.loads(recursive_dim(L("L(12,0,6^5)")).dumps())
+        assert cert["status"] == SPECIAL and cert["trace"]["rejected"] is None
+        check_certificate(cert)
+        if rejected is None:
+            del cert["trace"]["rejected"]
+        else:
+            cert["trace"]["rejected"] = rejected
+        with pytest.raises(CertificateError):
+            check_certificate(cert)
 
     def test_the_prover_writes_none(self):
         # hh_dimension still reports a non-special removal, but no certificate rests on it
