@@ -1,7 +1,8 @@
 """Command-line frontend for batch verification and exploration.
 
 Exit codes: 0 success, 1 inconclusive (Unknown verdict or failed check),
-2 malformed input.
+2 malformed input or a usage error.  :func:`main` returns the code, ``--help``
+included, and raises no ``SystemExit``.
 
 :func:`main` may be called repeatedly in one process: the argument parser is
 built on the first call and reused, and each call parses into a fresh
@@ -251,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # a usage error (2), --help (0) or a malformed system (2)
         return int(exc.code or 0)
     except (ValueError, OSError, RecursionError) as err:  # too deeply nested JSON
         print(f"error: {err}", file=sys.stderr)

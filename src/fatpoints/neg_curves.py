@@ -7,6 +7,10 @@ belongs to a short catalog: the conic through five points, the degree-e family
 ``L(6, 3, 2^7)``, the degree-12 curve ``L(12, 8, 3^9)``, and two compound
 configurations built from permuted lines, ``L(k, k, 1^k)`` and ``L(3, 0, 2^3)``.
 The catalog is encoded as given data; its completeness is not re-derived here.
+``catalog`` lists the families in the order in which the split chain tries
+them.  The chain walks that order without building catalog entries: the
+compounds in closed form, the simple classes from prefix sums of the sorted
+tail.  The module keeps no cache.
 
 A system is ``(-1)-special`` when some catalog curve splits off at least
 twice and the residual system, after all fixed (-1)-parts are removed, still
@@ -23,9 +27,9 @@ multiplicity 6, organized by ``d - m0``.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations, zip_longest
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
@@ -83,10 +87,8 @@ class CurveCatalogEntry:
             raise ValueError(f"{self.label} needs {self.tail_points} tail slots")
         if any(not 0 <= s < n for s in placement) or len(set(placement)) != len(placement):
             raise ValueError(f"bad placement {placement} on {n} slots")
-        tail = [0] * n
-        for s in placement:
-            tail[s] = self.tail_mult
-        return LinearSystem(self.degree, (self.m0,) + tuple(tail))
+        return LinearSystem(*_curve(self.degree, self.m0, self.tail_mult,
+                                    [s + 1 for s in placement], n + 1))
 
     def constituents(self, n: int, placement: tuple[int, ...] | None = None
                      ) -> tuple[LinearSystem, ...]:
@@ -95,45 +97,57 @@ class CurveCatalogEntry:
             placement = tuple(range(self.tail_points))
         if self.kind == "simple":
             return (self.instantiate(n, placement),)
-        if self.m0 > 0:  # L(k, k, 1^k): one line through p0 per chosen slot
-            return tuple(_LINE0.instantiate(n, (s,)) for s in placement)
-        # L(3, 0, 2^3): the three lines joining the chosen points pairwise
-        return tuple(_pencil(1).instantiate(n, pair)
-                     for pair in combinations(placement, 2))
+        return tuple(LinearSystem(*line) for line in
+                     _compound_lines(self.m0 > 0, [s + 1 for s in placement], n + 1))
 
 
-_CONIC = CurveCatalogEntry("simple", 2, 0, 1, 5)
-_LINE0 = CurveCatalogEntry("simple", 1, 1, 1, 1)
-_SEXTIC = CurveCatalogEntry("simple", 6, 3, 2, 7)
-_BIGCURVE = CurveCatalogEntry("simple", 12, 8, 3, 9)
-_TRIANGLE = CurveCatalogEntry("compound", 3, 0, 2, 3)
+# (degree, m0, tail_mult, tail_points) of the simple classes that are not
+# pencils L(e, e-1, 1^2e), by degree and then m0, both descending
+_NON_PENCILS = ((12, 8, 3, 9), (6, 3, 2, 7), (2, 0, 1, 5), (1, 1, 1, 1))
 
 
-def _pencil(e: int) -> CurveCatalogEntry:
-    return CurveCatalogEntry("simple", e, e - 1, 1, 2 * e)
-
-
-def _bundle(k: int) -> CurveCatalogEntry:
-    return CurveCatalogEntry("compound", k, k, 1, k)
+def _simple_classes(t: int) -> list[tuple[int, int, int, int]]:
+    """The simple classes on ``t`` tail slots, by degree and then m0, both
+    descending: the order in which the split chain tries them."""
+    classes = [(e, e - 1, 1, 2 * e) for e in range(1, t // 2 + 1)]
+    for c in _NON_PENCILS:
+        if c[3] <= t:
+            insort(classes, c)
+    return classes[::-1]
 
 
 def catalog(n: int) -> tuple[CurveCatalogEntry, ...]:
-    """All catalog families instantiable on ``n`` tail slots."""
+    """All catalog families instantiable on ``n`` tail slots, in the order in
+    which the split chain tries them: the compounds ``L(k,k,1^k)`` for
+    k = n..2, then ``L(3,0,2^3)``, so that symmetric fixed parts are removed
+    as units; then the simple classes by degree and then m0, both descending.
+    """
     if n < 1:
         raise ValueError("need at least one tail slot")
-    entries: list[CurveCatalogEntry] = []
-    if n >= 5:
-        entries.append(_CONIC)
-    entries.append(_LINE0)
-    entries.extend(_pencil(e) for e in range(1, n // 2 + 1))
-    if n >= 7:
-        entries.append(_SEXTIC)
-    if n >= 9:
-        entries.append(_BIGCURVE)
-    entries.extend(_bundle(k) for k in range(n, 1, -1))
+    compounds = [CurveCatalogEntry("compound", k, k, 1, k) for k in range(n, 1, -1)]
     if n >= 3:
-        entries.append(_TRIANGLE)
-    return tuple(entries)
+        compounds.append(CurveCatalogEntry("compound", 3, 0, 2, 3))
+    return tuple(compounds) + tuple(CurveCatalogEntry("simple", *c) for c in _simple_classes(n))
+
+
+def _curve(degree: int, m0: int, mult: int, slots: Sequence[int], width: int
+           ) -> tuple[int, tuple[int, ...]]:
+    """``(degree, mults)`` of a curve with ``mult`` at each of ``slots`` (indices
+    into a vector of ``width`` slots, 0 being ``p0``) and ``m0`` at ``p0``."""
+    mults = [0] * width
+    mults[0] = m0
+    for s in slots:
+        mults[s] = mult
+    return degree, tuple(mults)
+
+
+def _compound_lines(through_p0: bool, slots: Sequence[int], width: int
+                    ) -> list[tuple[int, tuple[int, ...]]]:
+    """The lines of a compound on ``slots``: ``L(k,k,1^k)`` is a line through
+    ``p0`` and each slot, ``L(3,0,2^3)`` a line through each pair of slots."""
+    if through_p0:
+        return [_curve(1, 1, 1, (s,), width) for s in slots]
+    return [_curve(1, 0, 1, pair, width) for pair in combinations(slots, 2)]
 
 
 # -- splitting engine --------------------------------------------------------
@@ -151,22 +165,6 @@ def check_regime(L: LinearSystem):
     if L.tail and L.tail_multiplicity() > 6:
         raise ValueError(f"{L} has tail multiplicity {L.tail_multiplicity()}; "
                          f"only systems of tail multiplicity <= 6 are handled")
-
-
-@lru_cache(maxsize=64)
-def _scan_entries(t: int) -> tuple[CurveCatalogEntry, ...]:
-    """Candidate families for a residual with ``t`` tail slots.
-
-    The catalog's compound configurations come first, in catalog order, so
-    that symmetric fixed parts are removed as units, then its simple classes
-    by descending degree.  The result is constant catalog data for each ``t``
-    (no verdict depends on a cache hit), so it is built once per tail length
-    and kept in a bounded cache.
-    """
-    entries = catalog(t)
-    simples = sorted((E for E in entries if E.kind == "simple"),
-                     key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
-    return tuple(E for E in entries if E.kind == "compound") + tuple(simples)
 
 
 def split_off(d: int, mults: tuple[int, ...], n: int, curve_degree: int,
@@ -195,79 +193,41 @@ def speciality_failure(pieces: Sequence[tuple[LinearSystem, int]],
     return None
 
 
-def _aligned(entry: CurveCatalogEntry, slots: list[int], width: int
-             ) -> tuple[int, tuple[int, ...]]:
-    mults = [0] * width
-    mults[0] = entry.m0
-    for s in slots:
-        mults[s] = entry.tail_mult
-    return entry.degree, tuple(mults)
-
-
-def _line_vec(a: int, b: int, width: int) -> tuple[int, tuple[int, ...]]:
-    mults = [0] * width
-    mults[a] += 1
-    mults[b] += 1
-    return 1, tuple(mults)
-
-
-def _fits(entry: CurveCatalogEntry, n: int, d: int, m0: int, low: int) -> bool:
-    """Can ``n`` copies of ``entry`` be subtracted, ``low`` being the least
-    multiplicity among its tail slots?"""
-    return (d - n * entry.degree >= 0 and m0 - n * entry.m0 >= 0
-            and low - n * entry.tail_mult >= 0)
-
-
 def _next_split(d: int, m: tuple[int, ...]):
-    """First applicable split in the order of :func:`_scan_entries`.
+    """First applicable split in the order of :func:`catalog`.
 
-    Returns ``("apply", constituents, n)`` for a usable split,
-    ``("reject", curve, n)`` when a negative simple class cannot be
-    subtracted (which proves the system empty), or None at a fixpoint.
+    Each family is placed on the tail slots of largest multiplicity.  Returns
+    ``("apply", constituents, n)`` for a usable split, ``("reject", curve, n)``
+    when a negative simple class cannot be subtracted (which proves the system
+    empty), or None at a fixpoint.
     """
     t = len(m) - 1
     if t < 1:
         return None
-    entries = _scan_entries(t)
     order = slot_order(m, 1)  # the tail slots
     vals = [m[s] for s in order]
-    width = len(m)
-    m0 = m[0]
-    for entry in entries:
-        r = entry.tail_points
-        if r > t:
-            continue
-        # the r largest tail values; the smallest of them is vals[r - 1]
-        low = vals[r - 1]
-        if entry.kind == "compound":
-            val = vals[0]
-            if low != val:
-                continue
-            if entry.m0 > 0:  # bundle of lines through p0
-                per = d - m0 - val
-            else:  # triangle of lines through three points
-                per = d - 2 * val
-            if per >= 0:
-                continue
-            n = -per
-            if not _fits(entry, n, d, m0, low):
-                continue  # the unit does not fit; simple classes take over
-            slots = order[:r]
-            if entry.m0 > 0:
-                cons = [_line_vec(0, s, width) for s in slots]
-            else:
-                cons = [_line_vec(a, b, width) for a, b in combinations(slots, 2)]
-            return ("apply", cons, n)
-        inter = entry.degree * d - entry.m0 * m0 - entry.tail_mult * sum(vals[:r])
-        if inter >= 0:
-            continue
-        n = -inter
-        curve = _aligned(entry, order[:r], width)
-        if not _fits(entry, n, d, m0, low):
+    width, m0, top = len(m), m[0], vals[0]
+    # a compound needs equal values on its slots: the first vals.count(top)
+    # slots.  Each line of L(k,k,1^k) meets the system in d - m0 - top, so the
+    # first bundle that fits is the largest k with n * k <= min(d, m0).
+    n = m0 + top - d
+    if n > 0 and top >= n:
+        k = min(vals.count(top), d // n, m0 // n)
+        if k >= 2:
+            return ("apply", _compound_lines(True, order[:k], width), n)
+    n = 2 * top - d  # each line of L(3,0,2^3) meets the system in d - 2 top
+    if n > 0 and d >= 3 * n and top >= 2 * n and t >= 3 and vals[2] == top:
+        return ("apply", _compound_lines(False, order[:3], width), n)
+    sums = list(accumulate(vals))  # the r largest tail values add up to sums[r - 1]
+    for e, a, mu, r in _simple_classes(t):
+        n = a * m0 + mu * sums[r - 1] - e * d
+        if n > 0:
+            curve = _curve(e, a, mu, order[:r], width)
+            if d >= n * e and m0 >= n * a and vals[r - 1] >= n * mu:
+                return ("apply", [curve], n)
             # a fixed irreducible curve that cannot be subtracted: the system
             # has no members at all
             return ("reject", curve, n)
-        return ("apply", [curve], n)
     return None
 
 

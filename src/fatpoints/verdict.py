@@ -3,7 +3,7 @@
 A verdict is one of
 
 * ``empty``         -- the system has no members (ell = -1),
-* ``regular``       -- ell equals the expected dimension,
+* ``regular``       -- ell equals the expected dimension, which is at least 0,
 * ``special_known`` -- the system is special and ell is the computed value,
 * ``unknown``       -- no sound conclusion within budget (never a wrong guess).
 
@@ -36,8 +36,8 @@ def status_failure(status, ell, system: LinearSystem) -> str | None:
         return None if ell is None else "unknown verdict carries no ell"
     if status == EMPTY and ell != -1:
         return "empty verdict must carry ell = -1"
-    if status == REGULAR and ell != expected_dim(system):
-        return f"regular verdict for {system} must carry ell = expected_dim"
+    if status == REGULAR and not ell == expected_dim(system) >= 0:
+        return f"regular verdict for {system} must carry ell = expected_dim >= 0"
     if status == SPECIAL and not (isinstance(ell, int) and ell > expected_dim(system)):
         return f"special verdict for {system} must carry ell above expected_dim"
     return None

@@ -1,12 +1,17 @@
 """Suite-wide settings and helpers.
 
-Every Hypothesis test draws the same examples on every run, and
-``packaged_csv`` reads a data file as the package ships it.
+Every Hypothesis test draws the same examples on every run,
+``packaged_csv`` reads a data file as the package ships it, and ``positions``,
+``mutant`` and ``json_values`` serve the certificate mutation fuzzes.
 """
 
+import json
 from importlib import resources
 
 from hypothesis import settings
+from hypothesis import strategies as st
+
+from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
 
 # derandomize=True seeds each test from a hash of the test itself (and implies
 # database=None), so a run never depends on examples saved by an earlier one.
@@ -18,6 +23,45 @@ settings.load_profile("reproducible")
 def packaged_csv(name: str) -> str:
     """The text of ``fatpoints/data/<name>``."""
     return resources.files("fatpoints.data").joinpath(name).read_text()
+
+
+def positions(doc, prefix=()):
+    """(path, value) of every value inside the JSON document ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
+        else ()
+    for key, value in items:
+        yield prefix + (key,), value
+        yield from positions(value, prefix + (key,))
+
+
+DELETE = object()  # as the value of ``mutant``: delete the field
+
+
+def mutant(doc, path, value):
+    """A copy of the JSON document ``doc`` with the field at ``path`` set to
+    ``value``, or deleted when ``value`` is ``DELETE``."""
+    copy = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = copy
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return copy
+
+
+def json_values(texts: list[str]):
+    """Small JSON values to put in a certificate: a status name, a string of
+    ``texts``, a system string, any scalar, or a short list or object of them."""
+    scalars = (st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
+               | st.text(max_size=4)
+               | st.sampled_from(texts + ["L(0)", "L(3,0,6^10000)", "L(1,"]))
+    return st.sampled_from([EMPTY, REGULAR, SPECIAL, UNKNOWN]) | st.recursive(
+        scalars, lambda kids: st.lists(kids, max_size=2)
+        | st.dictionaries(st.sampled_from(["curve", "n", "kind", "system"]), kids, max_size=2),
+        max_leaves=3)
 
 
 def _removal(system, status, ell, steps, residual):

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fatpoints
-from conftest import NON_SPECIAL_REMOVALS, packaged_csv
+from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, packaged_csv,
+                      positions)
 from fatpoints import degeneration, neg_curves, oracle
 from fatpoints.cli import build_parser, main
 from fatpoints.core import parse_system
@@ -32,10 +33,7 @@ def captured(argv):
     """``main(argv)`` with its output captured: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse reports a usage error so; the shell sees exit 2
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -80,10 +78,8 @@ class TestDim:
         assert doc["status"] == "unknown" and doc["trace"]["reason"] == "budget exhausted"
 
     def test_budget_flag_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["dim", "L(12,3,6^4)", "--budget", "2"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        code, out, err = run(capsys, "dim", "L(12,3,6^4)", "--budget", "2")
+        assert code == 2 and out == ""
         assert err.startswith("usage: ") and "--budget" in err
 
 
@@ -357,7 +353,9 @@ class TestParserReuse:
          [0, 0], lambda out: out.startswith(f"system: {REUSE_SYSTEM}\n")),
         ([["dim", REUSE_SYSTEM, "--budget", "2"], ["vdim", REUSE_SYSTEM]],
          [2, 0], lambda out: "v: " in out),
-    ], ids=["seed", "json", "usage-error"])
+        ([["dim"], ["--help"], ["vdim", REUSE_SYSTEM]],
+         [2, 0, 0], lambda out: "v: " in out),
+    ], ids=["seed", "json", "usage-error", "missing-argument-and-help"])
     def test_calls_in_one_process_match_fresh_processes(self, monkeypatch, calls, codes,
                                                          last_ok):
         monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
@@ -384,15 +382,6 @@ FUZZ_PROOFS = {"L(10,2,6^3)": degeneration.recursive_dim,   # special: a fixed-p
                "L(6,6,6^2)": neg_curves.hh_dimension}       # empty: a rejected split
 
 
-def _positions(doc, prefix=()):
-    """(path, value) of every value inside the JSON document ``doc``."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
-        else ()
-    for key, value in items:
-        yield prefix + (key,), value
-        yield from _positions(value, prefix + (key,))
-
-
 @pytest.fixture(scope="module")
 def fuzz_certificates():
     return {name: json.loads(prove(parse_system(name)).dumps())
@@ -410,24 +399,12 @@ class TestShapeFuzz:
     @given(data=st.data())
     def test_mutated_certificate(self, fuzz_file, fuzz_certificates, name, data):
         original = fuzz_certificates[name]
-        positions = list(_positions(original))
-        path = data.draw(st.sampled_from([path for path, _ in positions]), label="path")
-        cert = json.loads(json.dumps(original))
-        *parents, last = path
-        node = cert
-        for key in parents:
-            node = node[key]
-        if data.draw(st.booleans(), label="delete"):
-            del node[last]
-        else:
-            texts = sorted({value for _, value in positions if isinstance(value, str)})
-            scalars = (st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
-                       | st.text(max_size=4)
-                       | st.sampled_from(texts + ["L(0)", "L(3,0,6^10000)", "L(1,"]))
-            node[last] = data.draw(st.recursive(
-                scalars, lambda kids: st.lists(kids, max_size=2)
-                | st.dictionaries(st.sampled_from(["curve", "n", "kind", "system"]), kids,
-                                  max_size=2), max_leaves=3), label="value")
+        fields = list(positions(original))
+        path = data.draw(st.sampled_from([path for path, _ in fields]), label="path")
+        texts = sorted({value for _, value in fields if isinstance(value, str)})
+        value = DELETE if data.draw(st.booleans(), label="delete") else \
+            data.draw(json_values(texts), label="value")
+        cert = mutant(original, path, value)
         fuzz_file.write_text(json.dumps(cert))
         code, out, err = captured(["check-certificate", str(fuzz_file), "--no-oracle-replay"])
         if code == 0:

@@ -5,8 +5,10 @@ import random
 from sys import getrecursionlimit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import NON_SPECIAL_REMOVALS
+from conftest import DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, positions
 from fatpoints import degeneration, oracle
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
@@ -552,6 +554,9 @@ class TestLeafMutations:
         (hh_dimension, "L(6,6,6^2)", "fixed_part_removal", "special", True),
         (recursive_dim, "L(20,8,6^9)", "rank_oracle", "seed", "0"),
         (recursive_dim, "L(10,2,6^3)", None, "status", "bogus"),
+        # empty systems whose expected dimension is -1: "regular" claims no value
+        (hh_dimension, "L(6,6,6^2)", None, "status", REGULAR),
+        (recursive_dim, "L(16,5,6^8)", None, "status", REGULAR),
     ])
     def test_named_mutation_rejected(self, prove, name, kind, field, value):
         cert = json.loads(prove(L(name)).dumps())
@@ -587,6 +592,56 @@ class TestLeafMutations:
                     check_certificate(cert)
                 mutants += 1
         assert mutants > 0
+
+
+# one certificate for each kind of inner node, at its root; L(6,6,6^2) is
+# empty and has expected dimension -1
+INNER_PROOFS = {"fixed_part_removal": "L(10,2,6^3)", "cremona_reduction": "L(6,6,6^2)",
+                "degeneration": "L(24,1,6^9)"}
+
+
+@pytest.fixture(scope="module")
+def inner_certificates():
+    return {kind: json.loads(recursive_dim(L(name)).dumps())
+            for kind, name in INNER_PROOFS.items()}
+
+
+def _refused_or_same_claim(original, value):
+    """Put ``value`` in each field of ``original`` in turn (or delete the field):
+    the checker refuses each such certificate or accepts the claim unchanged."""
+    claim = ("system", "status", "ell")
+    for path, _ in positions(original):
+        cert = mutant(original, path, value)
+        try:
+            check_certificate(cert, replay_oracle=False)
+        except CertificateError:
+            continue
+        assert [cert[key] for key in claim] == [original[key] for key in claim], (path, value)
+
+
+class TestOneFieldMutants:
+    """A certificate with one field replaced or deleted, anywhere in its tree, is
+    refused with a CertificateError or still claims what it claimed."""
+
+    def test_regular_needs_a_nonnegative_dimension(self):
+        with pytest.raises(ValueError, match="expected_dim >= 0"):
+            DimVerdict(REGULAR, -1, L("L(6,6,6^2)"))
+
+    def test_roots(self, inner_certificates):
+        assert {kind: cert["trace"]["kind"] for kind, cert in inner_certificates.items()} == \
+            {kind: kind for kind in INNER_PROOFS}
+
+    @pytest.mark.parametrize("kind", INNER_PROOFS)
+    def test_every_field_deleted(self, inner_certificates, kind):
+        _refused_or_same_claim(inner_certificates[kind], DELETE)
+
+    @pytest.mark.parametrize("kind", INNER_PROOFS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_field_replaced(self, inner_certificates, kind, data):
+        original = inner_certificates[kind]
+        texts = sorted({value for _, value in positions(original) if isinstance(value, str)})
+        _refused_or_same_claim(original, data.draw(json_values(texts), label="value"))
 
 
 def _spaced(text):

@@ -6,12 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from fatpoints import neg_curves
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.degeneration import CertificateError, check_certificate
-from fatpoints.neg_curves import (CurveCatalogEntry, _split_chain, catalog,
-                                  find_splittings, generate_classification, hh_dimension,
-                                  is_minus_one_class, is_minus_one_special)
+from fatpoints.neg_curves import (CurveCatalogEntry, catalog, find_splittings,
+                                  generate_classification, hh_dimension, is_minus_one_class,
+                                  is_minus_one_special)
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL
 
 
@@ -200,27 +199,6 @@ class TestHHDimension:
             if special:
                 # a multiple (-1)-part strictly raises the residual dimension
                 assert virtual_dim(L(witness.trace["residual"])) > virtual_dim(sys)
-
-    def test_order_independence(self, monkeypatch):
-        rng = random.Random(29)
-        systems = []
-        for _ in range(500):
-            d = rng.randint(0, 28)
-            n = rng.randint(0, 10)
-            m = rng.randint(1, 6)
-            m0 = rng.randint(0, d) if d else 0
-            systems.append(LinearSystem(d, (m0,) + (m,) * n))
-        forward = [_split_chain(sys) for sys in systems]
-        scan = neg_curves._scan_entries
-        monkeypatch.setattr(neg_curves, "_scan_entries", lambda t: scan(t)[::-1])
-        reordered = 0
-        for sys, (steps, fr, _) in zip(systems, forward):
-            reversed_steps, rr, _ = _split_chain(sys)
-            reordered += reversed_steps != steps
-            assert (fr is None) == (rr is None)
-            if fr is not None:
-                assert LinearSystem(*fr).normalize() == LinearSystem(*rr).normalize()
-        assert reordered  # the reversed scan order takes effect
 
 
 @pytest.fixture(scope="module")

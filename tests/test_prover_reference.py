@@ -2,30 +2,28 @@
 
 ``format_system``, ``normalize``, ``virtual_dim``, the ``LinearSystem``
 constructor, ``standard_reduce``, ``replay_transcript`` and the split chain
-behind ``hh_dimension`` were rewritten with C-level builtins, a cached scan
-order, one format per reduction state and moves on raw ``(degree, mults)``
-data; the checker's (-1)-curve test now takes its moves from ``next_move``.
-The functions below are those earlier forms, kept as references: the
-property tests require equal outputs, equal moves and equal exceptions (type
-and message) on the same inputs, forged transcripts included.
+behind ``hh_dimension`` were rewritten with C-level builtins, a scan that
+reads the catalog order in closed form and from prefix sums, one format per
+reduction state and moves on raw ``(degree, mults)`` data; the checker's
+(-1)-curve test now takes its moves from ``next_move``.  The functions below
+are those earlier forms, kept as references and built only from public names:
+the property tests require equal outputs, equal moves and equal exceptions
+(type and message) on the same inputs, forged transcripts included.
 """
 
 import random
-from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fatpoints import neg_curves
 from fatpoints.core import LinearSystem, format_system, virtual_dim
 from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
                                next_move, replay_transcript, split_fixed_line, standard_reduce)
 from fatpoints.degeneration import _is_minus_one_curve
-from fatpoints.neg_curves import (_BIGCURVE, _CONIC, _LINE0, _SEXTIC, _TRIANGLE, _aligned,
-                                  _bundle, _line_vec, _next_split, _pencil, _scan_entries,
-                                  _split_chain, is_minus_one_class)
+from fatpoints.neg_curves import (CurveCatalogEntry, _next_split, _split_chain, catalog,
+                                  is_minus_one_class)
 
 
 def outcome(fn, *args):
@@ -214,22 +212,41 @@ def minus_one_classes(max_degree, max_points):
 
 
 def reference_scan_entries(t):
-    """``_scan_entries`` as it was: its own family lists, built afresh on every call."""
-    compounds = [_bundle(k) for k in range(t, 1, -1)]
+    """The split chain's scan order as it was: the compounds in catalog order,
+    then the simple classes sorted by descending degree, m0 and tail
+    multiplicity, each list built afresh."""
+    compounds = [CurveCatalogEntry("compound", k, k, 1, k) for k in range(t, 1, -1)]
     if t >= 3:
-        compounds.append(_TRIANGLE)
+        compounds.append(CurveCatalogEntry("compound", 3, 0, 2, 3))
     simples = []
     if t >= 9:
-        simples.append(_BIGCURVE)
+        simples.append(CurveCatalogEntry("simple", 12, 8, 3, 9))
     if t >= 7:
-        simples.append(_SEXTIC)
-    simples.extend(_pencil(e) for e in range(1, t // 2 + 1))
+        simples.append(CurveCatalogEntry("simple", 6, 3, 2, 7))
+    simples.extend(CurveCatalogEntry("simple", e, e - 1, 1, 2 * e) for e in range(1, t // 2 + 1))
     if t >= 5:
-        simples.append(_CONIC)
+        simples.append(CurveCatalogEntry("simple", 2, 0, 1, 5))
     if t >= 1:
-        simples.append(_LINE0)
+        simples.append(CurveCatalogEntry("simple", 1, 1, 1, 1))
     simples.sort(key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
     return compounds + simples
+
+
+def reference_aligned(entry, slots, width):
+    """``entry`` on ``slots`` of a vector of ``width`` slots, as ``(degree, mults)``."""
+    mults = [0] * width
+    mults[0] = entry.m0
+    for s in slots:
+        mults[s] = entry.tail_mult
+    return entry.degree, tuple(mults)
+
+
+def reference_line(a, b, width):
+    """The line through slots ``a`` and ``b``, as ``(degree, mults)``."""
+    mults = [0] * width
+    mults[a] += 1
+    mults[b] += 1
+    return 1, tuple(mults)
 
 
 def reference_next_split(d, m, reverse):
@@ -255,10 +272,10 @@ def reference_next_split(d, m, reverse):
             val = vals.pop()
             if entry.m0 > 0:
                 per = d - m[0] - val
-                cons = [_line_vec(0, s, width) for s in slots]
+                cons = [reference_line(0, s, width) for s in slots]
             else:
                 per = d - 2 * val
-                cons = [_line_vec(a, b, width) for a, b in combinations(slots, 2)]
+                cons = [reference_line(a, b, width) for a, b in combinations(slots, 2)]
             if per >= 0:
                 continue
             n = -per
@@ -271,7 +288,7 @@ def reference_next_split(d, m, reverse):
         if inter >= 0:
             continue
         n = -inter
-        curve = _aligned(entry, slots, width)
+        curve = reference_aligned(entry, slots, width)
         ok = (d - n * entry.degree >= 0 and m[0] - n * entry.m0 >= 0
               and all(m[s] - n * entry.tail_mult >= 0 for s in slots))
         if not ok:
@@ -281,6 +298,7 @@ def reference_next_split(d, m, reverse):
 
 
 def reference_split_chain(L, reverse=False):
+    """The split chain as it was, scanning the catalog in reverse if ``reverse``."""
     base = reference_normalize(L)
     d = base.degree
     m = list(base.mults)
@@ -471,36 +489,53 @@ class TestMinusOneCurveMatchesReference:
         assert len(classes) == 548 and 0 < curves < 2 * len(classes)
 
 
-@contextmanager
-def scan_order(reverse):
-    """The split chain scans the catalog in reverse while inside, if ``reverse``."""
-    with pytest.MonkeyPatch.context() as patch:
-        if reverse:
-            scan = neg_curves._scan_entries
-            patch.setattr(neg_curves, "_scan_entries", lambda t: scan(t)[::-1])
-        yield
+def quasi_homogeneous_sample(seed, count):
+    """``count`` random systems ``L(d, m0, m^n)`` with ``m <= 6``."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        d = rng.randint(0, 28)
+        n = rng.randint(0, 10)
+        m = rng.randint(1, 6)
+        m0 = rng.randint(0, d) if d else 0
+        systems.append(LinearSystem(d, (m0,) + (m,) * n))
+    return systems
 
 
 class TestSplitChainMatchesReference:
     def test_scan_entries(self):
         for t in range(1, 61):
-            assert _scan_entries(t) == tuple(reference_scan_entries(t))
+            assert catalog(t) == tuple(reference_scan_entries(t))
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(systems, quasi_homogeneous), st.booleans())
-    @with_edges(False)
-    @with_edges(True)
-    @example(LinearSystem(21, (0,) + (6,) * 10), False)
-    def test_split_chain(self, sys, reverse):
-        with scan_order(reverse):
-            assert outcome(_split_chain, sys) == outcome(reference_split_chain, sys, reverse)
+    @given(st.one_of(systems, quasi_homogeneous))
+    @with_edges()
+    @example(LinearSystem(21, (0,) + (6,) * 10))
+    def test_split_chain(self, sys):
+        assert outcome(_split_chain, sys) == outcome(reference_split_chain, sys)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.integers(0, 40), st.lists(st.integers(0, 14), min_size=1, max_size=14),
-           st.booleans())
-    @example(10, [2, 6, 0, 6], False)
-    @example(0, [0], True)
-    def test_next_split_on_raw_vectors(self, d, m, reverse):
-        with scan_order(reverse):
-            assert outcome(_next_split, d, list(m)) == \
-                outcome(reference_next_split, d, list(m), reverse)
+    @given(st.integers(0, 40), st.lists(st.integers(0, 14), min_size=1, max_size=14))
+    @example(10, [2, 6, 0, 6])
+    @example(0, [0])
+    # long tails: 2 x the bundle L(100,100,1^100), the pencil L(500,499,1^1000),
+    # and the pencil L(1500,1499,1^3000), rejected: it meets the zero slot
+    @example(249, [200] + [51] * 100)
+    @example(501, [500, 2] + [1] * 999)
+    @example(1500, [1499] + [1] * 2998 + [0, 2])
+    def test_next_split_on_raw_vectors(self, d, m):
+        assert outcome(_next_split, d, list(m)) == outcome(reference_next_split, d, list(m), False)
+
+    def test_order_independence(self):
+        """The split chain leaves the same residual when the catalog is scanned
+        in reverse, though it splits other curves on the way."""
+        reordered = 0
+        for sys in quasi_homogeneous_sample(29, 500):
+            steps, residual, _ = _split_chain(sys)
+            reversed_steps, reversed_residual, _ = reference_split_chain(sys, reverse=True)
+            reordered += reversed_steps != steps
+            assert (residual is None) == (reversed_residual is None)
+            if residual is not None:
+                assert LinearSystem(*residual).normalize() == \
+                    LinearSystem(*reversed_residual).normalize()
+        assert reordered  # the reversed scan order takes effect
