@@ -18,7 +18,7 @@ import sys
 
 from .core import (LinearSystem, SystemParseError, expected_dim, parse_system,
                    virtual_dim)
-from .cremona import cremona, standard_reduce, transcript_to_jsonl
+from .cremona import Move, cremona, replay_transcript, standard_reduce
 from .degeneration import (Budget, CertificateError, check_certificate, degenerate,
                            recursive_dim)
 from .neg_curves import find_splittings, hh_dimension
@@ -88,6 +88,19 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def transcript(start: LinearSystem, moves: tuple[Move, ...]) -> list[dict]:
+    """The JSON form of each move from ``start`` with the canonical systems before
+    and after it: the only code that formats an intermediate system."""
+    state = start.normalize()
+    text, steps = str(state), []
+    for move in moves:
+        state = replay_transcript((move,), state)
+        after = str(state)
+        steps.append({**move.to_json(), "before": text, "after": after})
+        text = after
+    return steps
+
+
 def _cmd_cremona(args) -> int:
     L = _parse(args.system)
     if args.slots:
@@ -96,9 +109,9 @@ def _cmd_cremona(args) -> int:
               [f"{L} -> {out}"])
         return 0
     final, moves = standard_reduce(L)
-    payload = {"system": str(L), "final": str(final),
-               "moves": [m.to_json() for m in moves]}
-    lines = [transcript_to_jsonl(moves)] if moves else []
+    steps = transcript(L, moves)
+    payload = {"system": str(L), "final": str(final), "moves": steps}
+    lines = [json.dumps(step, separators=(",", ":")) for step in steps]
     lines.append(f"final: {final}  (e = {expected_dim(final)})")
     _emit(args, payload, lines)
     return 0

@@ -8,14 +8,14 @@ nonnegative.  A line joining two points with ``mi + mj > d`` is a fixed
 component and can be split off, dropping the degree and the two
 multiplicities by one.
 
-``standard_reduce`` iterates both moves to a standard form and returns a
-replayable transcript; ``replay_transcript`` checks one.  Both take every
-move with the same step on raw ``(degree, mults)`` data.
+``standard_reduce`` iterates both moves to a standard form and returns the
+moves it took, each its kind and slots; ``replay_transcript`` re-applies such
+a list and returns the system it reaches.  Both take every move with the same
+step on raw ``(degree, mults)`` data and format no intermediate system.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .core import LinearSystem, format_system, normal_mults, slot_order, vector_dim
@@ -32,7 +32,6 @@ __all__ = [
     "standard_reduce",
     "is_standard",
     "replay_transcript",
-    "transcript_to_jsonl",
 ]
 
 
@@ -110,24 +109,18 @@ def split_fixed_line(L: LinearSystem, i: int, j: int) -> LinearSystem:
 
 @dataclass(frozen=True)
 class Move:
-    """One transcript step; ``before`` and ``after`` are canonical strings."""
+    """One step of a reduction: its kind and the slots it acts on."""
 
     kind: str  # "cremona" | "line"
     slots: tuple[int, ...]
-    before: str
-    after: str
 
     def to_json(self) -> dict:
-        return {"move": self.kind, "slots": list(self.slots),
-                "before": self.before, "after": self.after}
+        return {"move": self.kind, "slots": list(self.slots)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Move":
-        return cls(data["move"], tuple(data["slots"]), data["before"], data["after"])
-
-
-def transcript_to_jsonl(moves: tuple[Move, ...]) -> str:
-    return "\n".join(json.dumps(m.to_json(), separators=(",", ":")) for m in moves)
+        """The move of ``data``; any other key, such as a recorded system, is ignored."""
+        return cls(data["move"], tuple(data["slots"]))
 
 
 def next_move(degree: int, mults: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
@@ -174,29 +167,21 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     moves: list[Move] = []
     start = L.normalize()
     d, m = start.degree, start.mults
-    text = format_system(d, m)
     while not m or max(m) <= d:
         move = next_move(d, m)
         if move is None:
             break
         d, m = _step(d, m, *move)
-        after = format_system(d, m)
-        moves.append(Move(*move, text, after))
-        text = after
+        moves.append(Move(*move))
     assert len(moves) <= L.degree + 1, "reduction failed to terminate"
     return (LinearSystem(d, m) if moves else start), tuple(moves)
 
 
 def replay_transcript(moves: tuple[Move, ...], start: LinearSystem) -> LinearSystem:
-    """Re-apply a transcript, checking every recorded step exactly."""
+    """The system that ``moves`` reach from ``start``; raises ValueError on a move
+    that does not apply."""
     start = start.normalize()
     d, m = start.degree, start.mults
-    text = format_system(d, m)
     for move in moves:
-        if text != move.before:
-            raise ValueError(f"transcript mismatch: at {text}, expected {move.before}")
         d, m = _step(d, m, move.kind, move.slots)
-        text = format_system(d, m)
-        if text != move.after:
-            raise ValueError(f"transcript mismatch after move {move}: got {text}")
     return LinearSystem(d, m) if moves else start

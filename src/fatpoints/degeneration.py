@@ -32,8 +32,7 @@ from .cremona import (Move, cremona_vector, is_standard, next_move, replay_trans
                       standard_reduce)
 from .neg_curves import (check_regime, hh_dimension, is_minus_one_class, speciality_failure,
                          split_off)
-from .oracle import (DEFAULT_PRIME, ORACLE_COLS_CAP, check_request, dimension_char_p,
-                     monomial_count)
+from .oracle import DEFAULT_PRIME, check_request, dimension_char_p, size_failure
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict, status_failure
 
 __all__ = [
@@ -282,7 +281,7 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
     if found is not None:
         return found
 
-    if ctx.budget.use_oracle and monomial_count(L) <= ORACLE_COLS_CAP:
+    if ctx.budget.use_oracle and size_failure(L) is None:
         leaf = _oracle_leaf(L, ctx.budget.prime, ctx.budget.seed, ctx.budget.trials)
         if leaf["ell"] == leaf["expected"]:
             return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
@@ -384,8 +383,9 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
     ``cert`` is the JSON form of a :class:`DimVerdict`.  No search happens:
     recorded moves, splits and (k, b) choices are replayed and every claimed
     inequality is recomputed.  Only the top-level ``system`` and the split curves
-    are parsed; every other system string must equal :func:`format_system` of the
-    system the checker derives for it.
+    are parsed; every other system string it reads must equal :func:`format_system`
+    of the system the checker derives for it.  Of a reduction move it reads only
+    ``move`` and ``slots``.
     """
     _typed(cert, dict, "a certificate")
     try:
@@ -521,11 +521,11 @@ def _split(raw, what: str, d: int, m: tuple[int, ...]):
     multiplicity n, and the class left after subtracting n times the curve."""
     _typed(raw, dict, what)
     curve = _system(raw["curve"])
-    if not _is_minus_one_curve(curve):
-        raise CertificateError(f"{curve} is not a (-1)-curve")
     n = _typed(raw["n"], int, "a split multiplicity")
-    if intersect(LinearSystem(d, m), curve) != -n or n < 1:
+    if n < 1 or intersect(LinearSystem(d, m), curve) != -n:
         raise CertificateError(f"{what} {curve} x{n} does not meet its system in -n")
+    if not _is_minus_one_curve(curve):  # last: the walk can take ~sqrt(degree) moves
+        raise CertificateError(f"{curve} is not a (-1)-curve")
     return (curve, n, *split_off(d, m, n, curve.degree, curve.mults))
 
 

@@ -92,6 +92,7 @@ __all__ = [
     "PrimeFieldMatrix",
     "check_prime",
     "check_request",
+    "size_failure",
     "build_matrix",
     "rank_ff",
     "dimension_char_p",
@@ -111,7 +112,8 @@ DEFAULT_PRIME = 32003
 MAX_PRIME = 1 << 23
 
 # Largest column count, (d+1)(d+2)/2, that the prover hands to the oracle and
-# that a certificate's oracle leaf may name: degree 100.
+# that a certificate's oracle leaf may name: degree 100.  Its square bounds the
+# entries of the matrix (``size_failure``).
 ORACLE_COLS_CAP = 5151
 
 # Most trials that one query, or the replay of an oracle leaf, may run.
@@ -183,9 +185,23 @@ def _shifted_index(exps: np.ndarray, k: int) -> np.ndarray:
     return np.maximum(exps[None, :] - np.arange(k)[:, None], 0)
 
 
+def size_failure(L: LinearSystem) -> str | None:
+    """Why the oracle refuses ``L`` for its size, or None.  The matrix before the
+    frame removes any condition has at most ``ORACLE_COLS_CAP`` columns and at most
+    ``ORACLE_COLS_CAP ** 2`` entries, those of the largest square matrix the cap admits."""
+    rows, cols = condition_count(L), monomial_count(L)
+    if cols > ORACLE_COLS_CAP:
+        return f"{L} has {cols} monomials, over the oracle's cap of {ORACLE_COLS_CAP}"
+    if rows * cols > ORACLE_COLS_CAP ** 2:
+        return f"{L} has a {rows} x {cols} matrix, over the oracle's cap of " \
+               f"{ORACLE_COLS_CAP ** 2} entries"
+    return None
+
+
 def check_request(L: LinearSystem, prime, trials: int) -> None:
     """Raise ValueError unless the oracle takes ``L`` over F_prime for ``trials``
-    trials: a usable field, bounded trials and columns, and room for the points."""
+    trials: a usable field, bounded trials and a bounded matrix (:func:`size_failure`),
+    and room for the points."""
     check_prime(prime)
     if prime <= L.degree:
         raise ValueError(f"prime {prime} must exceed the degree {L.degree}")
@@ -193,9 +209,9 @@ def check_request(L: LinearSystem, prime, trials: int) -> None:
         raise ValueError("prime too small for derivative coefficients of order < 7")
     if not 1 <= trials <= ORACLE_MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{ORACLE_MAX_TRIALS}, got {trials}")
-    cols = monomial_count(L)
-    if cols > ORACLE_COLS_CAP:
-        raise ValueError(f"{L} has {cols} monomials, over the oracle's cap of {ORACLE_COLS_CAP}")
+    reason = size_failure(L)
+    if reason is not None:
+        raise ValueError(reason)
     npoints = sum(m > 0 for m in L.mults)
     if npoints > (prime - 1) ** 2:
         raise ValueError(f"{npoints} distinct points do not fit in F_{prime}^2 minus the axes")

@@ -1,8 +1,10 @@
 """Suite-wide settings and helpers.
 
 Every Hypothesis test draws the same examples on every run,
-``packaged_csv`` reads a data file as the package ships it, and ``positions``,
-``mutant`` and ``json_values`` serve the certificate mutation fuzzes.
+``packaged_csv`` reads a data file as the package ships it, ``positions``,
+``mutant`` and ``json_values`` serve the certificate mutation fuzzes, and
+``with_transcripts`` writes a certificate as certificates were written while
+each reduction move recorded the systems around it.
 """
 
 import json
@@ -11,6 +13,9 @@ from importlib import resources
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from fatpoints.cli import transcript
+from fatpoints.core import parse_system
+from fatpoints.cremona import Move
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
 
 # derandomize=True seeds each test from a hash of the test itself (and implies
@@ -62,6 +67,20 @@ def json_values(texts: list[str]):
         scalars, lambda kids: st.lists(kids, max_size=2)
         | st.dictionaries(st.sampled_from(["curve", "n", "kind", "system"]), kids, max_size=2),
         max_leaves=3)
+
+
+def with_transcripts(doc):
+    """A copy of the JSON document ``doc`` whose every ``cremona_reduction`` move
+    also records the canonical systems before and after it, as the CLI prints them."""
+    if isinstance(doc, list):
+        return [with_transcripts(value) for value in doc]
+    if not isinstance(doc, dict):
+        return doc
+    copy = {key: with_transcripts(value) for key, value in doc.items()}
+    if copy.get("kind") == "cremona_reduction":
+        moves = tuple(Move.from_json(data) for data in copy["moves"])
+        copy["moves"] = transcript(parse_system(copy["system"]), moves)
+    return copy
 
 
 def _removal(system, status, ell, steps, residual):

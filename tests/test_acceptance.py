@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import packaged_csv
+from conftest import packaged_csv, with_transcripts
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.cremona import NegativeEntryError, cremona_vector, split_fixed_line
 from fatpoints.degeneration import (Budget, check_certificate, degenerate,
@@ -107,28 +107,39 @@ def test_criterion_3_oracle_agreement_on_table(rows):
 
 
 # sha256 over the hard-case certificates: each verdict's dumps() in the order of
-# data/hard_cases.csv, one per line, hashed like the criterion-7 box below.
-HARD_CASE_CERTIFICATES_SHA256 = "d966e5da36911a46ab0696560726e7513a138a5dd3841fc5b67d5c641be4d4d0"
+# data/hard_cases.csv, one per line, hashed like the criterion-7 box below, and
+# the same with each reduction move's systems restored (``with_transcripts``).
+HARD_CASE_CERTIFICATES_SHA256 = "aa78cb8b738239894d96effaf3132963cd8d81773db1d992dcc9d4fd3f84c8a2"
+HARD_CASE_TRANSCRIPTS_SHA256 = "d966e5da36911a46ab0696560726e7513a138a5dd3841fc5b67d5c641be4d4d0"
+
+
+def _hashed_with_transcripts(verdicts) -> tuple[str, str]:
+    """sha256 of each verdict's dumps(), one per line, and of the same lines with
+    each reduction move's systems restored by ``with_transcripts``."""
+    raw, restored = hashlib.sha256(), hashlib.sha256()
+    for verdict in verdicts:
+        raw.update(verdict.dumps().encode() + b"\n")
+        restored.update(json.dumps(with_transcripts(verdict.to_json())).encode() + b"\n")
+    return raw.hexdigest(), restored.hexdigest()
 
 
 def test_criterion_4_hard_case_regression():
     t0 = time.time()
     budget = Budget()
     bad = []
-    certs = 0
-    digest = hashlib.sha256()
+    verdicts = []
     for case in known_hard_cases():
         sys = case.parsed()
         verdict = recursive_dim(sys, budget)
         want = case.status
         if verdict.status != want:
             bad.append((case.system, case.status, verdict.status))
-        text = verdict.dumps()
-        digest.update(text.encode() + b"\n")
-        check_certificate(json.loads(text))
-        certs += 1
-    if digest.hexdigest() != HARD_CASE_CERTIFICATES_SHA256:
-        bad.append(("certificates", "sha256", digest.hexdigest()))
+        check_certificate(json.loads(verdict.dumps()))
+        verdicts.append(verdict)
+    certs = len(verdicts)
+    digests = _hashed_with_transcripts(verdicts)
+    if digests != (HARD_CASE_CERTIFICATES_SHA256, HARD_CASE_TRANSCRIPTS_SHA256):
+        bad.append(("certificates", "sha256", digests))
     for case in known_hard_cases():
         if case.method != "direct rank computation":
             continue
@@ -266,39 +277,35 @@ def test_criterion_8_certificate_replay(sweep_verdicts):
 
 # sha256 over the criterion-7 box: each verdict's dumps() in fixture order, one
 # per line.  A change that alters a certificate on purpose records the new
-# digest here and says why.  Last change: fixed-part removal steps no longer
-# carry the unread "unit" label of a compound split (224 certificates of the
-# box); no verdict changed.  The digest before was 1fe715411b9c203e….
-SWEEP_CERTIFICATES_SHA256 = "c5115934e8b7e84bd38f48371db9a867e64bfeef8a9c468830e760a4f452df3d"
+# digest here and says why.  Last change: a reduction move records its kind and
+# slots, no longer the systems before and after it; no verdict changed.  With
+# those systems restored the certificates hash to the digest before,
+# c5115934e8b7e84b…, pinned as SWEEP_TRANSCRIPTS_SHA256.
+SWEEP_CERTIFICATES_SHA256 = "ed5ce9d36a90f00c3b3f7569b593be3c47c4e4fb85325ea1d24834f385626a9a"
+SWEEP_TRANSCRIPTS_SHA256 = "c5115934e8b7e84bd38f48371db9a867e64bfeef8a9c468830e760a4f452df3d"
 
 
 def test_sweep_certificates_byte_identical(sweep_verdicts):
-    digest = hashlib.sha256()
-    for verdict in sweep_verdicts.values():
-        digest.update(verdict.dumps().encode() + b"\n")
     assert len(sweep_verdicts) == 1617
-    assert digest.hexdigest() == SWEEP_CERTIFICATES_SHA256
+    assert _hashed_with_transcripts(sweep_verdicts.values()) == \
+        (SWEEP_CERTIFICATES_SHA256, SWEEP_TRANSCRIPTS_SHA256)
 
 
 # sha256 over the benchmark sweep (perfbench's `sweep` workload): every
 # L(d,m0,6^n) with d <= 32, m0 <= d and n <= 12 under Budget(use_oracle=False),
-# each verdict's dumps() in (d, m0, n) order, one per line.  Last change: the
-# degeneration induction recurses without a depth cap, which changed only the
-# certificate of L(31,23,6^12); no verdict changed.  The digest before was
-# bff70db80fb2855c….
+# each verdict's dumps() in (d, m0, n) order, one per line.  Last change: a
+# reduction move records its kind and slots only; no verdict changed, and with
+# each move's systems restored the digest is the one before, 02b90ce1be7250ea….
 BENCHMARK_SWEEP_CERTIFICATES_SHA256 = (
+    "6ceea7ea2fe4f747d3e9d1211dc98c2067f28dcde54d6ab71072e1b1da8afa81")
+BENCHMARK_SWEEP_TRANSCRIPTS_SHA256 = (
     "02b90ce1be7250ea6aa0e19bbc0fa3cefdecc6474cda31d6474c5bb55e3368bb")
 
 
 def test_benchmark_sweep_certificates_byte_identical():
     lean = Budget(use_oracle=False)
-    digest = hashlib.sha256()
-    count = 0
-    for d in range(33):
-        for m0 in range(d + 1):
-            for n in range(13):
-                verdict = recursive_dim(LinearSystem(d, (m0,) + (6,) * n), lean)
-                digest.update(verdict.dumps().encode() + b"\n")
-                count += 1
-    assert count == 7293
-    assert digest.hexdigest() == BENCHMARK_SWEEP_CERTIFICATES_SHA256
+    verdicts = [recursive_dim(LinearSystem(d, (m0,) + (6,) * n), lean)
+                for d in range(33) for m0 in range(d + 1) for n in range(13)]
+    assert len(verdicts) == 7293
+    assert _hashed_with_transcripts(verdicts) == \
+        (BENCHMARK_SWEEP_CERTIFICATES_SHA256, BENCHMARK_SWEEP_TRANSCRIPTS_SHA256)

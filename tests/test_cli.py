@@ -163,6 +163,96 @@ class TestCremonaCommand:
         assert all(m["move"] == "line" for m in doc["moves"])
 
 
+# ``fatpoints cremona SYSTEM`` as it printed while each move of a reduction
+# recorded the systems before and after it; L(21,0,6^10) is already standard.
+CREMONA_OUTPUT = {
+    "L(14,0,6^6)": (
+        '{"move":"cremona","slots":[1,2,3],"before":"L(14,0,6^6)","after":"L(10,0,6^3,2^3)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(10,0,6^3,2^3)","after":"L(9,0,6,5^2,2^3)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(9,0,6,5^2,2^3)","after":"L(8,0,5^2,4,2^3)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(8,0,5^2,4,2^3)","after":"L(7,0,4^3,2^3)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(7,0,4^3,2^3)","after":"L(6,0,4,3^2,2^3)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(6,0,4,3^2,2^3)","after":"L(5,0,3^2,2^4)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(5,0,3^2,2^4)","after":"L(4,0,2^6)"}\n'
+        '{"move":"cremona","slots":[1,2,3],"before":"L(4,0,2^6)","after":"L(2,0,2^3)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(2,0,2^3)","after":"L(1,0,2,1^2)"}\n'
+        'final: L(1,0,2,1^2)  (e = -1)\n'
+    ),
+    "L(20,18,6^5)": (
+        '{"move":"line","slots":[0,1],"before":"L(20,18,6^5)","after":"L(19,17,6^4,5)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(19,17,6^4,5)","after":"L(18,16,6^3,5^2)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(18,16,6^3,5^2)","after":"L(17,15,6^2,5^3)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(17,15,6^2,5^3)","after":"L(16,14,6,5^4)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(16,14,6,5^4)","after":"L(15,13,5^5)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(15,13,5^5)","after":"L(14,12,5^4,4)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(14,12,5^4,4)","after":"L(13,11,5^3,4^2)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(13,11,5^3,4^2)","after":"L(12,10,5^2,4^3)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(12,10,5^2,4^3)","after":"L(11,9,5,4^4)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(11,9,5,4^4)","after":"L(10,8,4^5)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(10,8,4^5)","after":"L(9,7,4^4,3)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(9,7,4^4,3)","after":"L(8,6,4^3,3^2)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(8,6,4^3,3^2)","after":"L(7,5,4^2,3^3)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(7,5,4^2,3^3)","after":"L(6,4,4,3^4)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(6,4,4,3^4)","after":"L(5,3,3^5)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(5,3,3^5)","after":"L(4,2,3^4,2)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(4,2,3^4,2)","after":"L(3,2,3^2,2^3)"}\n'
+        '{"move":"line","slots":[1,2],"before":"L(3,2,3^2,2^3)","after":"L(2,2,2^5)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(2,2,2^5)","after":"L(1,1,2^4,1)"}\n'
+        'final: L(1,1,2^4,1)  (e = -1)\n'
+    ),
+    "L(46,36,6^22)": (
+        '{"move":"cremona","slots":[0,1,2],"before":"L(46,36,6^22)","after":"L(44,34,6^20,4^2)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(44,34,6^20,4^2)"'
+        ',"after":"L(42,32,6^18,4^4)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(42,32,6^18,4^4)"'
+        ',"after":"L(40,30,6^16,4^6)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(40,30,6^16,4^6)"'
+        ',"after":"L(38,28,6^14,4^8)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(38,28,6^14,4^8)"'
+        ',"after":"L(36,26,6^12,4^10)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(36,26,6^12,4^10)"'
+        ',"after":"L(34,24,6^10,4^12)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(34,24,6^10,4^12)"'
+        ',"after":"L(32,22,6^8,4^14)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(32,22,6^8,4^14)"'
+        ',"after":"L(30,20,6^6,4^16)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(30,20,6^6,4^16)"'
+        ',"after":"L(28,18,6^4,4^18)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(28,18,6^4,4^18)"'
+        ',"after":"L(26,16,6^2,4^20)"}\n'
+        '{"move":"cremona","slots":[0,1,2],"before":"L(26,16,6^2,4^20)","after":"L(24,14,4^22)"}\n'
+        'final: L(24,14,4^22)  (e = -1)\n'
+    ),
+    "L(6,6,6)": (
+        '{"move":"line","slots":[0,1],"before":"L(6,6,6)","after":"L(5,5,5)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(5,5,5)","after":"L(4,4,4)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(4,4,4)","after":"L(3,3,3)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(3,3,3)","after":"L(2,2,2)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(2,2,2)","after":"L(1,1,1)"}\n'
+        '{"move":"line","slots":[0,1],"before":"L(1,1,1)","after":"L(0,0)"}\n'
+        'final: L(0,0)  (e = 0)\n'
+    ),
+    "L(21,0,6^10)": (
+        'final: L(21,0,6^10)  (e = 42)\n'
+    ),
+}
+
+
+class TestCremonaOutputPinned:
+    """Moves print the systems around them, byte for byte as recorded above."""
+
+    @pytest.mark.parametrize("name", CREMONA_OUTPUT)
+    def test_text(self, capsys, name):
+        assert run(capsys, "cremona", name) == (0, CREMONA_OUTPUT[name], "")
+
+    @pytest.mark.parametrize("name", CREMONA_OUTPUT)
+    def test_json(self, capsys, name):
+        *moves, final = CREMONA_OUTPUT[name].splitlines()
+        doc = {"system": name, "final": final.split()[1],
+               "moves": [json.loads(line) for line in moves]}
+        assert run(capsys, "--json", "cremona", name) == (0, json.dumps(doc, indent=2) + "\n", "")
+
+
 class TestDegenCommand:
     def test_split(self, capsys):
         code, out, _ = run(capsys, "--json", "degen", "L(14,0,6^6)", "5", "3")
@@ -232,6 +322,17 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", "--system", "L(101,1)")  # 5253 monomials
         assert code == 2 and out == ""
         assert "error:" in err and "5151" in err
+
+    def test_over_the_entry_cap(self, capsys, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(oracle, "_sample_points", no_matrix)
+        monkeypatch.setattr(oracle, "build_matrix", no_matrix)
+        code, out, err = run(capsys, "oracle", "L(100,0,6^10000)")  # 210000 x 5151
+        assert code == 2 and out == ""
+        assert err == ("error: L(100,0,6^10000) has a 210000 x 5151 matrix, over the "
+                       "oracle's cap of 26532801 entries\n")
 
     def test_python_dash_m(self):
         code, out, err = fresh_process(["oracle", "--system", "L(4,2)", "--json"])
@@ -327,6 +428,21 @@ class TestCertificateFlow:
         code, out, err = run(capsys, "check-certificate", str(path))
         assert code == 1 and out == ""
         assert err.startswith("certificate INVALID: ")
+
+    def test_oracle_leaf_over_the_entry_cap_exits_1(self, capsys, tmp_path, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(oracle, "_sample_points", no_matrix)
+        monkeypatch.setattr(oracle, "build_matrix", no_matrix)
+        leaf = {"kind": "rank_oracle", "system": "L(100,0,6^10000)", "prime": 32003,
+                "seed": 0, "trials": 3, "ell": -1, "expected": -1}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"system": leaf["system"], "status": "empty", "ell": -1,
+                                    "trace": leaf}))
+        code, out, err = run(capsys, "check-certificate", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("certificate INVALID: rank oracle leaf: ") and "entries" in err
 
     def test_forged_curve_exits_1(self, capsys, tmp_path):
         # L(2,1,1) has dimension 3; L(1,3) is no (-1)-curve

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, positions
+from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, positions,
+                      with_transcripts)
 from fatpoints import degeneration, oracle
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
+from fatpoints.cremona import cremona_vector
 from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
                                     check_certificate, degenerate, limit_value, recursive_dim)
 from fatpoints.neg_curves import catalog, hh_dimension
@@ -176,6 +178,16 @@ class TestRecursiveDim:
         assert (v.status, v.ell) == (REGULAR, 8900)
         check_certificate(json.loads(v.dumps()))
 
+    @pytest.mark.parametrize("cap,status,kind", [(277, UNKNOWN, "unknown"),
+                                                 (278, EMPTY, "rank_oracle")])
+    def test_oracle_needs_a_matrix_within_the_entry_cap(self, monkeypatch, cap, status, kind):
+        # 280 conditions x 276 monomials: within a column cap of 277, over 277^2 entries
+        monkeypatch.setattr(oracle, "ORACLE_COLS_CAP", cap)
+        if status == UNKNOWN:
+            monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
+        v = recursive_dim(L("L(22,7,6^12)"))
+        assert (v.status, v.trace["kind"]) == (status, kind)
+
     def test_node_budget_exhaustion_is_unknown(self, monkeypatch):
         # regular with the full budget (test_beyond_the_oracle_cap), too large for the oracle
         solved = []
@@ -285,6 +297,14 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="cap"):
             check_certificate({"system": str(sys), "status": REGULAR, "ell": e, "trace": leaf})
 
+    def test_oracle_leaf_over_the_entry_cap_rejected(self, monkeypatch):
+        sys = L("L(100,0,6^10000)")  # 210000 x 5151 entries, over 5151^2
+        leaf = {"kind": "rank_oracle", "system": str(sys), "prime": 32003, "seed": 0,
+                "trials": 3, "ell": -1, "expected": -1}
+        monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
+        with pytest.raises(CertificateError, match="rank oracle leaf: .* entries"):
+            check_certificate({"system": str(sys), "status": EMPTY, "ell": -1, "trace": leaf})
+
     @pytest.mark.parametrize("cert", [
         [], "L(2,1)", {"system": 5, "status": REGULAR, "ell": 4, "trace": {}},
         {"system": "L(2,1)", "status": REGULAR, "ell": 4, "trace": ["no_conditions"]},
@@ -348,7 +368,6 @@ class TestCertificates:
         ("L(14,0,6^6)", "moves.0.slots", 5),
         ("L(14,0,6^6)", "moves.0.slots.0", "1"),
         ("L(14,0,6^6)", "moves.0.slots", [1, 2]),
-        ("L(14,0,6^6)", "moves.0.after", "L(5,1)"),
         ("L(46,36,6^22)", "leaf.children", 5),
         ("L(10,2,6^3)", "steps", 5),
         ("L(10,2,6^3)", "steps.0", 5),
@@ -408,6 +427,24 @@ class TestCertificates:
         del cert["ell"]
         with pytest.raises(CertificateError, match="ell"):
             check_certificate(cert)
+
+    def test_truncated_reduction_rejected(self):
+        # without its last move the replay stops short of the recorded final system
+        cert = json.loads(recursive_dim(L("L(14,0,6^6)")).dumps())
+        assert len(cert["trace"]["moves"]) == 9
+        check_certificate(cert)
+        del cert["trace"]["moves"][-1]
+        with pytest.raises(CertificateError, match="malformed system"):
+            check_certificate(cert)
+
+    @pytest.mark.parametrize("name", ["L(14,0,6^6)", "L(46,36,6^22)", "L(6,6,6^2)"])
+    def test_moves_recording_their_systems_accepted(self, name):
+        # as certificates were written while each move recorded its before and after
+        cert = json.loads(recursive_dim(L(name)).dumps())
+        old = with_transcripts(cert)
+        moves = [m for n in _nodes(old) if n["kind"] == "cremona_reduction" for m in n["moves"]]
+        assert moves and all(list(m) == ["move", "slots", "before", "after"] for m in moves)
+        check_certificate(old)
 
     def test_move_without_slots_raises_certificate_error(self):
         cert = json.loads(recursive_dim(L("L(14,0,6^6)")).dumps())
@@ -492,6 +529,28 @@ class TestMinusOneCurves:
         assert dimension_char_p(L(cert["system"])) > -1
         with pytest.raises(CertificateError, match="not a \\(-1\\)-curve"):
             check_certificate(cert)
+
+    def test_split_meets_its_system_before_the_curve_is_walked(self, monkeypatch):
+        # the line through two of nine points, moved by 2000 quadratic transformations
+        # on the three lightest points: checking it takes 2000 moves back
+        d, m = 1, (1, 1) + (0,) * 7
+        for _ in range(2000):
+            d, m = cremona_vector(d, m, *sorted(range(9), key=m.__getitem__)[:3])
+        curve = LinearSystem(d, m)
+        calls = []
+        walk = degeneration.next_move
+
+        def counting(*args):
+            calls.append(args)
+            return walk(*args)
+        monkeypatch.setattr(degeneration, "next_move", counting)
+        assert _is_minus_one_curve(curve) and len(calls) == 2000
+        cert = json.loads(recursive_dim(L("L(10,2,6^3)")).dumps())
+        cert["trace"]["steps"][0]["curve"] = str(curve)
+        calls.clear()
+        with pytest.raises(CertificateError, match="does not meet its system in -n"):
+            check_certificate(cert)
+        assert calls == []
 
     @pytest.mark.parametrize("name", [
         "L(1,1,1)", "L(1,0,1^2)", "L(2,0,1^5)", "L(3,2,1^6)", "L(6,3,2^7)",
@@ -594,10 +653,11 @@ class TestLeafMutations:
         assert mutants > 0
 
 
-# one certificate for each kind of inner node, at its root; L(6,6,6^2) is
-# empty and has expected dimension -1
+# one certificate for each kind of inner node, at its root, and beside the
+# reduction of one move a reduction of nine; L(6,6,6^2) is empty and has
+# expected dimension -1
 INNER_PROOFS = {"fixed_part_removal": "L(10,2,6^3)", "cremona_reduction": "L(6,6,6^2)",
-                "degeneration": "L(24,1,6^9)"}
+                "cremona_reduction_nine_moves": "L(14,0,6^6)", "degeneration": "L(24,1,6^9)"}
 
 
 @pytest.fixture(scope="module")
@@ -628,8 +688,10 @@ class TestOneFieldMutants:
             DimVerdict(REGULAR, -1, L("L(6,6,6^2)"))
 
     def test_roots(self, inner_certificates):
-        assert {kind: cert["trace"]["kind"] for kind, cert in inner_certificates.items()} == \
-            {kind: kind for kind in INNER_PROOFS}
+        roots = [cert["trace"] for cert in inner_certificates.values()]
+        assert [root["kind"] for root in roots] == \
+            ["fixed_part_removal", "cremona_reduction", "cremona_reduction", "degeneration"]
+        assert [len(root["moves"]) for root in roots[1:3]] == [1, 9]
 
     @pytest.mark.parametrize("kind", INNER_PROOFS)
     def test_every_field_deleted(self, inner_certificates, kind):

@@ -17,7 +17,7 @@ from fatpoints.neg_curves import hh_dimension
 from fatpoints.oracle import (DEFAULT_PRIME, MAX_PRIME, PrimeFieldMatrix, build_matrix,
                               check_prime, condition_count,
                               dimension_char_p, monomial_count, monomial_exponents,
-                              oracle_report, rank_ff, trial_dimensions)
+                              oracle_report, rank_ff, size_failure, trial_dimensions)
 from fatpoints.tables import classification_table
 
 BIG_PRIME = 8388593  # the largest prime below 2^23
@@ -178,6 +178,12 @@ class TestBuildMatrix:
     def test_bad_prime_rejected(self, prime):
         with pytest.raises(ValueError):
             build_matrix(L("L(4,2,2)"), [(1, 2), (3, 4)], prime)
+
+    def test_entries_bounded_by_the_square_of_the_column_cap(self):
+        # 5050 + 91 + 10 = 5151 conditions on the 5151 monomials of degree 100
+        assert size_failure(L("L(100,100,13,4)")) is None
+        assert "5152 x 5151 matrix" in size_failure(L("L(100,100,13,4,1)"))
+        assert "5253 monomials" in size_failure(L("L(101)"))
 
 
 class TestRank:

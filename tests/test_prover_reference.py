@@ -3,8 +3,8 @@
 ``format_system``, ``normalize``, ``virtual_dim``, the ``LinearSystem``
 constructor, ``standard_reduce``, ``replay_transcript`` and the split chain
 behind ``hh_dimension`` were rewritten with C-level builtins, a scan that
-reads the catalog order in closed form and from prefix sums, one format per
-reduction state and moves on raw ``(degree, mults)`` data; the checker's
+reads the catalog order in closed form and from prefix sums, and moves on raw
+``(degree, mults)`` data that format no intermediate system; the checker's
 (-1)-curve test now takes its moves from ``next_move``.  The functions below
 are those earlier forms, kept as references and built only from public names:
 the property tests require equal outputs, equal moves and equal exceptions
@@ -94,7 +94,7 @@ def reference_next_move(L):
 
 
 def reference_standard_reduce(L):
-    """``standard_reduce`` as it was: both sides of every move formatted afresh."""
+    """``standard_reduce`` as it was: a ``LinearSystem`` per state, moves by comparisons."""
     moves = []
     cur = reference_normalize(L)
     initial_degree = L.degree
@@ -107,16 +107,14 @@ def reference_standard_reduce(L):
             if cur.degree - cur.mults[a] - cur.mults[b] < 0 and \
                     cur.mults[a] >= 1 and cur.mults[b] >= 1 and cur.degree >= 1:
                 nxt = reference_normalize(split_fixed_line(cur, a, b))
-                moves.append(Move("line", (a, b), reference_format_system(cur),
-                                  reference_format_system(nxt)))
+                moves.append(Move("line", (a, b)))
                 cur = nxt
                 continue
         if len(order) >= 3:
             a, b, c = order[0], order[1], order[2]
             if cur.mults[a] + cur.mults[b] + cur.mults[c] > cur.degree:
                 nxt = reference_normalize(cremona(cur, a, b, c))
-                moves.append(Move("cremona", (a, b, c), reference_format_system(cur),
-                                  reference_format_system(nxt)))
+                moves.append(Move("cremona", (a, b, c)))
                 cur = nxt
                 continue
         break
@@ -158,16 +156,10 @@ def reference_move(L, kind, slots):
 
 
 def reference_replay_transcript(moves, start):
-    """``replay_transcript`` as it was: a ``LinearSystem`` and two formats per move."""
+    """``replay_transcript`` as it was: a ``LinearSystem`` per move."""
     cur = reference_normalize(start)
     for move in moves:
-        text = reference_format_system(cur)
-        if text != move.before:
-            raise ValueError(f"transcript mismatch: at {text}, expected {move.before}")
         cur = reference_normalize(reference_move(cur, move.kind, move.slots))
-        text = reference_format_system(cur)
-        if text != move.after:
-            raise ValueError(f"transcript mismatch after move {move}: got {text}")
     return cur
 
 
@@ -398,57 +390,39 @@ class TestCremonaMatchesReference:
             assert replay_transcript(moves, sys) == final
 
 
-def forge(sys, plan):
-    """A transcript from ``sys`` whose moves follow ``plan``: each entry is a kind,
-    its slots and which recorded side to corrupt.  The recorded strings are the
-    reference's own, so each move replays until it is corrupted or fails."""
-    cur = reference_normalize(sys)
-    moves = []
-    for kind, slots, corrupt in plan:
-        before = reference_format_system(cur)
-        try:
-            cur = reference_normalize(reference_move(cur, kind, slots))
-            after = reference_format_system(cur)
-        except ValueError:
-            after = before
-        moves.append(Move(kind, tuple(slots), "L(99)" if corrupt == "before" else before,
-                          "L(99)" if corrupt == "after" else after))
-    return tuple(moves)
+def forge(plan):
+    """A transcript whose moves follow ``plan``: each entry is a kind and its slots."""
+    return tuple(Move(kind, tuple(slots)) for kind, slots in plan)
 
 
 L14 = LinearSystem(14, (0,) + (6,) * 6)
 # (system, plan, the exception the replay raises); None: the transcript replays
 FORGED = [
-    (L14, [("cremona", (1, 2, 3), "before")], ValueError),       # wrong before
-    (L14, [("cremona", (1, 2, 3), None), ("cremona", (3, 4, 5), "after")],
-     ValueError),                                                # wrong after
-    (L14, [("cremona", (1, 2, 7), None)], ValueError),           # slot out of range
-    (L14, [("line", (-1, 2), None)], ValueError),                # slot out of range
-    (L14, [("cremona", (1, 2, 2), None)], ValueError),           # repeated slot
-    (L14, [("line", (3, 3), None)], ValueError),                 # repeated slot
-    (L14, [("flip", (1, 2), None)], ValueError),                 # unknown kind
-    (L14, [("line", (1, 2, 3), None)], ValueError),              # a line on three slots
-    (L14, [("line", (1, 2), None)], NotFixedError),              # 6 + 6 <= 14
-    (LinearSystem(10, (2, 6, 6, 6)), [("cremona", (1, 2, 3), None)], NegativeEntryError),
-    (LinearSystem(2, (3, 3, 3)), [("cremona", (0, 1, 2), None)], NegativeEntryError),  # degree
-    (LinearSystem(0, (1, 1)), [("line", (0, 1), None)], NegativeEntryError),  # degree
-    (LinearSystem(20, (18,) + (6,) * 5), [("line", (0, 1), None)] * 3, None),
+    (L14, [("cremona", (1, 2, 7))], ValueError),         # slot out of range
+    (L14, [("line", (-1, 2))], ValueError),              # slot out of range
+    (L14, [("cremona", (1, 2, 2))], ValueError),         # repeated slot
+    (L14, [("line", (3, 3))], ValueError),               # repeated slot
+    (L14, [("flip", (1, 2))], ValueError),               # unknown kind
+    (L14, [("line", (1, 2, 3))], ValueError),            # a line on three slots
+    (L14, [("line", (1, 2))], NotFixedError),            # 6 + 6 <= 14
+    (LinearSystem(10, (2, 6, 6, 6)), [("cremona", (1, 2, 3))], NegativeEntryError),
+    (LinearSystem(2, (3, 3, 3)), [("cremona", (0, 1, 2))], NegativeEntryError),  # degree
+    (LinearSystem(0, (1, 1)), [("line", (0, 1))], NegativeEntryError),  # degree
+    (LinearSystem(20, (18,) + (6,) * 5), [("line", (0, 1))] * 3, None),
 ]
 
 
 slot = st.integers(-1, 12)
-corruptions = st.sampled_from([None] * 8 + ["before", "after"])
 forged_moves = st.one_of(
-    st.tuples(st.just("cremona"), st.tuples(slot, slot, slot), corruptions),
-    st.tuples(st.just("line"), st.tuples(slot, slot), corruptions),
-    st.tuples(st.sampled_from(["cremona", "line", "flip"]), st.lists(slot, max_size=4).map(tuple),
-              corruptions))
+    st.tuples(st.just("cremona"), st.tuples(slot, slot, slot)),
+    st.tuples(st.just("line"), st.tuples(slot, slot)),
+    st.tuples(st.sampled_from(["cremona", "line", "flip"]), st.lists(slot, max_size=4).map(tuple)))
 
 
 class TestReplayMatchesReference:
     @pytest.mark.parametrize("sys,plan,raised", FORGED)
     def test_forged_transcripts(self, sys, plan, raised):
-        moves = forge(sys, plan)
+        moves = forge(plan)
         got = outcome(replay_transcript, moves, sys)
         assert got == outcome(reference_replay_transcript, moves, sys)
         assert got[:2] == (("value", reference_replay_transcript(moves, sys)) if raised is None
@@ -457,7 +431,7 @@ class TestReplayMatchesReference:
     @settings(max_examples=500)
     @given(st.one_of(systems, quasi_homogeneous), st.lists(forged_moves, max_size=6))
     def test_random_transcripts(self, sys, plan):
-        moves = forge(sys, plan)
+        moves = forge(plan)
         assert outcome(replay_transcript, moves, sys) == \
             outcome(reference_replay_transcript, moves, sys)
 
