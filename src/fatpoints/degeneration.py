@@ -14,7 +14,8 @@ system restricts to four numerical systems::
 limit, which by semicontinuity bounds the dimension of the original system
 from above.  Two sufficient criteria follow, both decided by
 ``criterion_failure``: one proving emptiness (for systems with negative
-virtual dimension) and one proving non-speciality.  ``recursive_dim`` chains
+virtual dimension) and one proving non-speciality, which the prover first
+applies to the four systems' predicted dimensions.  ``recursive_dim`` chains
 these with the speciality classifier, reduction to standard form (ending in a
 small base case or in the proof of the reduced system), and a finite-field
 rank fallback; a fixed-part removal proves only speciality or emptiness.
@@ -25,13 +26,15 @@ rebuilds each leaf with the function that wrote it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 from .core import (LinearSystem, SystemParseError, expected_dim, intersect, parse_system,
                    virtual_dim)
 from .cremona import (Move, cremona_vector, is_standard, next_move, replay_transcript,
                       standard_reduce)
-from .neg_curves import (check_regime, hh_dimension, is_minus_one_class, speciality_failure,
-                         split_off)
+from .neg_curves import (check_regime, hh_dimension, is_catalog_curve, is_minus_one_class,
+                         speciality_failure, split_off)
 from .oracle import DEFAULT_PRIME, check_request, dimension_char_p, size_failure
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict, status_failure
 
@@ -107,51 +110,43 @@ def limit_value(d_minus_k: int, ell_plane: int, ell_ruled: int,
 
 
 _NONSPECIAL = (REGULAR, EMPTY)
+_dimension = attrgetter("status", "ell")  # a verdict's (status, ell), as the criterion reads it
 
 
-def _numeric_failure(rule: str, split: DegenerationSplit, v: int) -> str | None:
-    """Why ``split`` fails the conditions of ``rule`` that need no child, or None.
+def criterion_failure(rule: str, split: DegenerationSplit, v: int,
+                      child: Callable[[str], tuple[str, int | None]]) -> str | None:
+    """Why ``split`` does not prove ``rule`` for its base system, or None when it does.
 
-    ``v`` is the virtual dimension of the base system.  ``empty`` needs
-    v <= -1 and v(plane_kernel) <= v; ``nonspecial`` needs v >= -1 and
-    restrictions with v >= -1.
+    ``v`` is the virtual dimension of the base system and ``child(name)`` the
+    ``(status, ell)`` of that piece of :meth:`DegenerationSplit.parts`, looked
+    up in their order only while no condition has failed.  ``empty`` (proving
+    ell = -1) needs v <= -1, v(plane_kernel) <= v, v(ruled_kernel) <= -1, then
+    non-special restrictions and empty kernels; ``nonspecial`` (proving ell =
+    expected) needs v >= -1 and restrictions with v >= -1, then non-special
+    restrictions and ell(plane_kernel) + ell(ruled_kernel) <= v - 1.
     """
     if rule == "empty":
         if v > -1:
             return "emptiness rule needs v <= -1"
         if virtual_dim(split.plane_kernel) > v:
             return "emptiness rule needs v(plane_kernel) <= v"
-        return None
-    if rule == "nonspecial":
+        if virtual_dim(split.ruled_kernel) > -1:
+            return "emptiness rule needs v(ruled_kernel) <= -1"
+    elif rule == "nonspecial":
         if v < -1:
             return "non-speciality rule needs v >= -1"
         if virtual_dim(split.plane) < -1 or virtual_dim(split.ruled) < -1:
             return "non-speciality rule needs restriction v >= -1"
-        return None
-    return f"unknown degeneration rule {rule!r}"
-
-
-def criterion_failure(rule: str, split: DegenerationSplit, v: int,
-                      children: dict[str, tuple[str, int | None]]) -> str | None:
-    """Why ``split`` does not prove ``rule`` for its base system, or None when it does.
-
-    ``v`` is the virtual dimension of the base system and ``children`` maps
-    each name of :meth:`DegenerationSplit.parts` to that system's certified
-    ``(status, ell)``.  Beyond :func:`_numeric_failure`, both rules need
-    non-special restrictions; ``empty`` (proving ell = -1) needs both kernels
-    empty, and ``nonspecial`` (proving ell = expected) needs
-    ell(plane_kernel) + ell(ruled_kernel) <= v - 1.
-    """
-    reason = _numeric_failure(rule, split, v)
-    if reason is not None:
-        return reason
-    if children["plane"][0] not in _NONSPECIAL or children["ruled"][0] not in _NONSPECIAL:
+    else:
+        return f"unknown degeneration rule {rule!r}"
+    if child("plane")[0] not in _NONSPECIAL or child("ruled")[0] not in _NONSPECIAL:
         return "restrictions must be certified non-special"
-    (pk_status, pk_ell), (rk_status, rk_ell) = children["plane_kernel"], children["ruled_kernel"]
+    pk_status, pk_ell = child("plane_kernel")
     if rule == "empty":
-        if pk_status != EMPTY or rk_status != EMPTY:
+        if pk_status != EMPTY or child("ruled_kernel")[0] != EMPTY:
             return "emptiness rule needs empty kernels"
         return None
+    rk_status, rk_ell = child("ruled_kernel")
     if UNKNOWN in (pk_status, rk_status):
         return "non-speciality rule needs certified kernels"
     if pk_ell + rk_ell > v - 1:
@@ -220,7 +215,7 @@ class _Ctx:
         self.nodes = 0
 
     def removal(self, L: LinearSystem) -> DimVerdict:
-        """``hh_dimension(L)``, computed once per run."""
+        """``hh_dimension(L)``, computed once per run: the classifier's prediction."""
         hit = self.removals.get(L)
         if hit is None:
             hit = self.removals[L] = hh_dimension(L)
@@ -344,26 +339,17 @@ def _scan_degenerations(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
 def _try(split: DegenerationSplit, rule: str, ctx: _Ctx) -> dict | None:
     """The node proving ``rule`` for the base of ``split``, or None.
 
-    Before any child is solved, the attempt is pruned by the conditions of
-    the rule that need no child, by a ruled kernel that cannot be empty, and
-    by a (-1)-special child that the rule needs non-special.
+    :func:`criterion_failure` decides twice: on the classifier's predicted
+    dimensions of the pieces, so that an attempt they refute solves no child,
+    then on the proofs of all four.  A proof that differed from its prediction
+    would refute the classifier; the checker reads no prediction.
     """
-    L = split.base
+    L, parts = split.base, split.parts()
     v = virtual_dim(L)
-    if _numeric_failure(rule, split, v) is not None:
-        return None
-    parts = split.parts()
-    if rule == "empty":
-        if virtual_dim(split.ruled_kernel) > -1:
-            return None
-        needed = parts.values()
-    else:
-        needed = (split.plane, split.ruled)
-    if any(ctx.removal(s).status == SPECIAL for s in needed):
+    if criterion_failure(rule, split, v, lambda name: _dimension(ctx.removal(parts[name]))):
         return None
     children = {name: _solve(s, ctx) for name, s in parts.items()}
-    proved = {name: (c.status, c.ell) for name, c in children.items()}
-    if criterion_failure(rule, split, v, proved) is not None:
+    if criterion_failure(rule, split, v, lambda name: _dimension(children[name])):
         return None
     return {"kind": "degeneration", "system": str(L), "k": split.k, "b": split.b, "rule": rule,
             "ell": _proved_ell(rule, L),
@@ -524,8 +510,9 @@ def _split(raw, what: str, d: int, m: tuple[int, ...]):
     n = _typed(raw["n"], int, "a split multiplicity")
     if n < 1 or intersect(LinearSystem(d, m), curve) != -n:
         raise CertificateError(f"{what} {curve} x{n} does not meet its system in -n")
-    if not _is_minus_one_curve(curve):  # last: the walk can take ~sqrt(degree) moves
-        raise CertificateError(f"{curve} is not a (-1)-curve")
+    # the walk takes ~sqrt(degree) moves, so it only confirms a catalog class
+    if len(curve.mults) > len(m) or not is_catalog_curve(curve) or not _is_minus_one_curve(curve):
+        raise CertificateError(f"{curve} is not a (-1)-curve of the catalog")
     return (curve, n, *split_off(d, m, n, curve.degree, curve.mults))
 
 
@@ -568,13 +555,14 @@ def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -
     if b >= len(system.tail):
         raise CertificateError("degeneration needs b < n")
     children = _typed(node["children"], dict, "the children map of a degeneration")
-    proved: dict[str, tuple[str, int]] = {}
-    for name, want in split.parts().items():
+    parts = split.parts()
+
+    def checked(name: str) -> tuple[str, int]:
         child = _typed(children[name], dict, "a certificate")
-        _check_verdict(child, want, replay_oracle)
-        proved[name] = (child["status"], child["ell"])
+        _check_verdict(child, parts[name], replay_oracle)
+        return child["status"], child["ell"]
     rule = node["rule"]
-    reason = criterion_failure(rule, split, virtual_dim(system), proved)
+    reason = criterion_failure(rule, split, virtual_dim(system), checked)
     if reason is not None:
         raise CertificateError(reason)
     ell = _proved_ell(rule, system)

@@ -43,6 +43,7 @@ __all__ = [
     "ClassificationRow",
     "Splitting",
     "is_minus_one_class",
+    "is_catalog_curve",
     "check_regime",
     "catalog",
     "find_splittings",
@@ -114,6 +115,15 @@ def _simple_classes(t: int) -> list[tuple[int, int, int, int]]:
         if c[3] <= t:
             insort(classes, c)
     return classes[::-1]
+
+
+def is_catalog_curve(curve: LinearSystem) -> bool:
+    """Whether ``curve`` in normal form is a simple class of :func:`catalog`
+    (the lines of the compounds among them): the curves the split chain writes."""
+    c = curve.normalize()
+    t = len(c.tail)
+    return any(c == LinearSystem(e, (a,) + (mu,) * r) for e, a, mu, r in _simple_classes(t)
+               if r == t)
 
 
 def catalog(n: int) -> tuple[CurveCatalogEntry, ...]:

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, positions,
                       with_transcripts)
 from fatpoints import degeneration, oracle
-from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
+from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.cremona import cremona_vector
 from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
-                                    check_certificate, degenerate, limit_value, recursive_dim)
-from fatpoints.neg_curves import catalog, hh_dimension
+                                    check_certificate, criterion_failure, degenerate, limit_value,
+                                    recursive_dim)
+from fatpoints.neg_curves import catalog, hh_dimension, is_catalog_curve
 from fatpoints.oracle import dimension_char_p
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
@@ -93,6 +94,10 @@ class TestLimitValue:
         assert limit_value(d_minus_k, *ells) >= dimension_char_p(L("L(14,0,6^6)"))
 
 
+def _no_child(name):
+    raise AssertionError(f"the criterion looked up {name}")
+
+
 def proves(system, k, b, rule):
     """Whether the prover's (k, b)-degeneration attempt at ``rule`` succeeds."""
     return _try(degenerate(L(system), k, b), rule, _Ctx(Budget())) is not None
@@ -119,6 +124,23 @@ class TestCriteria:
             for b in range(2):
                 assert not proves("L(10,8,6^2)", k, b, "empty")
                 assert not proves("L(10,8,6^2)", k, b, "nonspecial")
+
+    def test_emptiness_needs_a_ruled_kernel_of_negative_v_before_any_child(self):
+        # v = -21 and v(plane_kernel) = -36, but the ruled kernel L(18,14,6^4) has v = 0
+        split = degenerate(L("L(18,0,6^10)"), 5, 4)
+        assert criterion_failure("empty", split, -21, _no_child) == \
+            "emptiness rule needs v(ruled_kernel) <= -1"
+
+    def test_predictions_refute_before_any_child_is_solved(self, monkeypatch):
+        # the restrictions L(5,0,6) and L(10,5,6) are non-special, but the ruled
+        # kernel L(10,6,6) is predicted special (24 > 23), so the kernels are too large
+        solved = []
+        solve = degeneration._solve
+        monkeypatch.setattr(degeneration, "_solve",
+                            lambda system, ctx: solved.append(system) or solve(system, ctx))
+        split = degenerate(L("L(10,0,6^2)"), 5, 1)
+        assert _try(split, "nonspecial", _Ctx(Budget())) is None
+        assert solved == []
 
     def test_never_both(self):
         assert virtual_dim(L("L(12,0,6^10)")) < -1
@@ -202,6 +224,18 @@ class TestRecursiveDim:
         assert v.status == UNKNOWN and v.ell is None
         assert v.trace["reason"] == "budget exhausted"
         assert len(solved) == 3
+
+    def test_hard_case_solves_six_systems(self, monkeypatch):
+        # L(46,36,6^22) reduces to L(24,14,4^22), whose (5, 13)-degeneration
+        # proves it empty; the predictions refute every attempt before that one
+        solved = []
+        fresh = degeneration._solve_fresh
+        monkeypatch.setattr(degeneration, "_solve_fresh",
+                            lambda system, ctx: solved.append(str(system)) or fresh(system, ctx))
+        v = recursive_dim(L("L(46,36,6^22)"))
+        assert (v.status, v.trace["kind"]) == (EMPTY, "cremona_reduction")
+        assert solved == ["L(46,36,6^22)", "L(24,14,4^22)", "L(19,14,4^9)", "L(24,19,4^13)",
+                          "L(18,14,4^9)", "L(24,20,4^13)"]
 
     def test_verdict_independent_of_context(self):
         # the L(7,3,2^11) subproof of L(31,23,6^12) is the proof of L(7,3,2^11) itself
@@ -522,6 +556,34 @@ class TestRemovalProvesOnlySpecialityOrEmptiness:
         check_certificate(json.loads(verdict.dumps()))
 
 
+def _walked_line(moves):
+    """The line through two of nine points, moved by ``moves`` quadratic
+    transformations on the three lightest points: checking it takes as many back."""
+    d, m = 1, (1, 1) + (0,) * 7
+    for _ in range(moves):
+        d, m = cremona_vector(d, m, *sorted(range(9), key=m.__getitem__)[:3])
+    return LinearSystem(d, m)
+
+
+WALKED_LINE = _walked_line(2000)
+
+
+def _count_walk(monkeypatch):
+    """The argument tuples of every ``next_move`` call the checker makes from now on."""
+    calls = []
+    walk = degeneration.next_move
+    monkeypatch.setattr(degeneration, "next_move", lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
+def _removal_rejecting(system, curve):
+    """An ``empty`` certificate of ``system`` whose removal rejects ``curve`` at once."""
+    rejected = {"curve": str(curve), "n": -intersect(system, curve)}
+    return {"system": str(system), "status": EMPTY, "ell": -1,
+            "trace": {"kind": "fixed_part_removal", "system": str(system), "steps": [],
+                      "residual": None, "rejected": rejected, "special": False, "ell": -1}}
+
+
 class TestMinusOneCurves:
     @pytest.mark.parametrize("cert", [FORGED_REJECTED_SPLIT, FORGED_SPLIT_STEP],
                              ids=["rejected", "step"])
@@ -531,24 +593,21 @@ class TestMinusOneCurves:
             check_certificate(cert)
 
     def test_split_meets_its_system_before_the_curve_is_walked(self, monkeypatch):
-        # the line through two of nine points, moved by 2000 quadratic transformations
-        # on the three lightest points: checking it takes 2000 moves back
-        d, m = 1, (1, 1) + (0,) * 7
-        for _ in range(2000):
-            d, m = cremona_vector(d, m, *sorted(range(9), key=m.__getitem__)[:3])
-        curve = LinearSystem(d, m)
-        calls = []
-        walk = degeneration.next_move
-
-        def counting(*args):
-            calls.append(args)
-            return walk(*args)
-        monkeypatch.setattr(degeneration, "next_move", counting)
-        assert _is_minus_one_curve(curve) and len(calls) == 2000
+        calls = _count_walk(monkeypatch)
+        assert _is_minus_one_curve(WALKED_LINE) and len(calls) == 2000
         cert = json.loads(recursive_dim(L("L(10,2,6^3)")).dumps())
-        cert["trace"]["steps"][0]["curve"] = str(curve)
+        cert["trace"]["steps"][0]["curve"] = str(WALKED_LINE)
         calls.clear()
         with pytest.raises(CertificateError, match="does not meet its system in -n"):
+            check_certificate(cert)
+        assert calls == []
+
+    @pytest.mark.parametrize("curve", [WALKED_LINE, L("L(5,2^6,1^2)")], ids=["walked", "quintic"])
+    def test_non_catalog_curve_refused_before_the_walk(self, monkeypatch, curve):
+        # (-1)-curves both, meeting L(10,10^9) in -20040010 and -90, and not subtractable
+        cert = _removal_rejecting(L("L(10,10^9)"), curve)
+        calls = _count_walk(monkeypatch)
+        with pytest.raises(CertificateError, match="not a \\(-1\\)-curve of the catalog"):
             check_certificate(cert)
         assert calls == []
 
@@ -574,7 +633,7 @@ class TestMinusOneCurves:
     @pytest.mark.parametrize("n", [2, 5, 9, 14])
     def test_catalog_constituents_accepted(self, n):
         pieces = [c for entry in catalog(n) for c in entry.constituents(n)]
-        assert pieces and all(_is_minus_one_curve(c) for c in pieces)
+        assert pieces and all(_is_minus_one_curve(c) and is_catalog_curve(c) for c in pieces)
 
 
 LEAF_KINDS = ("no_conditions", "multiplicity_exceeds_degree", "standard_small", "rank_oracle")

@@ -9,6 +9,11 @@ reads the catalog order in closed form and from prefix sums, and moves on raw
 are those earlier forms, kept as references and built only from public names:
 the property tests require equal outputs, equal moves and equal exceptions
 (type and message) on the same inputs, forged transcripts included.
+
+The prover's degeneration attempt ``_try`` once pruned by hand-written
+conditions and now applies ``criterion_failure`` to the classifier's
+predictions; ``reference_try`` is the earlier attempt, run on the prover's own
+context, and must return the same node on every attempt of two boxes.
 """
 
 import random
@@ -18,12 +23,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fatpoints.core import LinearSystem, format_system, virtual_dim
+from fatpoints import degeneration
+from fatpoints.core import LinearSystem, expected_dim, format_system, virtual_dim
 from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
                                next_move, replay_transcript, split_fixed_line, standard_reduce)
-from fatpoints.degeneration import _is_minus_one_curve
+from fatpoints.degeneration import Budget, _Ctx, _is_minus_one_curve, _try, degenerate
 from fatpoints.neg_curves import (CurveCatalogEntry, _next_split, _split_chain, catalog,
                                   is_minus_one_class)
+from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
 
 
 def outcome(fn, *args):
@@ -313,6 +320,73 @@ def reference_split_chain(L, reverse=False):
         assert d >= 0 and all(x >= 0 for x in m)
 
 
+# -- references: the degeneration attempt ---------------------------------------
+
+
+def reference_numeric_failure(rule, split, v):
+    """The conditions of a degeneration rule that need no child, as they were."""
+    if rule == "empty":
+        if v > -1:
+            return "emptiness rule needs v <= -1"
+        if virtual_dim(split.plane_kernel) > v:
+            return "emptiness rule needs v(plane_kernel) <= v"
+        return None
+    if rule == "nonspecial":
+        if v < -1:
+            return "non-speciality rule needs v >= -1"
+        if virtual_dim(split.plane) < -1 or virtual_dim(split.ruled) < -1:
+            return "non-speciality rule needs restriction v >= -1"
+        return None
+    return f"unknown degeneration rule {rule!r}"
+
+
+def reference_criterion_failure(rule, split, v, children):
+    """The degeneration criterion as it was, on a map from each piece to its
+    ``(status, ell)``; the emptiness rule does not state v(ruled_kernel) <= -1."""
+    reason = reference_numeric_failure(rule, split, v)
+    if reason is not None:
+        return reason
+    if children["plane"][0] not in (REGULAR, EMPTY) or children["ruled"][0] not in (REGULAR, EMPTY):
+        return "restrictions must be certified non-special"
+    (pk_status, pk_ell), (rk_status, rk_ell) = children["plane_kernel"], children["ruled_kernel"]
+    if rule == "empty":
+        if pk_status != EMPTY or rk_status != EMPTY:
+            return "emptiness rule needs empty kernels"
+        return None
+    if UNKNOWN in (pk_status, rk_status):
+        return "non-speciality rule needs certified kernels"
+    if pk_ell + rk_ell > v - 1:
+        return "kernels too large for the non-speciality rule"
+    return None
+
+
+def reference_try(split, rule, ctx):
+    """The prover's degeneration attempt as it was, on the prover's own context:
+    a hand-written prune (the conditions that need no child, a ruled kernel
+    that cannot be empty, a (-1)-special piece the rule needs non-special),
+    then every piece solved and the criterion applied to their proofs."""
+    L = split.base
+    v = virtual_dim(L)
+    if reference_numeric_failure(rule, split, v) is not None:
+        return None
+    parts = split.parts()
+    if rule == "empty":
+        if virtual_dim(split.ruled_kernel) > -1:
+            return None
+        needed = parts.values()
+    else:
+        needed = (split.plane, split.ruled)
+    if any(ctx.removal(s).status == SPECIAL for s in needed):
+        return None
+    children = {name: degeneration._solve(s, ctx) for name, s in parts.items()}
+    proved = {name: (c.status, c.ell) for name, c in children.items()}
+    if reference_criterion_failure(rule, split, v, proved) is not None:
+        return None
+    return {"kind": "degeneration", "system": str(L), "k": split.k, "b": split.b, "rule": rule,
+            "ell": -1 if rule == "empty" else expected_dim(L),
+            "children": {name: c.to_json() for name, c in children.items()}}
+
+
 # -- strategies -----------------------------------------------------------------
 
 # Any valid system: zeros inside the tail, tails out of order, m > d, no slots.
@@ -513,3 +587,34 @@ class TestSplitChainMatchesReference:
                 assert LinearSystem(*residual).normalize() == \
                     LinearSystem(*reversed_residual).normalize()
         assert reordered  # the reversed scan order takes effect
+
+
+def degeneration_attempts(tail_mults, max_degree, max_points):
+    """Each ``L(d, m0, m^n)`` of the box with the ``(k, b, rule)`` attempts the
+    scan may make on it: k in {5, 6, m-1, m}, every b < n, both rules."""
+    for m in tail_mults:
+        for d in range(max_degree + 1):
+            for m0 in range(d + 1):
+                for n in range(1, max_points + 1):
+                    yield LinearSystem(d, (m0,) + (m,) * n), [
+                        (k, b, rule) for k in dict.fromkeys((5, 6, m - 1, m)) if 1 <= k < d
+                        for b in range(n) for rule in ("empty", "nonspecial")]
+
+
+class TestDegenerationAttemptMatchesReference:
+    @pytest.mark.parametrize("tail_mults,max_degree,max_points,count", [
+        ((6,), 14, 8, 13752),
+        ((1, 2, 3, 4, 5), 7, 3, 4020),
+    ])
+    def test_same_node_on_every_attempt(self, tail_mults, max_degree, max_points, count):
+        """The predictions refute no attempt that the proofs would accept."""
+        tried = proved = 0
+        for system, plan in degeneration_attempts(tail_mults, max_degree, max_points):
+            ctx = _Ctx(Budget())  # shared: a verdict depends on its system alone
+            for k, b, rule in plan:
+                split = degenerate(system, k, b)
+                node = _try(split, rule, ctx)
+                assert node == reference_try(split, rule, ctx), (str(system), k, b, rule)
+                tried += 1
+                proved += node is not None
+        assert tried == count and 0 < proved < tried
