@@ -22,7 +22,9 @@ certificate checker replays removals with the same two functions.
 
 ``generate_classification`` re-runs the case analysis over the catalog and
 produces the complete table of (-1)-special quasi-homogeneous systems of tail
-multiplicity 6, organized by ``d - m0``.
+multiplicity 6, organized by ``d - m0``.  ``ClassificationRow.instances`` is
+the one definition of the systems a row covers: the generator's checks of its
+general rows and its search for single rows read it, as the table checks do.
 """
 
 from __future__ import annotations
@@ -461,8 +463,11 @@ def _family_rows(probe: int) -> list[ClassificationRow]:
     return rows
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _coverage(rows: Sequence[ClassificationRow], d_cap: int, n_limit: int) -> set[LinearSystem]:
+    """The systems of degree at most ``d_cap`` on at most ``n_limit`` tail points
+    that the family and general ``rows`` cover, as their ``instances`` yield them."""
+    return {sys for row in rows
+            for sys, *_ in row.instances(e_limit=n_limit // 2, d_cap=d_cap, n_limit=n_limit)}
 
 
 def _general_rows(families: list[ClassificationRow], probe: int) -> list[ClassificationRow]:
@@ -471,10 +476,9 @@ def _general_rows(families: list[ClassificationRow], probe: int) -> list[Classif
         x = 6 - mu
         q = _general_q(x)
         cx = x * (x - 1) // 2
+        offset_families = [fam for fam in families if fam.offset == x]
         boundary = []
-        for fam in families:
-            if fam.offset != x:
-                continue
+        for fam in offset_families:
             alpha, beta = fam.payload[0], fam.payload[1]
             # the family lies inside this row's range iff the row's ell
             # formula is nonnegative along it
@@ -482,60 +486,41 @@ def _general_rows(families: list[ClassificationRow], probe: int) -> list[Classif
             const = (x + 1) * beta - cx
             if slope > 0 or (slope == 0 and const >= 0):
                 boundary.append((alpha, beta))
-        # spot-check the formulas against the classifier
-        for n in range(1, probe + 2):
-            lo = _general_lower(x, n)
-            for d in range(lo, lo + 3):
-                sys = LinearSystem(d, (d - x,) + (6,) * n)
-                verdict = hh_dimension(sys)
-                if verdict.status != SPECIAL:
-                    raise RuntimeError(f"general x={x}: {sys} not special")
-                got = verdict.ell
-                want = _general_ell(x, d, n)
-                at_boundary = any(n % 2 == 0 and d == a * (n // 2) + b for a, b in boundary)
-                if at_boundary and got <= want:
-                    raise RuntimeError(f"general x={x}: no jump at boundary {sys}")
-                if not at_boundary and got != want:
-                    raise RuntimeError(f"general x={x}: ell mismatch at {sys}")
-            # just below the range the system may only be special through one
-            # of the x-offset parameter families
-            if lo - 1 - x >= 0:
-                below = LinearSystem(lo - 1, (lo - 1 - x,) + (6,) * n)
-                special = hh_dimension(below).status == SPECIAL
-                covered = any(n % 2 == 0 and lo - 1 == f.payload[0] * (n // 2) + f.payload[1]
-                              for f in families if f.offset == x)
-                if special and not covered:
-                    raise RuntimeError(f"general x={x}: range not sharp at {below}")
-        bound_num = f"{q}n" + (f"+{cx}" if cx else "")
-        den = x + 1
-        if den == 1:
-            bound = bound_num
-        elif cx:
-            bound = f"({bound_num})/{den}"
-        else:
-            bound = f"{q}n/{den}"
-        at_one = Fraction(q + cx, den)
-        flag = ""
-        if boundary:
-            conds = []
-            for alpha, beta in boundary:
-                if alpha % 2 == 0:
-                    expr = _linform([(alpha // 2, "n")], beta)
-                else:
-                    expr = f"{alpha}n/2" + ("" if beta == 0 else _linform([], beta)
-                                            if beta < 0 else f"+{beta}")
-                conds.append(f"d = {expr}")
-            flag = " or ".join(conds) + ", n even"
-        rows.append(ClassificationRow(
+        bound = _linform([(q, "n")], cx)
+        if x:
+            bound = (f"({bound})" if cx else bound) + f"/{x + 1}"
+        conds = " or ".join(
+            f"d = {_linform([(alpha // 2, 'n')] if alpha % 2 == 0 else [(alpha, 'n/2')], beta)}"
+            for alpha, beta in boundary)
+        row = ClassificationRow(
             offset=x,
             shape="general",
             system=f"L(d,{_linform([(1, 'd')], -x)},6^n)",
             v=_linform([(-21, "n"), (x + 1, "d")], -cx),
             ell=_linform([(-q, "n"), (x + 1, "d")], -cx),
-            range=f"d >= {bound} >= {_frac_str(at_one)}",
-            boundary_case=flag,
+            range=f"d >= {bound} >= {Fraction(q + cx, x + 1)}",
+            boundary_case=conds + ", n even" if conds else "",
             payload=(x, tuple(boundary)),
-        ))
+        )
+        # spot-check the row's first three degrees against the classifier
+        for sys, _, ell, at_boundary in row.instances(e_limit=2, n_limit=probe + 1):
+            verdict = hh_dimension(sys)
+            if verdict.status != SPECIAL:
+                raise RuntimeError(f"general x={x}: {sys} not special")
+            if at_boundary and verdict.ell <= ell:
+                raise RuntimeError(f"general x={x}: no jump at boundary {sys}")
+            if not at_boundary and verdict.ell != ell:
+                raise RuntimeError(f"general x={x}: ell mismatch at {sys}")
+        # just below the range the system may only be special through one
+        # of the x-offset parameter families
+        covered = _coverage(offset_families, _general_lower(x, probe + 1), probe + 1)
+        for n in range(1, probe + 2):
+            lo = _general_lower(x, n)
+            if lo - 1 - x >= 0:
+                below = LinearSystem(lo - 1, (lo - 1 - x,) + (6,) * n)
+                if hh_dimension(below).status == SPECIAL and below not in covered:
+                    raise RuntimeError(f"general x={x}: range not sharp at {below}")
+        rows.append(row)
     return rows
 
 
@@ -552,18 +537,18 @@ def _single_rows(families: list[ClassificationRow], generals: list[Classificatio
             candidates.append((12 - mu, 3))
     candidates.append((18, 7))
     candidates.append((24, 9))
+    covered = _coverage(families + generals, max(d for d, _ in candidates),
+                        max(n for _, n in candidates))
 
     rows = []
     seen = set()
     for d, n in sorted(set(candidates)):
         for m0 in range(0, d + 1):
             sys = LinearSystem(d, (m0,) + (6,) * n)
-            if sys.normalize() in seen:
+            if sys in covered or sys.normalize() in seen:
                 continue
             verdict = hh_dimension(sys)
             if verdict.status != SPECIAL:
-                continue
-            if _matches_parametric(sys, families, generals):
                 continue
             seen.add(sys.normalize())
             v = virtual_dim(sys)
@@ -581,21 +566,9 @@ def _single_rows(families: list[ClassificationRow], generals: list[Classificatio
     return rows
 
 
-def _matches_parametric(sys: LinearSystem, families, generals) -> bool:
-    d, m0, n = sys.degree, sys.m0, len(sys.tail)
-    x = d - m0
-    for fam in families:
-        if fam.offset != x or n % 2 != 0:
-            continue
-        alpha, beta, _, _, _, _, e_end = fam.payload
-        e = n // 2
-        if alpha * e + beta == d and (e_end == 0 or e <= e_end):
-            return True
-    for gen in generals:
-        gx = gen.payload[0]
-        if gx == x and d >= _general_lower(x, n):
-            return True
-    return False
+# generation time grows about as e_max^3 (about 1.2 s at 26); the acceptance suite
+# checks the table up to e = 26
+_E_MAX_LIMIT = 26
 
 
 def generate_classification(e_max: int = 4) -> tuple[ClassificationRow, ...]:
@@ -604,10 +577,13 @@ def generate_classification(e_max: int = 4) -> tuple[ClassificationRow, ...]:
     Rows are found by direct search over the catalog split cases and verified
     with the classifier; parameterized rows are fitted from instantiations
     (probing at least three parameter values regardless of ``e_max``) and
-    their validity ranges derived from the residual dimension.
+    their validity ranges derived from the residual dimension.  An ``e_max``
+    outside ``1..26`` raises ValueError before any work.
     """
     if e_max < 1:
         raise ValueError("e_max must be >= 1")
+    if e_max > _E_MAX_LIMIT:
+        raise ValueError(f"e_max must be <= {_E_MAX_LIMIT}")
     probe = max(e_max, 3)
     families = _family_rows(probe)
     generals = _general_rows(families, probe)

@@ -45,16 +45,15 @@ _CSV_HEADER = ["d_minus_m0", "system", "v", "ell", "range", "boundary_case"]
 
 def classification_to_csv(rows: tuple[ClassificationRow, ...]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for r in rows:
-        writer.writerow([r.offset, r.system, r.v, r.ell, r.range, r.boundary_case])
+    writer = csv.DictWriter(buf, fieldnames=_CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(classification_to_json(rows))
     return buf.getvalue()
 
 
 def classification_to_json(rows: tuple[ClassificationRow, ...]) -> list[dict]:
-    return [{"d_minus_m0": r.offset, "system": r.system, "v": r.v, "ell": r.ell,
-             "range": r.range, "boundary_case": r.boundary_case} for r in rows]
+    return [dict(zip(_CSV_HEADER, (r.offset, r.system, r.v, r.ell, r.range, r.boundary_case)))
+            for r in rows]
 
 
 # -- hard-case regression list -------------------------------------------------

@@ -1,6 +1,7 @@
-"""Every exported name resolves, none is exported twice, and the names the
-benchmark reads exist."""
+"""Every exported name resolves, none is exported twice, the names the
+benchmark reads exist, and every private helper of the package is used."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -43,3 +44,35 @@ def test_perfbench_names_resolve(module, name):
     for part in name.split("."):
         obj = getattr(obj, part)
     assert callable(obj) or isinstance(obj, property)
+
+
+# -- unused private helpers -----------------------------------------------------
+
+SRC = Path(fatpoints.__file__).resolve().parent
+
+
+def _private_definitions(tree):
+    """Module-level ``def _x``, ``class _x`` and ``_x = ...`` names of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{module}: {name}" for module, tree in trees.items()
+              for name in _private_definitions(tree) if name not in used]
+    assert not unused

@@ -361,6 +361,15 @@ class TestTableCommand:
         assert all(line.startswith("skip  ") and line.endswith("[0 instances]")
                    for line in lines[:-1])
 
+    @pytest.mark.parametrize("action", ["generate", "verify"])
+    def test_e_max_over_the_bound_refused_before_any_work(self, capsys, monkeypatch, action):
+        def no_classifier(L):
+            raise AssertionError("hh_dimension was called")
+        monkeypatch.setattr(neg_curves, "hh_dimension", no_classifier)
+        code, out, err = run(capsys, "table", action, "--e-max", "27")
+        assert code == 2 and out == ""
+        assert "error:" in err and "e_max must be <= 26" in err
+
 
 class TestCertificateFlow:
     def test_dump_and_check(self, capsys, tmp_path):

@@ -1,16 +1,21 @@
 """Catalog soundness, the splitting classifier, and the classification table."""
 
+import dataclasses
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
 
+from conftest import packaged_csv
+from fatpoints import neg_curves
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.degeneration import CertificateError, check_certificate
 from fatpoints.neg_curves import (CurveCatalogEntry, catalog, find_splittings,
                                   generate_classification, hh_dimension, is_minus_one_class,
                                   is_minus_one_special)
+from fatpoints.tables import classification_to_csv
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL
 
 
@@ -252,3 +257,30 @@ class TestGenerateClassification:
                     assert hh_dimension(sys).ell == ell
                 else:
                     assert hh_dimension(sys).ell > ell
+
+
+class TestCoverageFromInstances:
+    """The generator reads which systems a row covers from ``instances`` alone."""
+
+    def test_truncated_family_leaves_the_general_range_not_sharp(self):
+        # L(10e,10e-2,6^2e) cut at e = 1 no longer covers L(20,18,6^4), the
+        # special system just below the range of L(d,d-2,6^n) at n = 4
+        families = [dataclasses.replace(f, payload=f.payload[:6] + (1,))
+                    if f.system == "L(10e,10e-2,6^2e)" else f
+                    for f in neg_curves._family_rows(3)]
+        with pytest.raises(RuntimeError, match=re.escape(
+                "general x=2: range not sharp at L(20,18,6^4)")):
+            neg_curves._general_rows(families, 3)
+
+    def test_every_e_max_gives_the_packaged_table_with_the_same_classifier_calls(
+            self, monkeypatch):
+        calls = []
+        real = neg_curves.hh_dimension
+        monkeypatch.setattr(neg_curves, "hh_dimension", lambda L: calls.append(L) or real(L))
+        golden = packaged_csv("classification_table.csv")
+        counts = {}
+        for e_max in range(1, 7):
+            calls.clear()
+            assert classification_to_csv(generate_classification(e_max)) == golden
+            counts[e_max] = len(calls)
+        assert counts == {1: 310, 2: 310, 3: 310, 4: 375, 5: 440, 6: 505}
