@@ -458,12 +458,13 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
     if kind == "rank_oracle":
         trials = _typed(node["trials"], int, "the trials count of an oracle leaf")
         seed = _typed(node["seed"], int, "the seed of an oracle leaf")
-        try:
+        try:  # a field out of bounds, or a seed too long to write out for the point stream
             check_request(system, node["prime"], trials)
+            ell = None if replay_oracle else node["ell"]
+            leaf = _oracle_leaf(system, node["prime"], seed, trials, ell)
         except ValueError as err:
             raise CertificateError(f"rank oracle leaf: {err}") from None
-        ell = None if replay_oracle else node["ell"]
-        got = _rebuilt(node, _oracle_leaf(system, node["prime"], seed, trials, ell))
+        got = _rebuilt(node, leaf)
         if got != expected_dim(system):
             raise CertificateError("rank oracle certifies regular values only")
         return got

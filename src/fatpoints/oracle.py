@@ -56,6 +56,14 @@ infinity empty.  For random points over F_p that happens with probability
 about ``n^2 / p``.  With two points there is nothing to check, and with one
 only the origin is used.
 
+The matrix is built by array operations.  The powers ``x^j``, ``y^j`` of
+all points, like the falling factorials ``a (a-1) ... (a-r+1)``, are running
+products along one axis, taken by doubling in ``ceil(log2(d+1))`` steps.
+The points of a run of equal multiplicity ``m`` share their ``m(m+1)/2``
+derivative rows, which come from one gather and one product per block of
+about ``_CHUNK`` = 128 rows, written straight into the matrix; the blocks
+keep the temporaries small next to it.
+
 The rank is computed by blocked left-looking elimination after FFLAS-FFPACK
 (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008), over panels of 64 columns of
 the current Schur complement ``A``.  A panel keeps the multipliers ``F`` of
@@ -80,6 +88,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
 from math import isqrt
 
 import numpy as np
@@ -120,7 +129,7 @@ ORACLE_COLS_CAP = 5151
 ORACLE_MAX_TRIALS = 16
 
 _PANEL = 64   # columns eliminated per panel; the inner dimension of every product
-_CHUNK = 128  # rows per trailing-update product, to bound temporaries
+_CHUNK = 128  # rows per trailing-update product and per block built, to bound temporaries
 
 
 def check_prime(prime) -> None:
@@ -129,7 +138,8 @@ def check_prime(prime) -> None:
         raise ValueError(f"prime must be an integer, got {prime!r}")
     if not 2 <= prime < MAX_PRIME:
         raise ValueError(f"prime {prime} is outside the accepted range 2 <= p < 2^23")
-    if not all(map(prime.__mod__, range(2, isqrt(prime) + 1))):
+    odd_divisors = range(3, isqrt(prime) + 1, 2)  # after 2, only odd ones can divide
+    if prime % 2 == 0 and prime != 2 or not all(map(prime.__mod__, odd_divisors)):
         raise ValueError(f"{prime} is not prime")
 
 
@@ -154,9 +164,14 @@ class PrimeFieldMatrix:
 
 
 def monomial_exponents(degree: int) -> np.ndarray:
-    """Exponent pairs (a, b) with a + b <= degree, graded, x before y."""
-    exps = [(a, t - a) for t in range(degree + 1) for a in range(t, -1, -1)]
-    return np.array(exps, dtype=np.int64).reshape(-1, 2)
+    """Exponent pairs (a, b) with a + b <= degree, graded, x before y.
+
+    Column ``k`` of total degree ``t`` is the ``k - t(t+1)/2``-th of its
+    degree, so ``a = t(t+3)/2 - k``.
+    """
+    t = np.repeat(np.arange(degree + 1), np.arange(1, degree + 2))
+    a = t * (t + 3) // 2 - np.arange(len(t))
+    return np.stack([a, t - a], axis=1)
 
 
 def condition_count(L: LinearSystem) -> int:
@@ -167,22 +182,28 @@ def monomial_count(L: LinearSystem) -> int:
     return (L.degree + 1) * (L.degree + 2) // 2
 
 
-def _falling_table(values: np.ndarray, k: int, prime: int) -> np.ndarray:
-    """Row r holds values * (values-1) * ... * (values-r+1) mod prime, for r < k.
+def _mulmod(a: np.ndarray, b: np.ndarray, prime: int, out: np.ndarray | None = None):
+    """``a * b mod prime`` for residues ``a`` and ``b``, into ``out`` if given.
 
-    Reduced at every step so that orders beyond ~20 cannot overflow int64.
-    A value below r passes through the factor 0, so row r is exactly 0 there;
-    factors are at most the degree, hence never divisible by the prime.
+    Products stay below ``2^46``.  The remainder is taken as ``x - (x // p) p``,
+    which numpy computes several times faster than ``x % p`` for a scalar ``p``.
     """
-    out = np.ones((k, len(values)), dtype=np.int64)
-    for r in range(1, k):
-        out[r] = out[r - 1] * np.maximum(values - (r - 1), 0) % prime
+    out = np.multiply(a, b, out=out)
+    out -= out // prime * prime
     return out
 
 
-def _shifted_index(exps: np.ndarray, k: int) -> np.ndarray:
-    """Row r holds max(exps - r, 0), for r < k: the exponent left after r derivatives."""
-    return np.maximum(exps[None, :] - np.arange(k)[:, None], 0)
+def _prefix_products(factors: np.ndarray, prime: int) -> None:
+    """Running products mod ``prime`` along the last axis, in place: entry ``j``
+    becomes the product of the residues ``0..j``.
+
+    By doubling: after the step of width ``h`` each entry holds the product of
+    the up to ``2h`` factors that end at it, so ``ceil(log2 n)`` steps suffice.
+    """
+    h = 1
+    while h < factors.shape[-1]:
+        factors[..., h:] = _mulmod(factors[..., h:], factors[..., :-h], prime)
+        h *= 2
 
 
 def size_failure(L: LinearSystem) -> str | None:
@@ -225,13 +246,14 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
     slot order.  Requires pairwise distinct points and an input that
     :func:`check_request` accepts.
     Rows run over the points, then the derivative order, then the order of
-    the x-derivative from high to low.  With ``corners = (m0, m1, m2)``, the
+    the x-derivative from high to low; the row of the derivative ``(r, s)``
+    at ``(x, y)`` holds ``a!/(a-r)! x^(a-r) b!/(b-s)! y^(b-s)`` in the column
+    of ``x^a y^b``.  With ``corners = (m0, m1, m2)``, the
     multiplicities at ``[0:0:1]``, ``[1:0:0]`` and ``[0:1:0]``, only the
     columns of the monomials ``x^a y^b`` with ``a + b >= m0``, ``a <= d - m1``
     and ``b <= d - m2`` are built, in their usual order.
     """
     check_request(L, prime, 1)
-    d = L.degree
     positive = [m for m in L.mults if m > 0]
     points = [(int(x) % prime, int(y) % prime) for x, y in points]
     if len(points) != len(positive):
@@ -240,35 +262,50 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
     if len(set(points)) != len(points):
         raise ValueError("duplicate points")
 
-    m0, m1, m2 = corners
-    exps = monomial_exponents(d)
-    a, b = exps.T
-    exps = exps[(a + b >= m0) & (a <= d - m1) & (b <= d - m2)]
-    ax, ay = exps[:, 0], exps[:, 1]
-    cols = len(exps)
-    rows = condition_count(L)
-    data = np.empty((rows, cols), dtype=np.int64)
-    mmax = max(positive, default=0)
-    fx, fy = _falling_table(ax, mmax, prime), _falling_table(ay, mmax, prime)
-    ix, iy = _shifted_index(ax, mmax), _shifted_index(ay, mmax)
+    d, (m0, m1, m2) = L.degree, corners
+    ax, ay = monomial_exponents(d).T
+    keep = (ax + ay >= m0) & (ax <= d - m1) & (ay <= d - m2)
+    ax, ay = ax[keep], ay[keep]
+    data = np.empty((condition_count(L), len(ax)), dtype=np.int64)
+    if not positive:
+        return PrimeFieldMatrix(prime, *data.shape, data)
 
-    row = 0
-    for (x, y), m in zip(points, positive):
-        # power tables for this point
-        px = np.ones(d + 1, dtype=np.int64)
-        py = np.ones(d + 1, dtype=np.int64)
-        for t in range(1, d + 1):
-            px[t] = px[t - 1] * x % prime
-            py[t] = py[t - 1] * y % prime
-        # gx[r] is d^r/dx^r of x^a at x, gy[s] likewise in y
-        gx = fx[:m] * px[ix[:m]] % prime
-        gy = fy[:m] * py[iy[:m]] % prime
-        for order in range(m):
-            r = np.arange(order, -1, -1)
-            data[row:row + order + 1] = gx[r] * gy[order - r] % prime
-            row += order + 1
-    assert row == rows
-    return PrimeFieldMatrix(prime, rows, cols, data)
+    # powers[0, i, j] = x_i^j and powers[1, i, j] = y_i^j
+    powers = np.empty((2, len(points), d + 1), dtype=np.int64)
+    powers[:] = np.array(points, dtype=np.int64).T[:, :, None]
+    powers[:, :, 0] = 1
+    _prefix_products(powers, prime)
+    # falling[v, r] = v (v-1) ... (v-r+1) mod prime, which is 0 for r > v;
+    # its factors are at most the degree, hence units mod prime
+    mmax = max(positive)
+    falling = np.maximum(np.arange(1, d + 2)[:, None] - np.arange(mmax), 0)
+    falling[:, 0] = 1
+    _prefix_products(falling, prime)
+    # fx[r], ix[r]: the coefficient and the exponent of x that r x-derivatives leave
+    shift = np.arange(mmax)[:, None]
+    fx, ix = falling.T.take(ax, axis=1), np.maximum(ax - shift, 0)
+    fy, iy = falling.T.take(ay, axis=1), np.maximum(ay - shift, 0)
+
+    row = point = 0
+    for m, run in groupby(positive):
+        count = sum(1 for _ in run)
+        r, s = monomial_exponents(m - 1).T  # the derivatives at one point, in row order
+        size = count * len(r)
+        # whole points per block when one fits in _CHUNK rows, else _CHUNK rows
+        step = _CHUNK - _CHUNK % len(r) or _CHUNK
+        for start in range(0, size, step):
+            # the block's rows are derivative k at point i of the run
+            i, k = np.divmod(np.arange(start, min(start + step, size)), len(r))
+            span = slice(point + i[0], point + i[-1] + 1)
+            i -= i[0]
+            # gx[j, r] is d^r/dx^r of each monomial at the block's point j, gy likewise
+            gx = _mulmod(fx[:m], powers[0, span].take(ix[:m], axis=1), prime)
+            gy = _mulmod(fy[:m], powers[1, span].take(iy[:m], axis=1), prime)
+            out = data[row + start:row + start + len(k)]
+            _mulmod(gx[i, r[k]], gy[i, s[k]], prime, out=out)
+        row += size
+        point += count
+    return PrimeFieldMatrix(prime, *data.shape, data)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:

@@ -303,6 +303,14 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="seed"):
             check_certificate(cert, replay_oracle)
 
+    def test_oracle_leaf_with_a_seed_too_long_to_write_rejected(self):
+        # only in process: JSON cannot carry an int of more than 4300 digits
+        cert = json.loads(recursive_dim(L("L(19,0,6^10)")).dumps())
+        assert cert["trace"]["kind"] == "rank_oracle"
+        cert["trace"]["seed"] = 10 ** 5000
+        with pytest.raises(CertificateError, match="rank oracle leaf"):
+            check_certificate(cert)
+
     @pytest.mark.parametrize("field,value", [("trials", 17), ("prime", 7), ("prime", 701)])
     @pytest.mark.parametrize("replay_oracle", [True, False])
     def test_oracle_leaf_out_of_bounds_rejected(self, monkeypatch, field, value, replay_oracle):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ HARD_ORACLE_SYSTEMS = (
 )
 HARD_ORACLE_TRIALS_SHA256 = "115e6d51fecfe1d0a8ea72514a3a8ee52880cfa5da21ff2aa772128c2c6b31f7"
 
+# sha256 of "<rows> <cols>\n" and the int64 bytes of every matrix that
+# build_matrix returns for the table and hard-case trials above, in call order,
+# recorded before the build became array operations.
+TABLE_MATRICES_SHA256 = "642244b04d0797b6317c078418e6a04c1c6487c3982730ea562385cb4104248e"
+HARD_ORACLE_MATRICES_SHA256 = "4d9f5c132fa06f3ff00cf939a22e4c0af83520102351df113b379ab5d00ec11d"
+
 
 def L(text):
     return parse_system(text)
@@ -56,12 +63,20 @@ def _falling(values, k, prime):
     return out
 
 
-def reference_build_matrix(L, points, prime=DEFAULT_PRIME):
-    """One row per derivative (point, order, x-order high to low), built one at a time."""
+def reference_exponents(d):
+    """The graded column order, x before y, as a list."""
+    return [(a, t - a) for t in range(d + 1) for a in range(t, -1, -1)]
+
+
+def reference_build_matrix(L, points, prime=DEFAULT_PRIME, corners=(0, 0, 0)):
+    """One row per derivative (point, order, x-order high to low), built one at a time,
+    on the columns that ``corners`` keeps in ``build_matrix``."""
     d = L.degree
+    m0, m1, m2 = corners
     positive = [m for m in L.mults if m > 0]
-    exps = monomial_exponents(d)
-    ax, ay = exps[:, 0], exps[:, 1]
+    exps = np.array([(a, b) for a, b in reference_exponents(d)
+                     if a + b >= m0 and a <= d - m1 and b <= d - m2], dtype=np.int64)
+    ax, ay = exps.reshape(-1, 2).T
     data = np.zeros((condition_count(L), len(exps)), dtype=np.int64)
     row = 0
     for (x, y), m in zip(points, positive):
@@ -115,6 +130,21 @@ def _low_rank(rng, p, rows, cols, rank):
     return out
 
 
+def _hash_builds(monkeypatch):
+    """A sha256 that each later ``oracle.build_matrix`` call updates with its
+    matrix: the shape, then the bytes."""
+    digest = hashlib.sha256()
+    original = oracle.build_matrix
+
+    def hashing(*args, **kwargs):
+        M = original(*args, **kwargs)
+        digest.update(f"{M.rows} {M.cols}\n".encode() + M.data.tobytes())
+        return M
+
+    monkeypatch.setattr(oracle, "build_matrix", hashing)
+    return digest
+
+
 def _count_builds(monkeypatch):
     calls = []
     original = oracle.build_matrix
@@ -165,6 +195,45 @@ class TestBuildMatrix:
         points = oracle._sample_points(npoints, random.Random(seed), prime)
         got = build_matrix(sys, points, prime).data
         assert got.tobytes() == reference_build_matrix(sys, points, prime).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 24), st.lists(st.integers(0, 7), max_size=9),
+           st.tuples(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26)),
+           st.sampled_from([DEFAULT_PRIME, BIG_PRIME]), st.integers(0, 2**32))
+    @example(9, [6, 0, 2, 2, 6, 1], (3, 1, 2), DEFAULT_PRIME, 0)  # interleaved runs and a zero
+    @example(0, [1, 0, 2], (0, 0, 0), DEFAULT_PRIME, 1)  # degree 0
+    @example(1, [3], (1, 0, 0), DEFAULT_PRIME, 2)        # one point
+    @example(2, [], (1, 1, 1), DEFAULT_PRIME, 3)         # no points
+    @example(2, [0, 0], (0, 0, 0), BIG_PRIME, 4)         # only zero slots
+    @example(4, [2, 1], (5, 0, 0), DEFAULT_PRIME, 5)     # no column left
+    @example(20, [6] * 13 + [5, 6, 6], (4, 2, 2), DEFAULT_PRIME, 6)  # runs across blocks
+    @example(22, [17, 1, 16, 16], (2, 0, 3), BIG_PRIME, 7)  # points of over 128 rows
+    def test_corners_and_mixed_multiplicities_against_reference(self, d, mults, corners,
+                                                                 prime, seed):
+        sys = LinearSystem(d, tuple(mults))
+        points = oracle._sample_points(len([m for m in mults if m]), random.Random(seed), prime)
+        got = build_matrix(sys, points, prime, corners=corners).data
+        want = reference_build_matrix(sys, points, prime, corners)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_monomial_exponents_in_graded_order(self):
+        for d in (0, 1, 2, 7, 22, 100):
+            got = monomial_exponents(d)
+            assert got.dtype == np.int64
+            assert got.tolist() == [list(e) for e in reference_exponents(d)]
+
+    def test_memory_bounded(self):
+        # rows are built in blocks of about 128, so temporaries stay small next to the matrix
+        sys = L("L(62,0,6^94)")
+        points = oracle._sample_points(94, random.Random(0), DEFAULT_PRIME)
+        tracemalloc.start()
+        try:
+            M = build_matrix(sys, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.data.shape == (1974, 2016)
+        assert peak <= 1.5 * M.data.nbytes
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -246,11 +315,13 @@ class TestRank:
         M = PrimeFieldMatrix(BIG_PRIME, rows, cols, data)
         assert rank_ff(M) == reference_rank(data, BIG_PRIME)
 
-    def test_hard_case_oracle_trials_unchanged(self):
+    def test_hard_case_oracle_trials_unchanged(self, monkeypatch):
+        matrices = _hash_builds(monkeypatch)
         digest = hashlib.sha256()
         for name in HARD_ORACLE_SYSTEMS:
             digest.update(f"{name} {trial_dimensions(L(name), 0)}\n".encode())
         assert digest.hexdigest() == HARD_ORACLE_TRIALS_SHA256
+        assert matrices.hexdigest() == HARD_ORACLE_MATRICES_SHA256
 
     def test_memory_bounded_and_input_untouched(self):
         # the trailing products go by chunks of rows, and the caller's array
@@ -282,6 +353,29 @@ class TestRank:
         for bad in (32004, 9, 1, MAX_PRIME + 9, True, "32003", 32003.0):
             with pytest.raises(ValueError):
                 check_prime(bad)
+
+    def test_check_prime_accepts_exactly_the_primes(self):
+        def accepts(n):
+            try:
+                check_prime(n)
+            except ValueError:
+                return False
+            return True
+
+        def is_prime(n):  # the definition, by trial division
+            return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
+
+        sieve = np.ones(1 << 16, dtype=bool)
+        sieve[:2] = False
+        for k in range(2, 1 << 8):
+            if sieve[k]:
+                sieve[k * k::k] = False
+        assert [n for n in range(-3, 1 << 16) if accepts(n)] == sieve.nonzero()[0].tolist()
+        # squares and a product of the primes next to sqrt(2^23)
+        near = list(range(MAX_PRIME - 40, MAX_PRIME + 3)) + [2879 ** 2, 2887 ** 2, 2887 * 2897]
+        assert BIG_PRIME in near and 47 * 178481 in near
+        for n in near:
+            assert accepts(n) == (n < MAX_PRIME and is_prime(n)), n
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([101, DEFAULT_PRIME, BIG_PRIME]), st.integers(1, 150),
@@ -460,7 +554,8 @@ class TestProjectiveFrame:
         self._check(monkeypatch, 8, [3, 2, 2, 1],
                     [(5, 9), (1, 2), (2, 3), (0, DEFAULT_PRIME + 1)], (2, 2, 1))
 
-    def test_table_trials_unchanged(self):
+    def test_table_trials_unchanged(self, monkeypatch):
+        matrices = _hash_builds(monkeypatch)
         digest = hashlib.sha256()
         count = 0
         for row in classification_table(4):
@@ -469,6 +564,7 @@ class TestProjectiveFrame:
                 count += 1
         assert count == 272
         assert digest.hexdigest() == TABLE_TRIALS_SHA256
+        assert matrices.hexdigest() == TABLE_MATRICES_SHA256
 
 
 def certifies_regular(sys):
