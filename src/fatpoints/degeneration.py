@@ -14,11 +14,15 @@ system restricts to four numerical systems::
 limit, which by semicontinuity bounds the dimension of the original system
 from above.  Two sufficient criteria follow, both decided by
 ``criterion_failure``: one proving emptiness (for systems with negative
-virtual dimension) and one proving non-speciality, which the prover first
-applies to the four systems' predicted dimensions.  ``recursive_dim`` chains
-these with the speciality classifier, reduction to standard form (ending in a
-small base case or in the proof of the reduced system), and a finite-field
-rank fallback; a fixed-part removal proves only speciality or emptiness.
+virtual dimension) and one proving non-speciality.  The prover first applies
+it to numbers alone: the four systems' virtual dimensions in closed form, so
+that an attempt they refute builds no split, then the classifier's
+predictions for the pieces (``hh_prediction``, arithmetic on raw data), so
+that an attempt they refute solves no child.  ``recursive_dim`` chains these
+with the speciality classifier, reduction to standard form (ending in a small
+base case or in the proof of the reduced system), and a finite-field rank
+fallback; a fixed-part removal proves only speciality or emptiness, and only
+a system predicted special gets the ``hh_dimension`` trace of its removal.
 Every verdict carries a trace that ``check_certificate`` replays without
 search: it calls the same criterion and split arithmetic as the prover and
 rebuilds each leaf with the function that wrote it."""
@@ -26,16 +30,17 @@ rebuilds each leaf with the function that wrote it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Mapping
 
 from .core import (LinearSystem, SystemParseError, expected_dim, intersect, parse_system,
                    virtual_dim)
 from .cremona import (Move, cremona_vector, is_standard, next_move, replay_transcript,
                       standard_reduce)
-from .neg_curves import (check_regime, hh_dimension, is_catalog_curve, is_minus_one_class,
-                         speciality_failure, split_off)
-from .oracle import DEFAULT_PRIME, check_request, dimension_char_p, size_failure
+from .neg_curves import (check_regime, hh_dimension, hh_prediction, is_catalog_curve,
+                         is_minus_one_class, speciality_failure, split_off)
+from .oracle import DEFAULT_PRIME, check_request, check_settings, dimension_char_p, size_failure
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict, status_failure
 
 __all__ = [
@@ -64,6 +69,10 @@ class DegenerationSplit:
         """The four restricted systems by name, in the order the prover solves them."""
         return {"plane": self.plane, "ruled": self.ruled,
                 "plane_kernel": self.plane_kernel, "ruled_kernel": self.ruled_kernel}
+
+    def dims(self) -> dict[str, int]:
+        """The virtual dimension of each restricted system, by name."""
+        return {name: virtual_dim(s) for name, s in self.parts().items()}
 
 
 def degenerate(L: LinearSystem, k: int, b: int) -> DegenerationSplit:
@@ -110,32 +119,34 @@ def limit_value(d_minus_k: int, ell_plane: int, ell_ruled: int,
 
 
 _NONSPECIAL = (REGULAR, EMPTY)
-_dimension = attrgetter("status", "ell")  # a verdict's (status, ell), as the criterion reads it
+_dimension = attrgetter("status", "ell")  # a proof's (status, ell), as the criterion reads it
 
 
-def criterion_failure(rule: str, split: DegenerationSplit, v: int,
+def criterion_failure(rule: str, dims: Mapping[str, int], v: int,
                       child: Callable[[str], tuple[str, int | None]]) -> str | None:
-    """Why ``split`` does not prove ``rule`` for its base system, or None when it does.
+    """Why a (k, b)-degeneration does not prove ``rule`` for its base system,
+    or None when it does.
 
-    ``v`` is the virtual dimension of the base system and ``child(name)`` the
-    ``(status, ell)`` of that piece of :meth:`DegenerationSplit.parts`, looked
-    up in their order only while no condition has failed.  ``empty`` (proving
-    ell = -1) needs v <= -1, v(plane_kernel) <= v, v(ruled_kernel) <= -1, then
-    non-special restrictions and empty kernels; ``nonspecial`` (proving ell =
-    expected) needs v >= -1 and restrictions with v >= -1, then non-special
+    ``v`` is the virtual dimension of the base system, ``dims`` that of each
+    piece of :meth:`DegenerationSplit.parts` by name, and ``child(name)`` the
+    ``(status, ell)`` of that piece, looked up in their order only while no
+    condition has failed.  ``empty`` (proving ell = -1) needs v <= -1,
+    v(plane_kernel) <= v, v(ruled_kernel) <= -1, then non-special
+    restrictions and empty kernels; ``nonspecial`` (proving ell = expected)
+    needs v >= -1 and restrictions with v >= -1, then non-special
     restrictions and ell(plane_kernel) + ell(ruled_kernel) <= v - 1.
     """
     if rule == "empty":
         if v > -1:
             return "emptiness rule needs v <= -1"
-        if virtual_dim(split.plane_kernel) > v:
+        if dims["plane_kernel"] > v:
             return "emptiness rule needs v(plane_kernel) <= v"
-        if virtual_dim(split.ruled_kernel) > -1:
+        if dims["ruled_kernel"] > -1:
             return "emptiness rule needs v(ruled_kernel) <= -1"
     elif rule == "nonspecial":
         if v < -1:
             return "non-speciality rule needs v >= -1"
-        if virtual_dim(split.plane) < -1 or virtual_dim(split.ruled) < -1:
+        if dims["plane"] < -1 or dims["ruled"] < -1:
             return "non-speciality rule needs restriction v >= -1"
     else:
         return f"unknown degeneration rule {rule!r}"
@@ -211,14 +222,14 @@ class _Ctx:
     def __init__(self, budget: Budget):
         self.budget = budget
         self.memo: dict[LinearSystem, DimVerdict] = {}
-        self.removals: dict[LinearSystem, DimVerdict] = {}
+        self.removals: dict[LinearSystem, tuple[str, int]] = {}
         self.nodes = 0
 
-    def removal(self, L: LinearSystem) -> DimVerdict:
-        """``hh_dimension(L)``, computed once per run: the classifier's prediction."""
+    def removal(self, L: LinearSystem) -> tuple[str, int]:
+        """The classifier's prediction ``hh_prediction(L)``, computed once per run."""
         hit = self.removals.get(L)
         if hit is None:
-            hit = self.removals[L] = hh_dimension(L)
+            hit = self.removals[L] = hh_prediction(L)
         return hit
 
 
@@ -235,10 +246,14 @@ def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
     run solves each distinct system once and at most ``_MAX_NODES`` of them
     (beyond that, ``budget exhausted``); short of that bound a system's
     verdict and trace depend on the system alone, not on where the search
-    first met it.
+    first met it.  With the oracle on, a bad prime or trial count raises
+    ValueError before any system is solved.
     """
     check_regime(L)
-    return _solve(L.normalize(), _Ctx(budget or Budget()))
+    budget = budget or Budget()
+    if budget.use_oracle:
+        check_settings(budget.prime, budget.trials)
+    return _solve(L.normalize(), _Ctx(budget))
 
 
 # The recursion ends: ``(degree, number of tail points)`` strictly decreases
@@ -264,9 +279,8 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
     if leaf is not None:
         return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
 
-    removal = ctx.removal(L)
-    if removal.status == SPECIAL:
-        return DimVerdict(SPECIAL, removal.ell, L, removal.trace)
+    if ctx.removal(L)[0] == SPECIAL:
+        return hh_dimension(L)  # the one node whose removal trace a certificate holds
 
     reduced = _conclude_from_reduction(L, ctx)
     if reduced is not None:
@@ -328,31 +342,53 @@ def _scan_degenerations(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
         if not 1 <= k < d:
             continue
         for b in candidates:
-            split = degenerate(L, k, b)
+            attempt = _Attempt(L, k, b)
             for rule in ("empty", "nonspecial"):
-                node = _try(split, rule, ctx)
+                node = _try(attempt, rule, ctx)
                 if node is not None:
                     return DimVerdict(_status(node["ell"]), node["ell"], L, node)
     return None
 
 
-def _try(split: DegenerationSplit, rule: str, ctx: _Ctx) -> dict | None:
-    """The node proving ``rule`` for the base of ``split``, or None.
+class _Attempt:
+    """The (k, b)-degeneration of a normalized system ``L`` as the scan judges
+    it: the virtual dimensions of ``L`` and of its four pieces in closed form,
+    and the pieces themselves, built by :func:`degenerate` when a prediction
+    or a proof first reads one."""
 
-    :func:`criterion_failure` decides twice: on the classifier's predicted
-    dimensions of the pieces, so that an attempt they refute solves no child,
-    then on the proofs of all four.  A proof that differed from its prediction
-    would refute the classifier; the checker reads no prediction.
+    def __init__(self, L: LinearSystem, k: int, b: int):
+        d, m0, n = L.degree, L.m0, len(L.tail)
+        c = L.tail[0] * (L.tail[0] + 1) if n else 0  # twice the conditions of one tail point
+
+        def v(e: int, a: int, r: int) -> int:  # virtual_dim(L(e, a, m^r))
+            return (e * (e + 3) - a * (a + 1) - r * c) // 2
+        self.base, self.k, self.b, self.v = L, k, b, v(d, m0, n)
+        self.dims = {"plane": v(d - k, m0, n - b), "ruled": v(d, d - k, b),
+                     "plane_kernel": v(d - k - 1, m0, n - b), "ruled_kernel": v(d, d - k + 1, b)}
+
+    @cached_property
+    def parts(self) -> dict[str, LinearSystem]:
+        return degenerate(self.base, self.k, self.b).parts()
+
+
+def _try(attempt: _Attempt, rule: str, ctx: _Ctx) -> dict | None:
+    """The node proving ``rule`` for the base of ``attempt``, or None.
+
+    :func:`criterion_failure` decides twice.  First on numbers: the pieces'
+    virtual dimensions, so that an attempt they refute builds no split, then
+    the classifier's predictions for the pieces, so that an attempt they
+    refute solves no child.  Then on the proofs of all four.  A proof that
+    differed from its prediction would refute the classifier; the checker
+    reads no prediction.
     """
-    L, parts = split.base, split.parts()
-    v = virtual_dim(L)
-    if criterion_failure(rule, split, v, lambda name: _dimension(ctx.removal(parts[name]))):
+    L, dims, v = attempt.base, attempt.dims, attempt.v
+    if criterion_failure(rule, dims, v, lambda name: ctx.removal(attempt.parts[name])):
         return None
-    children = {name: _solve(s, ctx) for name, s in parts.items()}
-    if criterion_failure(rule, split, v, lambda name: _dimension(children[name])):
+    children = {name: _solve(s, ctx) for name, s in attempt.parts.items()}
+    if criterion_failure(rule, dims, v, lambda name: _dimension(children[name])):
         return None
-    return {"kind": "degeneration", "system": str(L), "k": split.k, "b": split.b, "rule": rule,
-            "ell": _proved_ell(rule, L),
+    return {"kind": "degeneration", "system": str(L), "k": attempt.k, "b": attempt.b,
+            "rule": rule, "ell": _proved_ell(rule, L),
             "children": {name: c.to_json() for name, c in children.items()}}
 
 
@@ -519,12 +555,12 @@ def _split(raw, what: str, d: int, m: tuple[int, ...]):
 
 def _check_removal(node: dict, system: LinearSystem) -> int:
     d, m = system.degree, system.mults
-    pieces: list[tuple[LinearSystem, int]] = []
+    pieces = []
     for step in _typed(node["steps"], list, "the step list of a removal"):
         curve, n, d, m = _split(step, "a removal step", d, m)
         if min(d, *m) < 0:
             raise CertificateError("split walks out of the effective cone")
-        pieces.append((curve, n))
+        pieces.append(((curve.degree, curve.mults), n))
     rejected = node["rejected"]  # JSON null, or a split object
     if rejected is not None:
         _, _, rest_d, rest = _split(rejected, "a rejected split", d, m)
@@ -535,7 +571,7 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
         return -1
     residual = LinearSystem(d, m)  # as the prover writes it: not normalized
     _restates(node["residual"], residual)
-    reason = speciality_failure(pieces, residual)
+    reason = speciality_failure(pieces, (d, m))
     if reason is not None:  # a removal proves speciality or emptiness, never expected values
         raise CertificateError(f"removal proves no speciality: {reason}")
     if node["special"] is not True:
@@ -563,7 +599,7 @@ def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -
         _check_verdict(child, parts[name], replay_oracle)
         return child["status"], child["ell"]
     rule = node["rule"]
-    reason = criterion_failure(rule, split, virtual_dim(system), checked)
+    reason = criterion_failure(rule, split.dims(), virtual_dim(system), checked)
     if reason is not None:
         raise CertificateError(reason)
     ell = _proved_ell(rule, system)

@@ -14,9 +14,12 @@ tail.  The module keeps no cache.
 
 A system is ``(-1)-special`` when some catalog curve splits off at least
 twice and the residual system, after all fixed (-1)-parts are removed, still
-has nonnegative virtual dimension.  ``hh_dimension`` turns the same removal
-into a dimension value: the dimension of a special system equals the expected
-dimension of its residual.  ``split_off`` (the arithmetic of one split) and
+has nonnegative virtual dimension.  The removal turns into a dimension value:
+the dimension of a special system equals the expected dimension of its
+residual.  ``hh_prediction`` computes that ``(status, ell)`` on raw
+``(degree, mults)`` data and builds no system: it is the prover's prediction
+for every piece it meets.  ``hh_dimension`` is the same value with the trace
+that a certificate holds.  ``split_off`` (the arithmetic of one split) and
 ``speciality_failure`` (the speciality rule) are written once here; the
 certificate checker replays removals with the same two functions.
 
@@ -34,10 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, zip_longest
 from math import comb
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import (LinearSystem, arithmetic_genus, expected_dim, format_system, intersect,
-                   slot_order, virtual_dim)
+from .core import (LinearSystem, arithmetic_genus, format_system, intersect, slot_order,
+                   vector_dim, virtual_dim)
 from .verdict import EMPTY, REGULAR, SPECIAL, DimVerdict
 
 __all__ = [
@@ -50,6 +54,7 @@ __all__ = [
     "catalog",
     "find_splittings",
     "is_minus_one_special",
+    "hh_prediction",
     "hh_dimension",
     "speciality_failure",
     "split_off",
@@ -186,22 +191,23 @@ def split_off(d: int, mults: tuple[int, ...], n: int, curve_degree: int,
         x - n * y for x, y in zip_longest(mults, curve_mults, fillvalue=0)])
 
 
-def speciality_failure(pieces: Sequence[tuple[LinearSystem, int]],
-                       residual: LinearSystem) -> str | None:
+def speciality_failure(pieces: Sequence[tuple[tuple[int, tuple[int, ...]], int]],
+                       residual: tuple[int, tuple[int, ...]]) -> str | None:
     """Why removing ``pieces`` down to ``residual`` does not make a system
     (-1)-special, or None when it does.
 
-    ``pieces`` are ``(curve, n)`` pairs.  (-1)-special means: some curve
-    splits off at least twice, the residual has nonnegative virtual
-    dimension, and the curves are pairwise disjoint.
+    ``pieces`` are ``(curve, n)`` pairs; each curve, like the residual, is raw
+    ``(degree, mults)`` data.  (-1)-special means: some curve splits off at
+    least twice, the residual has nonnegative virtual dimension, and the
+    curves are pairwise disjoint.
     """
     if max((n for _, n in pieces), default=0) < 2:
         return "no curve splits off twice"
-    if virtual_dim(residual) < 0:
+    if vector_dim(*residual) < 0:
         return "the residual has negative virtual dimension"
-    for (a, _), (b, _) in combinations(pieces, 2):
-        if intersect(a, b) != 0:
-            return f"split curves meet: {a} . {b} != 0"
+    for ((da, ma), _), ((db, mb), _) in combinations(pieces, 2):
+        if da * db != sum(map(mul, ma, mb)):  # the pairing; zip stops where zeros would pad
+            return f"split curves meet: {format_system(da, ma)} . {format_system(db, mb)} != 0"
     return None
 
 
@@ -307,8 +313,29 @@ def is_minus_one_special(L: LinearSystem) -> tuple[bool, DimVerdict | None]:
     return (True, verdict) if verdict.status == SPECIAL else (False, None)
 
 
+def hh_prediction(L: LinearSystem) -> tuple[str, int]:
+    """``(status, ell)`` of :func:`hh_dimension`, without its trace: the split
+    chain on raw ``(degree, mults)`` data, judged by :func:`speciality_failure`.
+
+    Sound in the same regime; other systems raise the same ValueError.
+    """
+    check_regime(L)
+    return _judged(*_split_chain(L))
+
+
+def _judged(steps, residual, rejected) -> tuple[str, int]:
+    """``(status, ell)`` of the outcome of :func:`_split_chain`."""
+    if rejected is not None:
+        return EMPTY, -1
+    ell = max(-1, vector_dim(*residual))
+    if speciality_failure(steps, residual) is None:
+        return SPECIAL, ell
+    return (EMPTY if ell == -1 else REGULAR), ell
+
+
 def hh_dimension(L: LinearSystem) -> DimVerdict:
-    """Dimension predicted by iterated removal of fixed (-1)-parts.
+    """Dimension predicted by iterated removal of fixed (-1)-parts, with the
+    trace that ``check_certificate`` replays.
 
     Sound for quasi-homogeneous systems of tail multiplicity at most 6 (the
     classified range); other systems raise ValueError.
@@ -316,20 +343,13 @@ def hh_dimension(L: LinearSystem) -> DimVerdict:
     check_regime(L)
     base = L.normalize()
     steps, residual, rejected = _split_chain(base)
-    if rejected is None:
-        residual = LinearSystem(*residual)
-        ell = expected_dim(residual)
-        pieces = [(LinearSystem(*curve), n) for curve, n in steps]
-        special = speciality_failure(pieces, residual) is None
-    else:
-        curve, n = rejected
-        ell, special = -1, False
-        rejected = {"curve": format_system(*curve), "n": n}
+    status, ell = _judged(steps, residual, rejected)
     trace = {"kind": "fixed_part_removal", "system": str(base),
              "steps": [{"curve": format_system(*curve), "n": n} for curve, n in steps],
-             "residual": None if residual is None else str(residual),
-             "rejected": rejected, "special": special, "ell": ell}
-    status = SPECIAL if special else EMPTY if ell == -1 else REGULAR
+             "residual": None if residual is None else format_system(*residual),
+             "rejected": None if rejected is None else {"curve": format_system(*rejected[0]),
+                                                        "n": rejected[1]},
+             "special": status == SPECIAL, "ell": ell}
     return DimVerdict(status, ell, base, trace)
 
 

@@ -78,7 +78,9 @@ product per chunk of rows.  Every product in the panel and after it has
 inner dimension at most 64 over residues, so each entry is below
 ``64 (p-1)^2 + p < 2^52`` for ``p < 2^23`` and the float64 arithmetic is exact.
 Hence only primes ``p < 2^23`` are accepted, at every entry point:
-the trial functions, ``build_matrix`` and ``PrimeFieldMatrix``.
+the trial functions, ``build_matrix`` and ``PrimeFieldMatrix``.  A request
+tests its prime once: the checked value is passed on as a ``_CheckedPrime``,
+which the later checks of its matrices take without testing it again.
 
 Matrices are reproducible from ``(system, seed, prime)``: the point stream is
 seeded deterministically and the column order is fixed graded-lex.
@@ -100,6 +102,7 @@ __all__ = [
     "MAX_PRIME",
     "PrimeFieldMatrix",
     "check_prime",
+    "check_settings",
     "check_request",
     "size_failure",
     "build_matrix",
@@ -143,6 +146,12 @@ def check_prime(prime) -> None:
         raise ValueError(f"{prime} is not prime")
 
 
+class _CheckedPrime(int):
+    """A prime that :func:`check_prime` accepted, so that no later check of the
+    same request tests it again.  Numpy takes it more slowly than an ``int``,
+    so matrices store and compute with the plain value."""
+
+
 @dataclass(frozen=True)
 class PrimeFieldMatrix:
     """A ``rows x cols`` matrix over F_prime: a 2-D integer array of residues."""
@@ -153,7 +162,9 @@ class PrimeFieldMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        check_prime(self.prime)
+        if type(self.prime) is not _CheckedPrime:
+            check_prime(self.prime)
+        object.__setattr__(self, "prime", int(self.prime))  # for rank_ff's numpy arithmetic
         if not (isinstance(self.data, np.ndarray) and self.data.ndim == 2
                 and self.data.dtype.kind in "iu"):
             raise ValueError("data must be a 2-D numpy array of integers")
@@ -219,23 +230,35 @@ def size_failure(L: LinearSystem) -> str | None:
     return None
 
 
-def check_request(L: LinearSystem, prime, trials: int) -> None:
+def check_settings(prime, trials: int) -> _CheckedPrime:
+    """The checks of :func:`check_request` that read no system: raise ValueError
+    unless ``prime`` passes :func:`check_prime` and ``1 <= trials <=
+    ORACLE_MAX_TRIALS``.  Returns the checked prime."""
+    if type(prime) is not _CheckedPrime:
+        check_prime(prime)
+        prime = _CheckedPrime(prime)
+    if not 1 <= trials <= ORACLE_MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{ORACLE_MAX_TRIALS}, got {trials}")
+    return prime
+
+
+def check_request(L: LinearSystem, prime, trials: int) -> _CheckedPrime:
     """Raise ValueError unless the oracle takes ``L`` over F_prime for ``trials``
-    trials: a usable field, bounded trials and a bounded matrix (:func:`size_failure`),
-    and room for the points."""
-    check_prime(prime)
+    trials: a usable field and bounded trials (:func:`check_settings`), a prime
+    above the degree, a bounded matrix (:func:`size_failure`), and room for the
+    points.  Returns the checked prime."""
+    prime = check_settings(prime, trials)
     if prime <= L.degree:
         raise ValueError(f"prime {prime} must exceed the degree {L.degree}")
     if max(L.mults, default=0) > 1 and prime <= 720:
         raise ValueError("prime too small for derivative coefficients of order < 7")
-    if not 1 <= trials <= ORACLE_MAX_TRIALS:
-        raise ValueError(f"trials must be in 1..{ORACLE_MAX_TRIALS}, got {trials}")
     reason = size_failure(L)
     if reason is not None:
         raise ValueError(reason)
     npoints = sum(m > 0 for m in L.mults)
     if npoints > (prime - 1) ** 2:
         raise ValueError(f"{npoints} distinct points do not fit in F_{prime}^2 minus the axes")
+    return prime
 
 
 def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
@@ -253,7 +276,8 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
     columns of the monomials ``x^a y^b`` with ``a + b >= m0``, ``a <= d - m1``
     and ``b <= d - m2`` are built, in their usual order.
     """
-    check_request(L, prime, 1)
+    checked = check_request(L, prime, 1)
+    prime = int(checked)  # numpy computes more slowly with an int subclass
     positive = [m for m in L.mults if m > 0]
     points = [(int(x) % prime, int(y) % prime) for x, y in points]
     if len(points) != len(positive):
@@ -268,7 +292,7 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
     ax, ay = ax[keep], ay[keep]
     data = np.empty((condition_count(L), len(ax)), dtype=np.int64)
     if not positive:
-        return PrimeFieldMatrix(prime, *data.shape, data)
+        return PrimeFieldMatrix(checked, *data.shape, data)
 
     # powers[0, i, j] = x_i^j and powers[1, i, j] = y_i^j
     powers = np.empty((2, len(points), d + 1), dtype=np.int64)
@@ -305,7 +329,7 @@ def build_matrix(L: LinearSystem, points, prime: int = DEFAULT_PRIME, *,
             _mulmod(gx[i, r[k]], gy[i, s[k]], prime, out=out)
         row += size
         point += count
-    return PrimeFieldMatrix(prime, *data.shape, data)
+    return PrimeFieldMatrix(checked, *data.shape, data)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -430,7 +454,7 @@ def _trial_dimension(degree: int, mults: list[int], points: list[tuple[int, int]
 
 def _trials(L: LinearSystem, seed: int, prime: int, trials: int):
     """Yield the dimension ``cols - 1 - rank`` of each independently seeded trial."""
-    check_request(L, prime, trials)
+    prime = check_request(L, prime, trials)
     mults = [m for m in L.mults if m > 0]
     for trial in range(trials):
         rng = random.Random(f"fatpoints:{seed}:{trial}")

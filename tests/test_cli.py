@@ -77,6 +77,25 @@ class TestDim:
         doc = json.loads(out)
         assert doc["status"] == "unknown" and doc["trace"]["reason"] == "budget exhausted"
 
+    @pytest.mark.parametrize("system", ["L(5,2,6^3)", "L(19,0,6^10)"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--prime", "4", "4 is not prime"),
+        ("--prime", str(1 << 23), "outside the accepted range"),
+        ("--trials", "0", "trials must be in 1..16, got 0"),
+        ("--trials", "17", "trials must be in 1..16, got 17"),
+    ])
+    def test_bad_oracle_field_exits_2_before_any_node(self, capsys, monkeypatch, system, flag,
+                                                      value, message):
+        # L(5,2,6^3) needs no oracle, and L(19,0,6^10) reaches it only after its scan
+        solved = []
+        fresh = degeneration._solve_fresh
+        monkeypatch.setattr(degeneration, "_solve_fresh",
+                            lambda S, ctx: solved.append(S) or fresh(S, ctx))
+        code, out, err = run(capsys, "dim", system, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert solved == []
+
     def test_budget_flag_is_gone(self, capsys):
         code, out, err = run(capsys, "dim", "L(12,3,6^4)", "--budget", "2")
         assert code == 2 and out == ""

@@ -13,9 +13,9 @@ from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, positio
 from fatpoints import degeneration, oracle
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.cremona import cremona_vector
-from fatpoints.degeneration import (Budget, CertificateError, _Ctx, _is_minus_one_curve, _try,
-                                    check_certificate, criterion_failure, degenerate, limit_value,
-                                    recursive_dim)
+from fatpoints.degeneration import (Budget, CertificateError, _Attempt, _Ctx,
+                                    _is_minus_one_curve, _try, check_certificate,
+                                    criterion_failure, degenerate, limit_value, recursive_dim)
 from fatpoints.neg_curves import catalog, hh_dimension, is_catalog_curve
 from fatpoints.oracle import dimension_char_p
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
@@ -65,6 +65,18 @@ class TestDegenerate:
             s = degenerate(sys, k, b)  # identity asserted inside
             assert virtual_dim(s.plane) + virtual_dim(s.ruled_kernel) == virtual_dim(sys) - 1
 
+    def test_closed_form_dims_match_the_split(self):
+        # the numbers the prover judges an attempt on are those of the split it would build
+        rng = random.Random(41)
+        for _ in range(1000):
+            d = rng.randint(2, 40)
+            n = rng.randint(0, 12)
+            m = rng.randint(1, 6)
+            sys = LinearSystem(d, (rng.randint(0, d + 3),) + (m,) * n)
+            k, b = rng.randint(1, d - 1), rng.randint(0, n)
+            attempt = _Attempt(sys, k, b)
+            assert (attempt.v, attempt.dims) == (virtual_dim(sys), degenerate(sys, k, b).dims())
+
 
 class TestLimitValue:
     def test_empty_kernels_transversal(self):
@@ -98,9 +110,36 @@ def _no_child(name):
     raise AssertionError(f"the criterion looked up {name}")
 
 
+class _ReachedChild(Exception):
+    pass
+
+
+def _passes_numbers(attempt, rule):
+    """Whether the conditions of ``rule`` that need no child hold for ``attempt``."""
+    def child(name):
+        raise _ReachedChild
+    try:
+        criterion_failure(rule, attempt.dims, attempt.v, child)
+    except _ReachedChild:
+        return True
+    return False
+
+
+def _count_splits(monkeypatch):
+    """The ``(system, k, b)`` of each later ``degeneration.degenerate`` call."""
+    calls = []
+    split = degeneration.degenerate
+
+    def counted(system, k, b):
+        calls.append((system, k, b))
+        return split(system, k, b)
+    monkeypatch.setattr(degeneration, "degenerate", counted)
+    return calls
+
+
 def proves(system, k, b, rule):
     """Whether the prover's (k, b)-degeneration attempt at ``rule`` succeeds."""
-    return _try(degenerate(L(system), k, b), rule, _Ctx(Budget())) is not None
+    return _try(_Attempt(L(system), k, b), rule, _Ctx(Budget())) is not None
 
 
 class TestCriteria:
@@ -128,7 +167,7 @@ class TestCriteria:
     def test_emptiness_needs_a_ruled_kernel_of_negative_v_before_any_child(self):
         # v = -21 and v(plane_kernel) = -36, but the ruled kernel L(18,14,6^4) has v = 0
         split = degenerate(L("L(18,0,6^10)"), 5, 4)
-        assert criterion_failure("empty", split, -21, _no_child) == \
+        assert criterion_failure("empty", split.dims(), -21, _no_child) == \
             "emptiness rule needs v(ruled_kernel) <= -1"
 
     def test_predictions_refute_before_any_child_is_solved(self, monkeypatch):
@@ -138,9 +177,33 @@ class TestCriteria:
         solve = degeneration._solve
         monkeypatch.setattr(degeneration, "_solve",
                             lambda system, ctx: solved.append(system) or solve(system, ctx))
-        split = degenerate(L("L(10,0,6^2)"), 5, 1)
-        assert _try(split, "nonspecial", _Ctx(Budget())) is None
+        attempt = _Attempt(L("L(10,0,6^2)"), 5, 1)
+        assert _try(attempt, "nonspecial", _Ctx(Budget())) is None
         assert solved == []
+
+    def test_attempt_refuted_on_numbers_builds_no_split(self, monkeypatch):
+        # each attempt builds its split once if the numbers of either rule pass, else never
+        box = [LinearSystem(d, (m0,) + (6,) * n)
+               for d in range(2, 13) for m0 in range(d + 1) for n in range(1, 7)]
+        calls = _count_splits(monkeypatch)
+        tried = refuted = 0
+        for system in box:
+            ctx = _Ctx(Budget())
+            for k in (5, 6):
+                for b in range(len(system.tail)):
+                    if k >= system.degree:
+                        continue
+                    calls.clear()
+                    attempt = _Attempt(system, k, b)
+                    for rule in ("empty", "nonspecial"):
+                        _try(attempt, rule, ctx)
+                    viable = any(_passes_numbers(attempt, rule)
+                                 for rule in ("empty", "nonspecial"))
+                    assert [c for c in calls if c[0] == system] == \
+                        ([(system, k, b)] if viable else []), (str(system), k, b)
+                    tried += 1
+                    refuted += not viable
+        assert 0 < refuted < tried
 
     def test_never_both(self):
         assert virtual_dim(L("L(12,0,6^10)")) < -1
@@ -172,20 +235,41 @@ class TestRecursiveDim:
         assert (v.status, v.ell) == (REGULAR, 0)
 
     def test_one_degeneration_per_k_and_b(self, monkeypatch):
-        # v = -1: both rules apply, and each (k, b) split is built once for both
-        calls = []
-        split = degeneration.degenerate
-
-        def counted(system, k, b):
-            calls.append((system, k, b))
-            return split(system, k, b)
-        monkeypatch.setattr(degeneration, "degenerate", counted)
+        # v = -1: both rules apply, and each (k, b) split is built once for both;
+        # a (k, b) that both rules refute on virtual dimensions builds none
+        calls = _count_splits(monkeypatch)
         system = L("L(19,0,6^10)")
         assert virtual_dim(system) == -1
         recursive_dim(system, Budget(use_oracle=False))
         assert len(calls) == len(set(calls))
-        assert sorted((k, b) for s, k, b in calls if s == system) == [
-            (k, b) for k in (5, 6) for b in range(10)]
+        viable = [(5, 5), (6, 5)]
+        assert sorted((k, b) for s, k, b in calls if s == system) == viable
+        refuted = [(k, b) for k in (5, 6) for b in range(10) if (k, b) not in viable]
+        for k, b in refuted:
+            attempt = _Attempt(system, k, b)
+            assert not any(_passes_numbers(attempt, rule) for rule in ("empty", "nonspecial"))
+            assert (system, k, b) not in calls
+        assert all(_passes_numbers(_Attempt(system, k, b), "empty") for k, b in viable)
+
+    def test_classifier_trace_only_for_special_verdicts(self, monkeypatch):
+        # over the criterion-7 box, hh_dimension runs only on systems proved special
+        traced = []
+        real = degeneration.hh_dimension
+
+        def recorded(S):
+            traced.append(real(S))
+            return traced[-1]
+        monkeypatch.setattr(degeneration, "hh_dimension", recorded)
+        budget = Budget()
+        special = set()
+        for d in range(21):
+            for n in range(7):
+                for m0 in range(d + 1):
+                    verdict = recursive_dim(LinearSystem(d, (m0,) + (6,) * n), budget)
+                    if verdict.status == SPECIAL:
+                        special.add(verdict.system)
+        assert traced and all(v.status == SPECIAL for v in traced)
+        assert special <= {v.system for v in traced}
 
     def test_out_of_methods_without_oracle_is_unknown(self):
         v = recursive_dim(L("L(19,5,6^9)"), Budget(use_oracle=False))
@@ -395,7 +479,7 @@ class TestCertificates:
         ("L(21,0,6^10)", 5, 5, "nonspecial", "empty"),
     ])
     def test_flipped_rule_rejected(self, name, k, b, rule, flipped):
-        node = _try(degenerate(L(name), k, b), rule, _Ctx(Budget()))
+        node = _try(_Attempt(L(name), k, b), rule, _Ctx(Budget()))
         status = EMPTY if rule == "empty" else REGULAR
         cert = json.loads(DimVerdict(status, node["ell"], L(name), node).dumps())
         check_certificate(cert)

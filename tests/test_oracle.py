@@ -469,6 +469,23 @@ class TestEarlyStop:
         check_certificate(json.loads(verdict.dumps()))
         assert len(calls) == 1
 
+    def test_one_prime_check_per_request(self, monkeypatch):
+        # check_request, then each trial's build_matrix and its matrix, once made 1 + 2 * 3
+        checked = []
+        real = oracle.check_prime
+        monkeypatch.setattr(oracle, "check_prime", lambda p: checked.append(p) or real(p))
+        builds = _count_builds(monkeypatch)
+        sys = L("L(10,2,6^3)")  # special: no trial reaches the expected dimension
+        assert dimension_char_p(sys, trials=3) == 2
+        assert len(builds) == 3 and checked == [DEFAULT_PRIME]
+        # a matrix built directly, and build_matrix called directly, still test their prime
+        checked.clear()
+        build_matrix(L("L(4,2,2)"), [(1, 2), (3, 4)], DEFAULT_PRIME)
+        PrimeFieldMatrix(101, 1, 1, np.zeros((1, 1), dtype=np.int64))
+        assert checked == [DEFAULT_PRIME, 101]
+        with pytest.raises(ValueError, match="9 is not prime"):
+            PrimeFieldMatrix(9, 1, 1, np.zeros((1, 1), dtype=np.int64))
+
     def test_bad_prime_rejected_before_sampling(self):
         with pytest.raises(ValueError):
             dimension_char_p(L("L(4,2,2)"), prime=32004)

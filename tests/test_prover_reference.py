@@ -11,9 +11,11 @@ the property tests require equal outputs, equal moves and equal exceptions
 (type and message) on the same inputs, forged transcripts included.
 
 The prover's degeneration attempt ``_try`` once pruned by hand-written
-conditions and now applies ``criterion_failure`` to the classifier's
-predictions; ``reference_try`` is the earlier attempt, run on the prover's own
-context, and must return the same node on every attempt of two boxes.
+conditions and now applies ``criterion_failure`` to the pieces' virtual
+dimensions in closed form and to the classifier's predictions;
+``reference_try`` is the earlier attempt, run on the prover's own context, and
+must return the same node on every attempt of two boxes.  The prediction,
+``hh_prediction``, must equal the ``(status, ell)`` of ``hh_dimension``.
 """
 
 import random
@@ -27,9 +29,10 @@ from fatpoints import degeneration
 from fatpoints.core import LinearSystem, expected_dim, format_system, virtual_dim
 from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
                                next_move, replay_transcript, split_fixed_line, standard_reduce)
-from fatpoints.degeneration import Budget, _Ctx, _is_minus_one_curve, _try, degenerate
+from fatpoints.degeneration import (Budget, _Attempt, _Ctx, _is_minus_one_curve, _try,
+                                    degenerate)
 from fatpoints.neg_curves import (CurveCatalogEntry, _next_split, _split_chain, catalog,
-                                  is_minus_one_class)
+                                  hh_dimension, is_minus_one_class)
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
 
 
@@ -376,7 +379,7 @@ def reference_try(split, rule, ctx):
         needed = parts.values()
     else:
         needed = (split.plane, split.ruled)
-    if any(ctx.removal(s).status == SPECIAL for s in needed):
+    if any(ctx.removal(s)[0] == SPECIAL for s in needed):
         return None
     children = {name: degeneration._solve(s, ctx) for name, s in parts.items()}
     proved = {name: (c.status, c.ell) for name, c in children.items()}
@@ -589,6 +592,25 @@ class TestSplitChainMatchesReference:
         assert reordered  # the reversed scan order takes effect
 
 
+def traced_dimension(sys):
+    """The ``(status, ell)`` of ``hh_dimension(sys)``: the verdict that carries the trace."""
+    verdict = hh_dimension(sys)
+    return verdict.status, verdict.ell
+
+
+class TestPredictionMatchesTracedVerdict:
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(quasi_homogeneous, systems))
+    @with_edges()
+    @example(LinearSystem(10, (2,) + (6,) * 3))  # special
+    @example(LinearSystem(6, (6, 6, 6)))  # a rejected split
+    @example(LinearSystem(20, (3,) + (7,) * 4))  # tail multiplicity 7
+    def test_prediction(self, sys):
+        """The prover's prediction is the classifier's verdict without its trace,
+        and out of the regime both raise the same ValueError."""
+        assert outcome(_Ctx(Budget()).removal, sys) == outcome(traced_dimension, sys)
+
+
 def degeneration_attempts(tail_mults, max_degree, max_points):
     """Each ``L(d, m0, m^n)`` of the box with the ``(k, b, rule)`` attempts the
     scan may make on it: k in {5, 6, m-1, m}, every b < n, both rules."""
@@ -612,9 +634,9 @@ class TestDegenerationAttemptMatchesReference:
         for system, plan in degeneration_attempts(tail_mults, max_degree, max_points):
             ctx = _Ctx(Budget())  # shared: a verdict depends on its system alone
             for k, b, rule in plan:
-                split = degenerate(system, k, b)
-                node = _try(split, rule, ctx)
-                assert node == reference_try(split, rule, ctx), (str(system), k, b, rule)
+                node = _try(_Attempt(system, k, b), rule, ctx)
+                assert node == reference_try(degenerate(system, k, b), rule, ctx), \
+                    (str(system), k, b, rule)
                 tried += 1
                 proved += node is not None
         assert tried == count and 0 < proved < tried
