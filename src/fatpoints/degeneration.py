@@ -10,9 +10,8 @@ system restricts to four numerical systems::
     plane_kernel  L(d-k-1, m0,    m^(n-b))
     ruled_kernel  L(d,     d-k+1, m^b)
 
-``limit_value`` combines their four dimensions into the dimension of the
-limit, which by semicontinuity bounds the dimension of the original system
-from above.  Two sufficient criteria follow, both decided by
+The dimension of the limit system bounds that of the original system from
+above (semicontinuity).  Two sufficient criteria follow, both decided by
 ``criterion_failure``: one proving emptiness (for systems with negative
 virtual dimension) and one proving non-speciality.  The prover first applies
 it to numbers alone: the four systems' virtual dimensions in closed form, so
@@ -40,7 +39,7 @@ from .cremona import (Move, cremona_vector, is_standard, next_move, replay_trans
                       standard_reduce)
 from .neg_curves import (check_regime, hh_dimension, hh_prediction, is_catalog_curve,
                          is_minus_one_class, speciality_failure, split_off)
-from .oracle import DEFAULT_PRIME, check_request, check_settings, dimension_char_p, size_failure
+from .oracle import DEFAULT_PRIME, check_settings, dimension_char_p, size_failure
 from .verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict, status_failure
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "CertificateError",
     "criterion_failure",
     "degenerate",
-    "limit_value",
     "recursive_dim",
     "check_certificate",
 ]
@@ -97,25 +95,6 @@ def degenerate(L: LinearSystem, k: int, b: int) -> DegenerationSplit:
     # bookkeeping identity used throughout the induction
     assert virtual_dim(split.plane) + virtual_dim(split.ruled_kernel) == virtual_dim(base) - 1
     return split
-
-
-def limit_value(d_minus_k: int, ell_plane: int, ell_ruled: int,
-                ell_plane_kernel: int, ell_ruled_kernel: int) -> int:
-    """Dimension of the limit system from the four restricted dimensions.
-
-    With r = ell - kernel ell - 1 on each piece: if the two restricted series
-    on the double curve are short enough to be transversal
-    (r_plane + r_ruled <= d - k - 1) the kernels control the answer,
-    otherwise the restrictions do.  At the overlap both formulas must agree.
-    """
-    r_plane = ell_plane - ell_plane_kernel - 1
-    r_ruled = ell_ruled - ell_ruled_kernel - 1
-    if r_plane + r_ruled <= d_minus_k - 1:
-        out = ell_plane_kernel + ell_ruled_kernel + 1
-        if r_plane + r_ruled == d_minus_k - 1 and out != ell_plane + ell_ruled - d_minus_k:
-            raise ValueError("limit formulas disagree at the overlap; inconsistent input")
-        return out
-    return ell_plane + ell_ruled - d_minus_k
 
 
 _NONSPECIAL = (REGULAR, EMPTY)
@@ -190,13 +169,11 @@ def _base_case(S: LinearSystem, kinds: tuple[str, ...]) -> dict | None:
     return None
 
 
-def _oracle_leaf(S: LinearSystem, prime: int, seed: int, trials: int,
-                 ell: int | None = None) -> dict:
-    """The ``rank_oracle`` leaf for ``S``; ``ell`` defaults to the oracle's value."""
-    if ell is None:
-        ell = dimension_char_p(S, seed, prime, trials)
+def _oracle_leaf(S: LinearSystem, prime: int, seed: int, trials: int) -> dict:
+    """The ``rank_oracle`` leaf for ``S``, carrying the oracle's value."""
     return {"kind": "rank_oracle", "system": str(S), "prime": prime, "seed": seed,
-            "trials": trials, "ell": ell, "expected": expected_dim(S)}
+            "trials": trials, "ell": dimension_char_p(S, seed, prime, trials),
+            "expected": expected_dim(S)}
 
 
 # -- recursive prover ---------------------------------------------------------
@@ -399,7 +376,7 @@ class CertificateError(ValueError):
     """A trace failed to replay."""
 
 
-def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
+def check_certificate(cert: dict) -> None:
     """Re-verify a verdict tree using only arithmetic; raises on any mismatch.
 
     ``cert`` is the JSON form of a :class:`DimVerdict`.  No search happens:
@@ -407,18 +384,19 @@ def check_certificate(cert: dict, replay_oracle: bool = True) -> None:
     inequality is recomputed.  Only the top-level ``system`` and the split curves
     are parsed; every other system string it reads must equal :func:`format_system`
     of the system the checker derives for it.  Of a reduction move it reads only
-    ``move`` and ``slots``.
+    ``move`` and ``slots``.  A rank oracle leaf is recomputed from its prime, seed
+    and trial count.
     """
     _typed(cert, dict, "a certificate")
     try:
-        _check_verdict(cert, _system(cert["system"]).normalize(), replay_oracle)
+        _check_verdict(cert, _system(cert["system"]).normalize())
     except KeyError as err:
         raise CertificateError(f"missing field {err}") from None
     except RecursionError:
         raise CertificateError("certificate nested too deeply to replay") from None
 
 
-def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> None:
+def _check_verdict(cert: dict, system: LinearSystem) -> None:
     """:func:`check_certificate` on a certificate that must restate ``system`` canonically."""
     _restates(cert["system"], system)
     status = cert["status"]
@@ -428,7 +406,7 @@ def _check_verdict(cert: dict, system: LinearSystem, replay_oracle: bool) -> Non
     reason = status_failure(status, ell, system)
     if reason is not None:
         raise CertificateError(reason)
-    got = _check_node(cert["trace"], system, replay_oracle)
+    got = _check_node(cert["trace"], system)
     if got != ell:
         raise CertificateError(f"trace for {system} proves ell={got}, verdict says {ell}")
 
@@ -466,7 +444,7 @@ def _restates(text, system: LinearSystem) -> None:
         raise CertificateError(f"malformed system: got {text!r}, expected {system}")
 
 
-def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
+def _check_node(node: dict, system: LinearSystem) -> int:
     _typed(node, dict, "a trace node")
     _restates(node["system"], system)
     _typed(node["ell"], int, "the ell of a trace node")
@@ -485,19 +463,17 @@ def _check_node(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
         except ValueError as err:
             raise CertificateError(f"reduction transcript: {err}") from None
         _restates(node["final"], final)
-        got = _check_node(node["leaf"], final, replay_oracle)
+        got = _check_node(node["leaf"], final)
         if got != node["ell"]:
             raise CertificateError("reduction ell mismatch")
         return got
     if kind == "degeneration":
-        return _check_degeneration(node, system, replay_oracle)
+        return _check_degeneration(node, system)
     if kind == "rank_oracle":
         trials = _typed(node["trials"], int, "the trials count of an oracle leaf")
         seed = _typed(node["seed"], int, "the seed of an oracle leaf")
         try:  # a field out of bounds, or a seed too long to write out for the point stream
-            check_request(system, node["prime"], trials)
-            ell = None if replay_oracle else node["ell"]
-            leaf = _oracle_leaf(system, node["prime"], seed, trials, ell)
+            leaf = _oracle_leaf(system, node["prime"], seed, trials)
         except ValueError as err:
             raise CertificateError(f"rank oracle leaf: {err}") from None
         got = _rebuilt(node, leaf)
@@ -583,7 +559,7 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
     return ell
 
 
-def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -> int:
+def _check_degeneration(node: dict, system: LinearSystem) -> int:
     k, b = _typed(node["k"], int, "k"), _typed(node["b"], int, "b")
     try:
         split = degenerate(system, k, b)
@@ -596,7 +572,7 @@ def _check_degeneration(node: dict, system: LinearSystem, replay_oracle: bool) -
 
     def checked(name: str) -> tuple[str, int]:
         child = _typed(children[name], dict, "a certificate")
-        _check_verdict(child, parts[name], replay_oracle)
+        _check_verdict(child, parts[name])
         return child["status"], child["ell"]
     rule = node["rule"]
     reason = criterion_failure(rule, split.dims(), virtual_dim(system), checked)

@@ -18,8 +18,9 @@ has nonnegative virtual dimension.  The removal turns into a dimension value:
 the dimension of a special system equals the expected dimension of its
 residual.  ``hh_prediction`` computes that ``(status, ell)`` on raw
 ``(degree, mults)`` data and builds no system: it is the prover's prediction
-for every piece it meets.  ``hh_dimension`` is the same value with the trace
-that a certificate holds.  ``split_off`` (the arithmetic of one split) and
+for every piece it meets, and the value the table generator and the table
+checks read.  ``hh_dimension`` is the same value with the trace that a
+certificate holds.  ``split_off`` (the arithmetic of one split) and
 ``speciality_failure`` (the speciality rule) are written once here; the
 certificate checker replays removals with the same two functions.
 
@@ -449,11 +450,11 @@ def _family_rows(probe: int) -> list[ClassificationRow]:
                     samples.append(None)
                     continue
                 sys = LinearSystem(d, (d - x,) + (6,) * (2 * e))
-                verdict = hh_dimension(sys)
-                if verdict.status != SPECIAL:
+                status, ell = hh_prediction(sys)
+                if status != SPECIAL:
                     samples.append(None)
                     continue
-                samples.append((virtual_dim(sys), verdict.ell))
+                samples.append((virtual_dim(sys), ell))
             if samples[0] is None or samples[1] is None:
                 if samples[0] is not None:
                     raise RuntimeError(f"family x={x} mu={mu} valid only at e=1")
@@ -524,12 +525,12 @@ def _general_rows(families: list[ClassificationRow], probe: int) -> list[Classif
         )
         # spot-check the row's first three degrees against the classifier
         for sys, _, ell, at_boundary in row.instances(e_limit=2, n_limit=probe + 1):
-            verdict = hh_dimension(sys)
-            if verdict.status != SPECIAL:
+            status, got = hh_prediction(sys)
+            if status != SPECIAL:
                 raise RuntimeError(f"general x={x}: {sys} not special")
-            if at_boundary and verdict.ell <= ell:
+            if at_boundary and got <= ell:
                 raise RuntimeError(f"general x={x}: no jump at boundary {sys}")
-            if not at_boundary and verdict.ell != ell:
+            if not at_boundary and got != ell:
                 raise RuntimeError(f"general x={x}: ell mismatch at {sys}")
         # just below the range the system may only be special through one
         # of the x-offset parameter families
@@ -538,7 +539,7 @@ def _general_rows(families: list[ClassificationRow], probe: int) -> list[Classif
             lo = _general_lower(x, n)
             if lo - 1 - x >= 0:
                 below = LinearSystem(lo - 1, (lo - 1 - x,) + (6,) * n)
-                if hh_dimension(below).status == SPECIAL and below not in covered:
+                if hh_prediction(below)[0] == SPECIAL and below not in covered:
                     raise RuntimeError(f"general x={x}: range not sharp at {below}")
         rows.append(row)
     return rows
@@ -567,12 +568,11 @@ def _single_rows(families: list[ClassificationRow], generals: list[Classificatio
             sys = LinearSystem(d, (m0,) + (6,) * n)
             if sys in covered or sys.normalize() in seen:
                 continue
-            verdict = hh_dimension(sys)
-            if verdict.status != SPECIAL:
+            status, ell = hh_prediction(sys)
+            if status != SPECIAL:
                 continue
             seen.add(sys.normalize())
             v = virtual_dim(sys)
-            ell = verdict.ell
             rows.append(ClassificationRow(
                 offset=d - m0,
                 shape="single",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import LinearSystem, parse_system, virtual_dim
-from .neg_curves import ClassificationRow, generate_classification, hh_dimension
+from .neg_curves import ClassificationRow, generate_classification, hh_prediction
 from .oracle import DEFAULT_PRIME, dimension_char_p
 
 __all__ = [
@@ -118,7 +118,7 @@ def _check_instance(mode: str, sys: LinearSystem, v: int, ell: int, boundary: bo
         return InstanceCheck(name, got == v, str(v), str(got),
                              f'fatpoints vdim "{name}"')
     if mode == "hh":
-        got, cmd = hh_dimension(sys).ell, f'fatpoints classify "{name}"'
+        got, cmd = hh_prediction(sys)[1], f'fatpoints classify "{name}"'
     elif mode == "oracle":
         got = dimension_char_p(sys, seed, prime, trials)
         cmd = (f'fatpoints oracle --system "{name}" --prime {prime} '

@@ -2,9 +2,11 @@
 
 Every Hypothesis test draws the same examples on every run,
 ``packaged_csv`` reads a data file as the package ships it, ``positions``,
-``mutant`` and ``json_values`` serve the certificate mutation fuzzes, and
-``with_transcripts`` writes a certificate as certificates were written while
-each reduction move recorded the systems around it.
+``trace_nodes``, ``mutant`` and ``json_values`` serve the certificate
+mutation fuzzes, ``with_transcripts`` writes a certificate as certificates
+were written while each reduction move recorded the systems around it, and
+``limit_value`` is the reference formula for the dimension of a
+degeneration's limit system.
 """
 
 import json
@@ -37,6 +39,18 @@ def positions(doc, prefix=()):
     for key, value in items:
         yield prefix + (key,), value
         yield from positions(value, prefix + (key,))
+
+
+def trace_nodes(tree):
+    """Every trace node inside a certificate, depth first, as often as it occurs."""
+    if isinstance(tree, dict):
+        if "kind" in tree:
+            yield tree
+        for value in tree.values():
+            yield from trace_nodes(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from trace_nodes(value)
 
 
 DELETE = object()  # as the value of ``mutant``: delete the field
@@ -81,6 +95,26 @@ def with_transcripts(doc):
         moves = tuple(Move.from_json(data) for data in copy["moves"])
         copy["moves"] = transcript(parse_system(copy["system"]), moves)
     return copy
+
+
+def limit_value(d_minus_k: int, ell_plane: int, ell_ruled: int,
+                ell_plane_kernel: int, ell_ruled_kernel: int) -> int:
+    """Dimension of the limit system of a (k, b)-degeneration from the four
+    restricted dimensions.
+
+    With r = ell - kernel ell - 1 on each piece: if the two restricted series
+    on the double curve are short enough to be transversal
+    (r_plane + r_ruled <= d - k - 1) the kernels control the answer,
+    otherwise the restrictions do.  At the overlap both formulas must agree.
+    """
+    r_plane = ell_plane - ell_plane_kernel - 1
+    r_ruled = ell_ruled - ell_ruled_kernel - 1
+    if r_plane + r_ruled <= d_minus_k - 1:
+        out = ell_plane_kernel + ell_ruled_kernel + 1
+        if r_plane + r_ruled == d_minus_k - 1 and out != ell_plane + ell_ruled - d_minus_k:
+            raise ValueError("limit formulas disagree at the overlap; inconsistent input")
+        return out
+    return ell_plane + ell_ruled - d_minus_k
 
 
 def _removal(system, status, ell, steps, residual):

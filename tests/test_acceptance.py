@@ -8,14 +8,18 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import packaged_csv, with_transcripts
+from conftest import (DELETE, json_values, limit_value, mutant, packaged_csv, positions,
+                      trace_nodes, with_transcripts)
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
 from fatpoints.cremona import NegativeEntryError, cremona_vector, split_fixed_line
-from fatpoints.degeneration import (Budget, check_certificate, degenerate,
-                                    limit_value, recursive_dim)
+from fatpoints.degeneration import (Budget, CertificateError, check_certificate, degenerate,
+                                    recursive_dim)
 from fatpoints.neg_curves import (catalog, generate_classification, hh_dimension,
                                   is_minus_one_class, is_minus_one_special)
 from fatpoints.oracle import dimension_char_p
@@ -302,10 +306,52 @@ BENCHMARK_SWEEP_TRANSCRIPTS_SHA256 = (
     "02b90ce1be7250ea6aa0e19bbc0fa3cefdecc6474cda31d6474c5bb55e3368bb")
 
 
-def test_benchmark_sweep_certificates_byte_identical():
+@pytest.fixture(scope="module")
+def benchmark_sweep_verdicts():
+    """Prover verdicts over the benchmark sweep, in (d, m0, n) order."""
     lean = Budget(use_oracle=False)
-    verdicts = [recursive_dim(LinearSystem(d, (m0,) + (6,) * n), lean)
-                for d in range(33) for m0 in range(d + 1) for n in range(13)]
-    assert len(verdicts) == 7293
-    assert _hashed_with_transcripts(verdicts) == \
+    return [recursive_dim(LinearSystem(d, (m0,) + (6,) * n), lean)
+            for d in range(33) for m0 in range(d + 1) for n in range(13)]
+
+
+def test_benchmark_sweep_certificates_byte_identical(benchmark_sweep_verdicts):
+    assert len(benchmark_sweep_verdicts) == 7293
+    assert _hashed_with_transcripts(benchmark_sweep_verdicts) == \
         (BENCHMARK_SWEEP_CERTIFICATES_SHA256, BENCHMARK_SWEEP_TRANSCRIPTS_SHA256)
+
+
+def test_accepted_degenerations_prove_the_limit_dimension(benchmark_sweep_verdicts):
+    # the criterion's ell is the dimension of the limit system on the children's ells
+    rules = Counter()
+    for verdict in benchmark_sweep_verdicts:
+        nodes = [node for node in trace_nodes(verdict.trace) if node["kind"] == "degeneration"]
+        if not nodes:
+            continue
+        check_certificate(verdict.to_json())
+        for node in nodes:
+            d_minus_k = parse_system(node["system"]).degree - node["k"]
+            ells = [node["children"][name]["ell"]
+                    for name in ("plane", "ruled", "plane_kernel", "ruled_kernel")]
+            assert limit_value(d_minus_k, *ells) == node["ell"], node["system"]
+            rules[node["rule"]] += 1
+    assert rules == {"nonspecial": 823, "empty": 112}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_sampled_box_certificate_mutants(sweep_verdicts, data):
+    # one field anywhere in one criterion-7 certificate, replaced or deleted
+    verdict = data.draw(st.sampled_from(list(sweep_verdicts.values())), label="verdict")
+    original = json.loads(verdict.dumps())
+    fields = list(positions(original))
+    path = data.draw(st.sampled_from([path for path, _ in fields]), label="path")
+    texts = sorted({value for _, value in fields if isinstance(value, str)})
+    value = DELETE if data.draw(st.booleans(), label="delete") else \
+        data.draw(json_values(texts), label="value")
+    cert = mutant(original, path, value)
+    try:
+        check_certificate(cert)
+    except CertificateError:
+        return
+    claim = ("system", "status", "ell")
+    assert [cert[key] for key in claim] == [original[key] for key in claim], (path, value)

@@ -1,5 +1,6 @@
 """Every exported name resolves, none is exported twice, the names the
-benchmark reads exist, and every private helper of the package is used."""
+benchmark reads exist, every private helper of the package is used, and the
+certificate checker reaches no search code."""
 
 import ast
 import importlib
@@ -51,28 +52,79 @@ def test_perfbench_names_resolve(module, name):
 SRC = Path(fatpoints.__file__).resolve().parent
 
 
-def _private_definitions(tree):
-    """Module-level ``def _x``, ``class _x`` and ``_x = ...`` names of ``tree``."""
+def _trees():
+    """The parsed source of each module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(tree):
+    """``(name, node)`` of each module-level ``def``, ``class`` and ``x = ...`` of ``tree``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def _referenced(tree):
+    """Every name ``tree`` loads and every attribute name it reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 def test_every_private_helper_is_referenced():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    trees = _trees()
+    used = {name for tree in trees.values() for name in _referenced(tree)}
     unused = [f"{module}: {name}" for module, tree in trees.items()
-              for name in _private_definitions(tree) if name not in used]
+              for name, _ in _definitions(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in used]
     assert not unused
+
+
+# -- the checker's trusted closure ---------------------------------------------
+
+# The prover's search and memo, the classifier's split chain and the table
+# generator: the certificate checker replays a proof without any of them.
+SEARCH = {"recursive_dim", "_solve", "_solve_fresh", "_Ctx", "_try", "_Attempt",
+          "_scan_degenerations", "_conclude_from_reduction", "hh_dimension", "hh_prediction",
+          "_judged", "_split_chain", "_next_split", "find_splittings", "catalog",
+          "standard_reduce", "generate_classification"}
+# Source lines of the definitions check_certificate reaches, constants and
+# decorators included.  A change that grows the closure raises this ceiling and
+# says why.
+CHECKER_CLOSURE_LINES = 947
+
+
+def _closure(root: str) -> dict[str, list[ast.AST]]:
+    """The module-level definitions of the package reachable from ``root`` by
+    name, each with every node that defines it; a class counts whole."""
+    defined: dict[str, list[ast.AST]] = {}
+    for tree in _trees().values():
+        for name, node in _definitions(tree):
+            defined.setdefault(name, []).append(node)
+    reached: dict[str, list[ast.AST]] = {}
+    todo = [root]
+    while todo:
+        name = todo.pop()
+        if name in defined and name not in reached:
+            reached[name] = defined[name]
+            todo.extend(ref for node in defined[name] for ref in _referenced(node))
+    return reached
+
+
+def _lines(node) -> int:
+    """Source lines of a definition, its decorators included."""
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return node.end_lineno - first + 1
+
+
+def test_checker_reaches_no_search_code():
+    reached = _closure("check_certificate")
+    lines = sum(_lines(node) for nodes in reached.values() for node in nodes)
+    print(f"\ncheck_certificate closure: {len(reached)} definitions, {lines} lines")
+    assert sorted(SEARCH & reached.keys()) == []
+    assert lines <= CHECKER_CLOSURE_LINES, f"the closure grew to {lines} lines"

@@ -383,8 +383,9 @@ class TestTableCommand:
     @pytest.mark.parametrize("action", ["generate", "verify"])
     def test_e_max_over_the_bound_refused_before_any_work(self, capsys, monkeypatch, action):
         def no_classifier(L):
-            raise AssertionError("hh_dimension was called")
+            raise AssertionError("the classifier was called")
         monkeypatch.setattr(neg_curves, "hh_dimension", no_classifier)
+        monkeypatch.setattr(neg_curves, "hh_prediction", no_classifier)
         code, out, err = run(capsys, "table", action, "--e-max", "27")
         assert code == 2 and out == ""
         assert "error:" in err and "e_max must be <= 26" in err
@@ -483,6 +484,13 @@ class TestCertificateFlow:
         assert code == 1 and out == ""
         assert "not a (-1)-curve" in err
 
+    def test_oracle_replay_flag_is_gone(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "dim", "L(19,5,6^9)", "--certificate", str(path))
+        code, out, err = run(capsys, "check-certificate", str(path), "--no-oracle-replay")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: ") and "--no-oracle-replay" in err
+
 
 REUSE_SYSTEM = "L(4,2,2)"
 
@@ -550,7 +558,7 @@ class TestShapeFuzz:
             data.draw(json_values(texts), label="value")
         cert = mutant(original, path, value)
         fuzz_file.write_text(json.dumps(cert))
-        code, out, err = captured(["check-certificate", str(fuzz_file), "--no-oracle-replay"])
+        code, out, err = captured(["check-certificate", str(fuzz_file)])
         if code == 0:
             assert out.endswith(f"(ell = {original['ell']})\n"), (path, cert)
         else:

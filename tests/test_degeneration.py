@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, positions,
-                      with_transcripts)
+from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, limit_value, mutant,
+                      positions, trace_nodes, with_transcripts)
 from fatpoints import degeneration, oracle
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.cremona import cremona_vector
 from fatpoints.degeneration import (Budget, CertificateError, _Attempt, _Ctx,
                                     _is_minus_one_curve, _try, check_certificate,
-                                    criterion_failure, degenerate, limit_value, recursive_dim)
+                                    criterion_failure, degenerate, recursive_dim)
 from fatpoints.neg_curves import catalog, hh_dimension, is_catalog_curve
 from fatpoints.oracle import dimension_char_p
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
@@ -325,7 +325,7 @@ class TestRecursiveDim:
         # the L(7,3,2^11) subproof of L(31,23,6^12) is the proof of L(7,3,2^11) itself
         lean = Budget(use_oracle=False)
         outer = json.loads(recursive_dim(L("L(31,23,6^12)"), lean).dumps())
-        inner = [child for node in _nodes(outer) if node["kind"] == "degeneration"
+        inner = [child for node in trace_nodes(outer) if node["kind"] == "degeneration"
                  for child in node["children"].values() if child["system"] == "L(7,3,2^11)"]
         own = recursive_dim(L("L(7,3,2^11)"), lean).to_json()
         assert inner and all(node == own for node in inner)
@@ -361,13 +361,12 @@ class TestCertificates:
             check_certificate(cert)
 
     @pytest.mark.parametrize("prime", [32004, 4294967311, "32003"])
-    @pytest.mark.parametrize("replay_oracle", [True, False])
-    def test_oracle_leaf_with_bad_prime_rejected(self, prime, replay_oracle):
+    def test_oracle_leaf_with_bad_prime_rejected(self, prime):
         cert = json.loads(recursive_dim(L("L(19,5,6^9)")).dumps())
         assert cert["trace"]["kind"] == "rank_oracle"
         cert["trace"]["prime"] = prime
         with pytest.raises(CertificateError):
-            check_certificate(cert, replay_oracle)
+            check_certificate(cert)
 
     @pytest.mark.parametrize("trials", ["x", 0, -1, True, 1.5, None])
     def test_oracle_leaf_with_bad_trials_rejected(self, monkeypatch, trials):
@@ -378,14 +377,13 @@ class TestCertificates:
             check_certificate(cert)
 
     @pytest.mark.parametrize("seed", ["0", True, 0.0])
-    @pytest.mark.parametrize("replay_oracle", [True, False])
-    def test_oracle_leaf_with_bad_seed_rejected(self, monkeypatch, seed, replay_oracle):
+    def test_oracle_leaf_with_bad_seed_rejected(self, monkeypatch, seed):
         cert = json.loads(recursive_dim(L("L(20,8,6^9)")).dumps())
         assert cert["trace"]["kind"] == "rank_oracle"
         cert["trace"]["seed"] = seed
         monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
         with pytest.raises(CertificateError, match="seed"):
-            check_certificate(cert, replay_oracle)
+            check_certificate(cert)
 
     def test_oracle_leaf_with_a_seed_too_long_to_write_rejected(self):
         # only in process: JSON cannot carry an int of more than 4300 digits
@@ -396,15 +394,14 @@ class TestCertificates:
             check_certificate(cert)
 
     @pytest.mark.parametrize("field,value", [("trials", 17), ("prime", 7), ("prime", 701)])
-    @pytest.mark.parametrize("replay_oracle", [True, False])
-    def test_oracle_leaf_out_of_bounds_rejected(self, monkeypatch, field, value, replay_oracle):
+    def test_oracle_leaf_out_of_bounds_rejected(self, monkeypatch, field, value):
         # 7 is below the degree, 701 too small for a point of multiplicity 6
         cert = json.loads(recursive_dim(L("L(20,8,6^9)")).dumps())
         assert cert["trace"]["kind"] == "rank_oracle"
         cert["trace"][field] = value
         monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
         with pytest.raises(CertificateError, match=field):
-            check_certificate(cert, replay_oracle)
+            check_certificate(cert)
 
     @pytest.mark.parametrize("status", ["bogus", None, "Regular", ["empty"]])
     def test_unknown_status_rejected(self, status):
@@ -457,7 +454,7 @@ class TestCertificates:
         assert isinstance(node[last], str)
         node[last] = value
         with pytest.raises(CertificateError, match="malformed system"):
-            check_certificate(cert, replay_oracle=False)
+            check_certificate(cert)
 
     @pytest.mark.parametrize("value", ["L(1,", 5])
     def test_malformed_rejected_curve_raises_certificate_error(self, value):
@@ -513,7 +510,7 @@ class TestCertificates:
         assert node[last] != value  # the field exists and changes
         node[last] = value
         with pytest.raises(CertificateError):
-            check_certificate(cert, replay_oracle=False)
+            check_certificate(cert)
 
     @pytest.mark.parametrize("value", [True, 1.0])
     @pytest.mark.parametrize("path", ["ell", "trace.ell", "trace.leaf.ell", "every"])
@@ -546,7 +543,7 @@ class TestCertificates:
         assert node[last] == value and type(node[last]) is int
         node[last] = value
         with pytest.raises(CertificateError, match=f"differs from its recomputation in {last}"):
-            check_certificate(cert, replay_oracle=False)
+            check_certificate(cert)
 
     def test_missing_ell_raises_certificate_error(self):
         cert = json.loads(recursive_dim(L("L(10,2,6^3)")).dumps())
@@ -568,7 +565,7 @@ class TestCertificates:
         # as certificates were written while each move recorded its before and after
         cert = json.loads(recursive_dim(L(name)).dumps())
         old = with_transcripts(cert)
-        moves = [m for n in _nodes(old) if n["kind"] == "cremona_reduction" for m in n["moves"]]
+        moves = [m for n in trace_nodes(old) if n["kind"] == "cremona_reduction" for m in n["moves"]]
         assert moves and all(list(m) == ["move", "slots", "before", "after"] for m in moves)
         check_certificate(old)
 
@@ -584,7 +581,7 @@ class TestCertificates:
         assert cert["trace"]["kind"] == "degeneration"
         cert["trace"][field] = value
         with pytest.raises(CertificateError, match=f"need .*{field}"):
-            check_certificate(cert, replay_oracle=False)
+            check_certificate(cert)
 
     def test_too_deep_a_chain_raises_certificate_error(self):
         # a reduction with no moves, its leaf another one, nested past the stack
@@ -644,7 +641,7 @@ class TestRemovalProvesOnlySpecialityOrEmptiness:
         assert removal == NON_SPECIAL_REMOVALS["one-step"]
         verdict = recursive_dim(L("L(2,0,1^5)"))
         assert (verdict.status, verdict.ell) == (REGULAR, 0)
-        assert not any(n["kind"] == "fixed_part_removal" for n in _nodes(verdict.to_json()))
+        assert not any(n["kind"] == "fixed_part_removal" for n in trace_nodes(verdict.to_json()))
         check_certificate(json.loads(verdict.dumps()))
 
 
@@ -733,18 +730,6 @@ LEAF_KINDS = ("no_conditions", "multiplicity_exceeds_degree", "standard_small", 
 ORACLE_INPUTS = ("prime", "seed", "trials")
 
 
-def _nodes(tree):
-    """Every trace node inside a certificate, depth first."""
-    if isinstance(tree, dict):
-        if "kind" in tree:
-            yield tree
-        for value in tree.values():
-            yield from _nodes(value)
-    elif isinstance(tree, list):
-        for value in tree:
-            yield from _nodes(value)
-
-
 def _mutated(value):
     if isinstance(value, bool):
         return not value
@@ -771,7 +756,7 @@ class TestLeafMutations:
     def test_named_mutation_rejected(self, prove, name, kind, field, value):
         cert = json.loads(prove(L(name)).dumps())
         check_certificate(cert)
-        node = cert if kind is None else next(n for n in _nodes(cert) if n["kind"] == kind)
+        node = cert if kind is None else next(n for n in trace_nodes(cert) if n["kind"] == kind)
         assert node[field] != value or type(node[field]) is not type(value)
         node[field] = value
         with pytest.raises(CertificateError):
@@ -787,7 +772,7 @@ class TestLeafMutations:
         text = prove(L(name)).dumps()
         check_certificate(json.loads(text))
         mutants = 0
-        for i, node in enumerate(_nodes(json.loads(text))):
+        for i, node in enumerate(trace_nodes(json.loads(text))):
             if node["kind"] in LEAF_KINDS:
                 fields = [f for f in node if f not in ("kind", *ORACLE_INPUTS)]
             elif node["kind"] == "fixed_part_removal":
@@ -796,7 +781,7 @@ class TestLeafMutations:
                 continue
             for field in fields:
                 cert = json.loads(text)
-                target = list(_nodes(cert))[i]
+                target = list(trace_nodes(cert))[i]
                 target[field] = _mutated(target[field])
                 with pytest.raises(CertificateError):
                     check_certificate(cert)
@@ -824,7 +809,7 @@ def _refused_or_same_claim(original, value):
     for path, _ in positions(original):
         cert = mutant(original, path, value)
         try:
-            check_certificate(cert, replay_oracle=False)
+            check_certificate(cert)
         except CertificateError:
             continue
         assert [cert[key] for key in claim] == [original[key] for key in claim], (path, value)
@@ -882,7 +867,7 @@ class TestCanonicalRestatements:
     ])
     def test_non_canonical_restatement_rejected(self, name, path, restate):
         cert = json.loads(recursive_dim(L(name)).dumps())
-        check_certificate(cert, replay_oracle=False)
+        check_certificate(cert)
         *parents, last = path.split(".")
         node = cert
         for key in parents:
@@ -892,12 +877,12 @@ class TestCanonicalRestatements:
         assert parse_system(value).normalize() == parse_system(node[last]).normalize()
         node[last] = value
         with pytest.raises(CertificateError, match="malformed system"):
-            check_certificate(cert, replay_oracle=False)
+            check_certificate(cert)
 
     def test_only_supplied_systems_are_parsed(self, monkeypatch):
         cert = json.loads(recursive_dim(L("L(24,0,6^11)")).dumps())
         assert cert["trace"]["kind"] == "degeneration"
-        removals = [n for n in _nodes(cert) if n["kind"] == "fixed_part_removal"]
+        removals = [n for n in trace_nodes(cert) if n["kind"] == "fixed_part_removal"]
         curves = [s["curve"] for n in removals for s in n["steps"]]
         curves += [n["rejected"]["curve"] for n in removals if n["rejected"]]
         assert curves
@@ -908,5 +893,5 @@ class TestCanonicalRestatements:
             return parse_system(text)
 
         monkeypatch.setattr(degeneration, "parse_system", counting)
-        check_certificate(cert, replay_oracle=False)
+        check_certificate(cert)
         assert len(calls) == 1 + len(curves)

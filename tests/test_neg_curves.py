@@ -275,8 +275,8 @@ class TestCoverageFromInstances:
     def test_every_e_max_gives_the_packaged_table_with_the_same_classifier_calls(
             self, monkeypatch):
         calls = []
-        real = neg_curves.hh_dimension
-        monkeypatch.setattr(neg_curves, "hh_dimension", lambda L: calls.append(L) or real(L))
+        real = neg_curves.hh_prediction
+        monkeypatch.setattr(neg_curves, "hh_prediction", lambda L: calls.append(L) or real(L))
         golden = packaged_csv("classification_table.csv")
         counts = {}
         for e_max in range(1, 7):
