@@ -29,6 +29,23 @@ def _no_sampling(*args):
     raise AssertionError("points were sampled")
 
 
+# an oracle leaf is checked alike as the whole proof and inside a degeneration:
+# L(24,4,6^16) degenerates with one child, L(18,4,6^9), proved by the rank oracle
+ORACLE_LEAF_PLACES = ("root", "nested")
+
+
+def _oracle_leaf_certificate(name, where):
+    """A certificate and the rank-oracle leaf in it to tamper with."""
+    cert = json.loads(recursive_dim(L(name if where == "root" else "L(24,4,6^16)")).dumps())
+    check_certificate(cert)
+    if where == "root":
+        assert cert["trace"]["kind"] == "rank_oracle"
+        return cert, cert["trace"]
+    assert cert["trace"]["kind"] == "degeneration"
+    [leaf] = [n for n in trace_nodes(cert) if n["kind"] == "rank_oracle"]
+    return cert, leaf
+
+
 class TestDegenerate:
     def test_large_example(self):
         s = degenerate(L("L(141,100,6^50)"), 5, 13)
@@ -361,10 +378,10 @@ class TestCertificates:
             check_certificate(cert)
 
     @pytest.mark.parametrize("prime", [32004, 4294967311, "32003"])
-    def test_oracle_leaf_with_bad_prime_rejected(self, prime):
-        cert = json.loads(recursive_dim(L("L(19,5,6^9)")).dumps())
-        assert cert["trace"]["kind"] == "rank_oracle"
-        cert["trace"]["prime"] = prime
+    @pytest.mark.parametrize("where", ORACLE_LEAF_PLACES)
+    def test_oracle_leaf_with_bad_prime_rejected(self, prime, where):
+        cert, leaf = _oracle_leaf_certificate("L(19,5,6^9)", where)
+        leaf["prime"] = prime
         with pytest.raises(CertificateError):
             check_certificate(cert)
 
@@ -377,10 +394,10 @@ class TestCertificates:
             check_certificate(cert)
 
     @pytest.mark.parametrize("seed", ["0", True, 0.0])
-    def test_oracle_leaf_with_bad_seed_rejected(self, monkeypatch, seed):
-        cert = json.loads(recursive_dim(L("L(20,8,6^9)")).dumps())
-        assert cert["trace"]["kind"] == "rank_oracle"
-        cert["trace"]["seed"] = seed
+    @pytest.mark.parametrize("where", ORACLE_LEAF_PLACES)
+    def test_oracle_leaf_with_bad_seed_rejected(self, monkeypatch, seed, where):
+        cert, leaf = _oracle_leaf_certificate("L(20,8,6^9)", where)
+        leaf["seed"] = seed
         monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
         with pytest.raises(CertificateError, match="seed"):
             check_certificate(cert)
@@ -394,11 +411,11 @@ class TestCertificates:
             check_certificate(cert)
 
     @pytest.mark.parametrize("field,value", [("trials", 17), ("prime", 7), ("prime", 701)])
-    def test_oracle_leaf_out_of_bounds_rejected(self, monkeypatch, field, value):
+    @pytest.mark.parametrize("where", ORACLE_LEAF_PLACES)
+    def test_oracle_leaf_out_of_bounds_rejected(self, monkeypatch, field, value, where):
         # 7 is below the degree, 701 too small for a point of multiplicity 6
-        cert = json.loads(recursive_dim(L("L(20,8,6^9)")).dumps())
-        assert cert["trace"]["kind"] == "rank_oracle"
-        cert["trace"][field] = value
+        cert, leaf = _oracle_leaf_certificate("L(20,8,6^9)", where)
+        leaf[field] = value
         monkeypatch.setattr(oracle, "_sample_points", _no_sampling)
         with pytest.raises(CertificateError, match=field):
             check_certificate(cert)
