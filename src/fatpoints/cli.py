@@ -7,6 +7,10 @@ included, and raises no ``SystemExit``.
 :func:`main` may be called repeatedly in one process: the argument parser is
 built on the first call and reused, and each call parses into a fresh
 namespace, so no call sees another's flags.
+
+The global flags ``--prime``, ``--seed``, ``--trials`` and ``--json`` are
+declared once for every parser: unset in the subparsers and defaulted on the
+top-level one, so a value after the subcommand wins over one before it.
 """
 
 from __future__ import annotations
@@ -129,11 +133,10 @@ def _cmd_degen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    text = args.system or args.system_flag
-    if not text:
-        print("error: no system given", file=sys.stderr)
+    if bool(args.system) == bool(args.system_flag):
+        print("error: give one system, positionally or with --system", file=sys.stderr)
         return 2
-    L = _parse(text)
+    L = _parse(args.system or args.system_flag)
     report = oracle_report(L, args.seed, args.prime, args.trials)
     print(json.dumps(report, indent=None if args.json else 2))
     return 0
@@ -180,19 +183,14 @@ def _cmd_check_certificate(args) -> int:
     return 0
 
 
-def _common_flags(parser: argparse.ArgumentParser, top: bool):
-    """Global flags, accepted both before and after the subcommand."""
+def _global_flags(parser: argparse.ArgumentParser):
+    """The flags accepted both before and after the subcommand, unset by default."""
     s = argparse.SUPPRESS
-
-    def default(value):
-        return value if top else s
-
-    parser.add_argument("--prime", type=int, default=default(DEFAULT_PRIME),
+    parser.add_argument("--prime", type=int, default=s,
                         help="characteristic for rank computations")
-    parser.add_argument("--seed", type=int, default=default(0))
-    parser.add_argument("--trials", type=int, default=default(3))
-    parser.add_argument("--json", action="store_true", default=default(False),
-                        help="emit one JSON document")
+    parser.add_argument("--seed", type=int, default=s)
+    parser.add_argument("--trials", type=int, default=s)
+    parser.add_argument("--json", action="store_true", default=s, help="emit one JSON document")
 
 
 @functools.cache  # built on first use, not at import: argparse set-up costs ~2 ms
@@ -200,46 +198,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fatpoints",
         description="dimensions of linear systems of plane curves with fat points")
-    _common_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vdim", help="virtual and expected dimension")
     p.add_argument("system")
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_vdim)
 
     p = sub.add_parser("dim", help="prove the dimension (classifier, reduction, "
                                    "degenerations, rank oracle)")
     p.add_argument("system")
     p.add_argument("--certificate", metavar="FILE", help="dump the verdict trace")
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("classify", help="(-1)-speciality with witness")
     p.add_argument("system")
     p.add_argument("--splittings", action="store_true",
                    help="also list all negative catalog intersections")
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("cremona", help="apply one quadratic transformation or reduce")
     p.add_argument("system")
     p.add_argument("--slots", type=int, nargs=3, metavar=("I", "J", "K"),
                    help="transform on these slots; omit to reduce to standard form")
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_cremona)
 
     p = sub.add_parser("degen", help="print a (k,b)-degeneration")
     p.add_argument("system")
     p.add_argument("k", type=int)
     p.add_argument("b", type=int)
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_degen)
 
     p = sub.add_parser("oracle", help="finite-field rank dimension")
     p.add_argument("system", nargs="?")
     p.add_argument("--system", dest="system_flag", help="system string")
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("table", help="generate or verify the classification table")
@@ -248,18 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--mode", choices=["formula", "hh", "oracle"], default="formula")
     p.add_argument("--max-degree", type=int, default=26)
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("hard-cases", help="print the hard-case regression list")
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_hard_cases)
 
     p = sub.add_parser("check-certificate", help="replay a verdict trace")
     p.add_argument("file")
-    _common_flags(p, top=False)
     p.set_defaults(func=_cmd_check_certificate)
 
+    for p in (parser, *sub.choices.values()):
+        _global_flags(p)
+    parser.set_defaults(prime=DEFAULT_PRIME, seed=0, trials=3, json=False)
     return parser
 
 

@@ -88,26 +88,29 @@ class CurveCatalogEntry:
     def label(self) -> str:
         return format_system(self.degree, (self.m0,) + (self.tail_mult,) * self.tail_points)
 
-    def instantiate(self, n: int, placement: tuple[int, ...] | None = None) -> LinearSystem:
-        """The class on ``n`` tail slots; default placement is the first slots."""
+    def _slots(self, n: int, placement: tuple[int, ...] | None) -> list[int]:
+        """The slots of ``placement`` among ``n`` tail slots, as indices with 0
+        for ``p0``; the default placement is the first slots."""
         if placement is None:
             placement = tuple(range(self.tail_points))
         if len(placement) != self.tail_points:
             raise ValueError(f"{self.label} needs {self.tail_points} tail slots")
         if any(not 0 <= s < n for s in placement) or len(set(placement)) != len(placement):
             raise ValueError(f"bad placement {placement} on {n} slots")
+        return [s + 1 for s in placement]
+
+    def instantiate(self, n: int, placement: tuple[int, ...] | None = None) -> LinearSystem:
+        """The class on ``n`` tail slots; default placement is the first slots."""
         return LinearSystem(*_curve(self.degree, self.m0, self.tail_mult,
-                                    [s + 1 for s in placement], n + 1))
+                                    self._slots(n, placement), n + 1))
 
     def constituents(self, n: int, placement: tuple[int, ...] | None = None
                      ) -> tuple[LinearSystem, ...]:
         """Irreducible pieces: the entry itself, or the lines of a compound."""
-        if placement is None:
-            placement = tuple(range(self.tail_points))
         if self.kind == "simple":
             return (self.instantiate(n, placement),)
         return tuple(LinearSystem(*line) for line in
-                     _compound_lines(self.m0 > 0, [s + 1 for s in placement], n + 1))
+                     _compound_lines(self.m0 > 0, self._slots(n, placement), n + 1))
 
 
 # (degree, m0, tail_mult, tail_points) of the simple classes that are not
@@ -562,16 +565,14 @@ def _single_rows(families: list[ClassificationRow], generals: list[Classificatio
                         max(n for _, n in candidates))
 
     rows = []
-    seen = set()
     for d, n in sorted(set(candidates)):
         for m0 in range(0, d + 1):
             sys = LinearSystem(d, (m0,) + (6,) * n)
-            if sys in covered or sys.normalize() in seen:
+            if sys in covered:
                 continue
             status, ell = hh_prediction(sys)
             if status != SPECIAL:
                 continue
-            seen.add(sys.normalize())
             v = virtual_dim(sys)
             rows.append(ClassificationRow(
                 offset=d - m0,

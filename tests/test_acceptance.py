@@ -21,7 +21,7 @@ from fatpoints.cremona import NegativeEntryError, cremona_vector, split_fixed_li
 from fatpoints.degeneration import (Budget, CertificateError, check_certificate, degenerate,
                                     recursive_dim)
 from fatpoints.neg_curves import (catalog, generate_classification, hh_dimension,
-                                  is_minus_one_class, is_minus_one_special)
+                                  hh_prediction, is_minus_one_class, is_minus_one_special)
 from fatpoints.oracle import dimension_char_p
 from fatpoints.tables import classification_to_csv, known_hard_cases, verify_table
 from fatpoints.verdict import EMPTY, REGULAR, UNKNOWN
@@ -262,6 +262,54 @@ def test_criterion_7_degeneration_consistency(sweep_verdicts):
            f"limit formula and v identity exact; {len(sweep_verdicts)} sweep "
            f"verdicts, every regular/empty one matching the oracle "
            f"({len(unknowns)} unknown, {len(mismatches)} mismatched)")
+
+
+def _frontier(d_max):
+    """Each L(d,m0,6^n) with 1 <= d <= d_max and m0 <= d, n running upward from 0
+    until two consecutive values of n are empty by the classifier."""
+    out = []
+    for d in range(1, d_max + 1):
+        for m0 in range(d + 1):
+            n, empties = 0, 0
+            while empties < 2:
+                sys = LinearSystem(d, (m0,) + (6,) * n)
+                empties = empties + 1 if hh_prediction(sys)[0] == EMPTY else 0
+                out.append(sys)
+                n += 1
+    return out
+
+
+# sha256 over the frontier systems with n > 6, one str() per line, and over
+# "system status ell" of the prover's verdict on each, without the oracle
+FRONTIER_SYSTEMS_SHA256 = "ea04e6b5697f4ba2e38d6db35e7a78972c5cdc00ffc245bd1a28d214477399da"
+FRONTIER_VERDICTS_SHA256 = "b40b5a2a0065952814ab1ffc24b5ce80c805bdd3b10c2870ec8b1ee3cdf80227"
+
+
+def test_frontier_beyond_the_box_matches_the_oracle():
+    # past the criterion-7 box (n <= 6): proofs there use degenerations
+    frontier = _frontier(20)
+    systems = [sys for sys in frontier if len(sys.tail) > 6]
+    assert (len(frontier), len(systems)) == (1585, 240)
+    lean = Budget(use_oracle=False)
+    verdicts = [recursive_dim(sys, lean) for sys in systems]
+    mismatches, unknowns, kinds = [], 0, Counter()
+    for sys, verdict in zip(systems, verdicts):
+        if verdict.status == UNKNOWN:
+            unknowns += 1
+            expected = hh_dimension(sys).ell
+        else:
+            expected = verdict.ell
+            check_certificate(verdict.to_json())
+            kinds.update(node["kind"] for node in trace_nodes(verdict.trace))
+        if dimension_char_p(sys) != expected:
+            mismatches.append(str(sys))
+    report("7+", not mismatches and kinds["degeneration"] > 0,
+           f"{len(systems)} frontier systems with n > 6: {unknowns} unknown, "
+           f"{len(mismatches)} disagreeing with the oracle; nodes replayed {dict(kinds)}")
+    digest = hashlib.sha256("\n".join(map(str, systems)).encode()).hexdigest()
+    lines = (f"{sys} {verdict.status} {verdict.ell}" for sys, verdict in zip(systems, verdicts))
+    assert (digest, hashlib.sha256("\n".join(lines).encode()).hexdigest()) == \
+        (FRONTIER_SYSTEMS_SHA256, FRONTIER_VERDICTS_SHA256)
 
 
 def test_criterion_8_certificate_replay(sweep_verdicts):

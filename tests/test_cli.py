@@ -321,6 +321,11 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle")
         assert code == 2
 
+    def test_system_given_twice(self, capsys):
+        code, out, err = run(capsys, "oracle", "L(4,2)", "--system", "L(5)")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("trials", ["0", "17"])
     def test_trials_out_of_bounds(self, capsys, trials):
         code, out, err = run(capsys, "oracle", "L(10,2,6^3)", "--trials", trials)
@@ -490,6 +495,42 @@ class TestCertificateFlow:
         code, out, err = run(capsys, "check-certificate", str(path), "--no-oracle-replay")
         assert code == 2 and out == ""
         assert err.startswith("usage: ") and "--no-oracle-replay" in err
+
+
+# each subcommand with the positionals it needs, and each global flag with its
+# destination, its default and the values given before and after the subcommand
+SUBCOMMANDS = {"vdim": ["L(5)"], "dim": ["L(5)"], "classify": ["L(5)"], "cremona": ["L(5)"],
+               "degen": ["L(5)", "1", "1"], "oracle": ["L(5)"], "table": ["generate"],
+               "hard-cases": [], "check-certificate": ["cert.json"]}
+GLOBAL_FLAGS = {"--prime": ("prime", 32003, 7, 11), "--seed": ("seed", 0, 5, 9),
+                "--trials": ("trials", 3, 2, 4), "--json": ("json", False, True, True)}
+
+
+class TestGlobalFlags:
+    """A global flag is accepted before and after the subcommand; the value after
+    it wins, and a flag given nowhere takes its default."""
+
+    def test_every_subcommand_is_listed(self):
+        [sub] = [action for action in build_parser()._actions if action.dest == "command"]
+        assert list(sub.choices) == list(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("position", ["before", "after", "both"])
+    @pytest.mark.parametrize("flag", GLOBAL_FLAGS)
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_parsed_value(self, command, flag, position):
+        def given(value):
+            return [flag] if value is True else [flag, str(value)]
+
+        dest, _, before, after = GLOBAL_FLAGS[flag]
+        argv = [command, *SUBCOMMANDS[command]]
+        if position != "after":
+            argv = given(before) + argv
+        if position != "before":
+            argv = argv + given(after)
+        args = vars(build_parser().parse_args(argv))
+        expected = {name: default for name, default, _, _ in GLOBAL_FLAGS.values()}
+        expected[dest] = before if position == "before" else after
+        assert {name: args[name] for name in expected} == expected
 
 
 REUSE_SYSTEM = "L(4,2,2)"

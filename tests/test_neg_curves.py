@@ -66,6 +66,15 @@ class TestCatalog:
                 assert (total.degree, tuple(summed)) == (
                     sum(p.degree for p in parts), total.mults)
 
+    @pytest.mark.parametrize("placement", [(0, 1), (0, 1, 2, 3, 9), (0, 0, 1, 2, 3)])
+    def test_constituents_check_the_placement(self, placement):
+        [entry] = [entry for entry in catalog(5) if entry.label == "L(5,5,1^5)"]
+        with pytest.raises(ValueError) as refused:
+            entry.instantiate(5, placement)
+        with pytest.raises(ValueError) as also_refused:
+            entry.constituents(5, placement)
+        assert str(also_refused.value) == str(refused.value)
+
 
 def _brute_splittings(sys):
     """All negative catalog intersections, enumerated independently."""
