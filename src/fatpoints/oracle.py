@@ -13,7 +13,16 @@ Trials run in order and stop at the first one that brings the running minimum
 down to ``expected_dim(L)``.  This is sound: ``rank <= rows`` and
 ``rank <= cols`` give every trial ``cols - 1 - rank >= max(virtual_dim, -1)``,
 which is ``expected_dim``, so no later trial can lower the minimum.
-``trial_dimensions`` still runs every trial.
+``dimension_char_p`` also takes a ``floor``, a proven lower bound on the
+dimension in characteristic zero at general points (the table check passes the
+``ell`` of a fixed-part removal that ``check_certificate`` accepts), and then
+stops at ``max(expected_dim(L), floor)``.  Every trial is at least ``floor``:
+the entries are integer polynomials in the point coordinates, so a minor
+nonzero mod p at some points is nonzero over Q, and no trial has a larger rank
+than general points in characteristic zero.  The result is still
+``min(trial_dimensions(L, seed, prime, trials))``; without ``floor`` (the
+prover, the checker's replay of an oracle leaf, ``fatpoints oracle``) the
+trials are exactly those above.  ``trial_dimensions`` still runs every trial.
 
 Each trial moves its sampled points by a projective map before building the
 matrix.  The three points of largest multiplicity (first on ties, in slot
@@ -468,17 +477,17 @@ def trial_dimensions(L: LinearSystem, seed: int = 0, prime: int = DEFAULT_PRIME,
 
 
 def dimension_char_p(L: LinearSystem, seed: int = 0, prime: int = DEFAULT_PRIME,
-                     trials: int = 3) -> int:
+                     trials: int = 3, *, floor: int | None = None) -> int:
     """Minimum projective dimension over the trials (special positions only raise it).
 
-    Stops at the first trial that reaches ``expected_dim(L)``, the least value
-    any trial can take; the result equals ``min(trial_dimensions(...))``.
+    Stops once a trial reaches ``expected_dim(L)``, or the proven lower bound ``floor``
+    if higher; no trial goes below either, so the result is ``min(trial_dimensions(...))``.
     """
-    e = expected_dim(L)
+    least = expected_dim(L) if floor is None else max(expected_dim(L), floor)
     best = None
     for dim in _trials(L, seed, prime, trials):
         best = dim if best is None else min(best, dim)
-        if best == e:
+        if best == least:
             break
     return best
 

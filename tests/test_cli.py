@@ -385,6 +385,14 @@ class TestTableCommand:
         assert all(line.startswith("skip  ") and line.endswith("[0 instances]")
                    for line in lines[:-1])
 
+    @pytest.mark.parametrize("setting", [["--trials", "99"], ["--prime", "4"]])
+    @pytest.mark.parametrize("max_degree", ["-1", "8"])
+    def test_verify_oracle_settings_refused_before_any_row(self, capsys, setting, max_degree):
+        code, out, err = run(capsys, "table", "verify", "--mode", "oracle",
+                             "--max-degree", max_degree, *setting)
+        assert code == 2 and out == ""
+        assert "error:" in err
+
     @pytest.mark.parametrize("action", ["generate", "verify"])
     def test_e_max_over_the_bound_refused_before_any_work(self, capsys, monkeypatch, action):
         def no_classifier(L):

@@ -19,7 +19,7 @@ from fatpoints.oracle import (DEFAULT_PRIME, MAX_PRIME, PrimeFieldMatrix, build_
                               check_prime, condition_count,
                               dimension_char_p, monomial_count, monomial_exponents,
                               oracle_report, rank_ff, size_failure, trial_dimensions)
-from fatpoints.tables import classification_table
+from fatpoints.tables import _proven_floor, classification_table
 
 BIG_PRIME = 8388593  # the largest prime below 2^23
 
@@ -461,6 +461,25 @@ class TestEarlyStop:
             seed, trials = rng.randint(0, 99), rng.randint(1, 4)
             assert (dimension_char_p(sys, seed, trials=trials)
                     == min(trial_dimensions(sys, seed, trials=trials)))
+        # special table instances, stopped at their checker-verified floors
+        special = [sys for row in classification_table(4) for sys, *_ in row.instances(d_cap=14)]
+        for sys in rng.sample(special, 30):
+            floor = _proven_floor(sys)
+            seed, trials = rng.randint(0, 99), rng.randint(1, 4)
+            assert floor > expected_dim(sys)
+            assert (dimension_char_p(sys, seed, trials=trials, floor=floor)
+                    == min(trial_dimensions(sys, seed, trials=trials)))
+
+    @pytest.mark.parametrize("name", ["L(19,5,6^9)", "L(10,2,6^3)", "L(14,5,6^5)"])
+    def test_floor_at_or_below_expected_changes_nothing(self, monkeypatch, name):
+        sys = L(name)
+        calls = _count_builds(monkeypatch)
+        want = dimension_char_p(sys)
+        unfloored = len(calls)
+        for floor in (expected_dim(sys), expected_dim(sys) - 1, -5):
+            calls.clear()
+            assert dimension_char_p(sys, floor=floor) == want
+            assert len(calls) == unfloored
 
     def test_checker_replay_recomputes_after_prover(self, monkeypatch):
         verdict = recursive_dim(L("L(19,5,6^9)"))

@@ -1,17 +1,30 @@
 """Table generation, golden files, verification reports, hard-case data."""
 
+import copy
 import csv
 import dataclasses
+import hashlib
 import io
+import json
 
 import pytest
 
 from conftest import packaged_csv
+from fatpoints import tables
 from fatpoints.core import expected_dim, virtual_dim
-from fatpoints.neg_curves import generate_classification
+from fatpoints.neg_curves import generate_classification, hh_dimension
 from fatpoints.tables import (classification_table, classification_to_csv,
                               classification_to_json, known_hard_cases, verify_table)
 from fatpoints.verdict import EMPTY, REGULAR
+from test_oracle import _count_builds
+
+# sha256 of json.dumps of the [system, passed, got, command] list of every
+# oracle-mode check, for (d_cap, seed), recorded before the oracle check
+# stopped its trials at a checker-verified lower bound.
+ORACLE_REPORT_SHA256 = {
+    (22, 7): "f9d2adc4c5efeb4ac4c73119f342b1dc72886e32d3e70348aa4901aad5e2b301",
+    (26, 0): "4f425c7304a4e18f2d175e33ef8def0b025cd3ddf1b0be5ee4ca80538a19b56a",
+}
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +77,60 @@ class TestVerifyTable:
     def test_hh_mode_all_pass(self, rows):
         assert verify_table(rows, "hh", e_limit=3, d_cap=30).ok
 
-    def test_corrupted_row_fails_exactly_once(self, rows):
+    @pytest.mark.parametrize("mode, shift", [("hh", 1), ("oracle", 1), ("oracle", -1)])
+    def test_corrupted_row_fails_exactly_once(self, rows, monkeypatch, mode, shift):
         target = next(i for i, r in enumerate(rows) if r.system == "L(13,2,6^5)")
         d, m0, n, v, ell = rows[target].payload
-        bad = dataclasses.replace(rows[target], ell=str(ell + 1),
-                                  payload=(d, m0, n, v, ell + 1))
+        bad = dataclasses.replace(rows[target], ell=str(ell + shift),
+                                  payload=(d, m0, n, v, ell + shift))
         mutated = rows[:target] + (bad,) + rows[target + 1:]
-        report = verify_table(mutated, "hh", e_limit=2, d_cap=30)
+        if mode == "oracle":  # the mutated row alone keeps the oracle cheap
+            mutated = (bad,)
+        builds = _count_builds(monkeypatch)
+        report = verify_table(mutated, mode, e_limit=2, d_cap=30)
         assert [r.system for r in report.results if not r.passed] == ["L(13,2,6^5)"]
+        if mode == "oracle":
+            # the floor is the witness's ell = 2, which the first trial reaches;
+            # a floor of the claimed 3 or 1 would have run all three trials
+            assert [c.got for c in report.results[0].checks] == ["2"] and len(builds) == 1
+
+    @pytest.mark.parametrize("tamper", [
+        lambda t: t["steps"][0].update(n=t["steps"][0]["n"] + 1),
+        lambda t: t.update(residual="L(5,2,2^4)"),
+        lambda t: t.update(special=False),
+    ], ids=["step-n", "residual", "special"])
+    def test_rejected_witness_gives_no_floor(self, rows, monkeypatch, tamper):
+        def tampered(sys):
+            verdict = hh_dimension(sys)
+            trace = copy.deepcopy(verdict.trace)
+            tamper(trace)
+            return dataclasses.replace(verdict, trace=trace)
+
+        monkeypatch.setattr(tables, "hh_dimension", tampered)
+        row = next(r for r in rows if r.system == "L(13,2,6^5)")
+        builds = _count_builds(monkeypatch)
+        report = verify_table((row,), "oracle", trials=3)
+        assert [c.got for c in report.results[0].checks] == ["2"]
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize("d_cap, seed, instances", [(22, 7, 272), (26, 0, 372)])
+    def test_oracle_report_unchanged_with_one_matrix_per_instance(self, rows, monkeypatch,
+                                                                   d_cap, seed, instances):
+        builds = _count_builds(monkeypatch)
+        report = verify_table(rows, "oracle", d_cap=d_cap, seed=seed)
+        checks = [(c.system, c.passed, c.got, c.command)
+                  for r in report.results for c in r.checks]
+        assert (hashlib.sha256(json.dumps(checks).encode()).hexdigest()
+                == ORACLE_REPORT_SHA256[d_cap, seed])
+        assert len(checks) == len(builds) == instances  # three builds each before the floor
+
+    @pytest.mark.parametrize("mode, settings", [
+        ("bogus", {}), ("oracle", {"trials": 99}), ("oracle", {"prime": 4}),
+        ("oracle", {"trials": 0}),
+    ])
+    def test_settings_checked_before_any_row(self, rows, mode, settings):
+        with pytest.raises(ValueError):
+            verify_table(rows, mode, d_cap=-1, **settings)
 
     def test_reports_carry_repro_commands(self, rows):
         report = verify_table(rows[:1], "formula", e_limit=1, d_cap=10)
