@@ -123,7 +123,7 @@ def _cmd_cremona(args) -> int:
 
 def _cmd_degen(args) -> int:
     L = _parse(args.system)
-    parts = degenerate(L, args.k, args.b).parts()
+    parts = degenerate(L, args.k, args.b)
     payload = {"system": str(L), "k": args.k, "b": args.b,
                **{name: str(S) for name, S in parts.items()},
                **{f"v_{name}": virtual_dim(S) for name, S in parts.items()}}

@@ -13,18 +13,21 @@ system restricts to four numerical systems::
 The dimension of the limit system bounds that of the original system from
 above (semicontinuity).  Two sufficient criteria follow, both decided by
 ``criterion_failure``: one proving emptiness (for systems with negative
-virtual dimension) and one proving non-speciality.  The prover first applies
-it to numbers alone: the four systems' virtual dimensions in closed form, so
-that an attempt they refute builds no split, then the classifier's
-predictions for the pieces (``hh_prediction``, arithmetic on raw data), so
-that an attempt they refute solves no child.  ``recursive_dim`` chains these
-with the speciality classifier, reduction to standard form (ending in a small
-base case or in the proof of the reduced system), and a finite-field rank
-fallback; a fixed-part removal proves only speciality or emptiness, and only
-a system predicted special gets the ``hh_dimension`` trace of its removal.
-Every verdict carries a trace that ``check_certificate`` replays without
-search: it calls the same criterion and split arithmetic as the prover and
-rebuilds each leaf with the function that wrote it."""
+virtual dimension) and one proving non-speciality.  ``DegenerationSplit``
+holds the virtual dimensions of a system and of its four pieces in closed
+form, the one copy of them, and builds the pieces with ``degenerate`` when
+they are first read.  The prover first applies the criterion to numbers
+alone: those virtual dimensions, so that an attempt they refute builds no
+split, then the classifier's predictions for the pieces (``hh_prediction``,
+arithmetic on raw data), so that an attempt they refute solves no child.
+``recursive_dim`` chains these with the speciality classifier, reduction to
+standard form (ending in a small base case or in the proof of the reduced
+system), and a finite-field rank fallback; a fixed-part removal proves only
+speciality or emptiness, and only a system predicted special gets the
+``hh_dimension`` trace of its removal.  Every verdict carries a trace that
+``check_certificate`` replays without search: it reads the same split, virtual
+dimensions and criterion as the prover and rebuilds each leaf with the
+function that wrote it."""
 
 from __future__ import annotations
 
@@ -33,8 +36,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Mapping
 
-from .core import (LinearSystem, SystemParseError, expected_dim, intersect, parse_system,
-                   virtual_dim)
+from .core import LinearSystem, SystemParseError, expected_dim, intersect, parse_system
 from .cremona import (Move, cremona_vector, is_standard, next_move, replay_transcript,
                       standard_reduce)
 from .neg_curves import (check_regime, hh_dimension, hh_prediction, is_catalog_curve,
@@ -53,28 +55,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DegenerationSplit:
-    base: LinearSystem
-    k: int
-    b: int
-    plane: LinearSystem
-    ruled: LinearSystem
-    plane_kernel: LinearSystem
-    ruled_kernel: LinearSystem
+    """The (k, b)-degeneration of a normalized, quasi-homogeneous system ``base``:
+    ``v`` and ``dims``, the virtual dimensions of ``base`` and of its pieces by
+    name in closed form, trust the input; ``parts``, the pieces, are built by
+    :func:`degenerate` on first read, which checks it."""
 
+    def __init__(self, base: LinearSystem, k: int, b: int):
+        d, m0, n = base.degree, base.m0, len(base.tail)
+        c = base.tail[0] * (base.tail[0] + 1) if n else 0  # twice one tail point's conditions
+
+        def v(e: int, a: int, r: int) -> int:  # virtual_dim(L(e, a, m^r))
+            return (e * (e + 3) - a * (a + 1) - r * c) // 2
+        self.base, self.k, self.b, self.v = base, k, b, v(d, m0, n)
+        self.dims = {"plane": v(d - k, m0, n - b), "ruled": v(d, d - k, b),
+                     "plane_kernel": v(d - k - 1, m0, n - b), "ruled_kernel": v(d, d - k + 1, b)}
+
+    @cached_property
     def parts(self) -> dict[str, LinearSystem]:
-        """The four restricted systems by name, in the order the prover solves them."""
-        return {"plane": self.plane, "ruled": self.ruled,
-                "plane_kernel": self.plane_kernel, "ruled_kernel": self.ruled_kernel}
-
-    def dims(self) -> dict[str, int]:
-        """The virtual dimension of each restricted system, by name."""
-        return {name: virtual_dim(s) for name, s in self.parts().items()}
+        return degenerate(self.base, self.k, self.b)
 
 
-def degenerate(L: LinearSystem, k: int, b: int) -> DegenerationSplit:
-    """The four restricted systems of a (k, b)-degeneration of ``L``."""
+def degenerate(L: LinearSystem, k: int, b: int) -> dict[str, LinearSystem]:
+    """The four restricted systems of a (k, b)-degeneration of ``L``, by name in
+    the order the prover solves them."""
     base = L.normalize()
     if not base.is_quasi_homogeneous():
         raise ValueError(f"degeneration needs a quasi-homogeneous system, got {L}")
@@ -85,16 +89,10 @@ def degenerate(L: LinearSystem, k: int, b: int) -> DegenerationSplit:
         raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
     if not 0 <= b <= n:
         raise ValueError(f"need 0 <= b <= n, got b={b}, n={n}")
-    split = DegenerationSplit(
-        base=base, k=k, b=b,
-        plane=LinearSystem(d - k, (m0,) + (m,) * (n - b)),
-        ruled=LinearSystem(d, (d - k,) + (m,) * b),
-        plane_kernel=LinearSystem(d - k - 1, (m0,) + (m,) * (n - b)),
-        ruled_kernel=LinearSystem(d, (d - k + 1,) + (m,) * b),
-    )
-    # bookkeeping identity used throughout the induction
-    assert virtual_dim(split.plane) + virtual_dim(split.ruled_kernel) == virtual_dim(base) - 1
-    return split
+    return {"plane": LinearSystem(d - k, (m0,) + (m,) * (n - b)),
+            "ruled": LinearSystem(d, (d - k,) + (m,) * b),
+            "plane_kernel": LinearSystem(d - k - 1, (m0,) + (m,) * (n - b)),
+            "ruled_kernel": LinearSystem(d, (d - k + 1,) + (m,) * b)}
 
 
 _NONSPECIAL = (REGULAR, EMPTY)
@@ -106,8 +104,8 @@ def criterion_failure(rule: str, dims: Mapping[str, int], v: int,
     """Why a (k, b)-degeneration does not prove ``rule`` for its base system,
     or None when it does.
 
-    ``v`` is the virtual dimension of the base system, ``dims`` that of each
-    piece of :meth:`DegenerationSplit.parts` by name, and ``child(name)`` the
+    ``v`` and ``dims`` are :class:`DegenerationSplit`'s virtual dimensions of
+    the base system and of each piece by name, and ``child(name)`` the
     ``(status, ell)`` of that piece, looked up in their order only while no
     condition has failed.  ``empty`` (proving ell = -1) needs v <= -1,
     v(plane_kernel) <= v, v(ruled_kernel) <= -1, then non-special
@@ -319,37 +317,16 @@ def _scan_degenerations(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
         if not 1 <= k < d:
             continue
         for b in candidates:
-            attempt = _Attempt(L, k, b)
+            split = DegenerationSplit(L, k, b)
             for rule in ("empty", "nonspecial"):
-                node = _try(attempt, rule, ctx)
+                node = _try(split, rule, ctx)
                 if node is not None:
                     return DimVerdict(_status(node["ell"]), node["ell"], L, node)
     return None
 
 
-class _Attempt:
-    """The (k, b)-degeneration of a normalized system ``L`` as the scan judges
-    it: the virtual dimensions of ``L`` and of its four pieces in closed form,
-    and the pieces themselves, built by :func:`degenerate` when a prediction
-    or a proof first reads one."""
-
-    def __init__(self, L: LinearSystem, k: int, b: int):
-        d, m0, n = L.degree, L.m0, len(L.tail)
-        c = L.tail[0] * (L.tail[0] + 1) if n else 0  # twice the conditions of one tail point
-
-        def v(e: int, a: int, r: int) -> int:  # virtual_dim(L(e, a, m^r))
-            return (e * (e + 3) - a * (a + 1) - r * c) // 2
-        self.base, self.k, self.b, self.v = L, k, b, v(d, m0, n)
-        self.dims = {"plane": v(d - k, m0, n - b), "ruled": v(d, d - k, b),
-                     "plane_kernel": v(d - k - 1, m0, n - b), "ruled_kernel": v(d, d - k + 1, b)}
-
-    @cached_property
-    def parts(self) -> dict[str, LinearSystem]:
-        return degenerate(self.base, self.k, self.b).parts()
-
-
-def _try(attempt: _Attempt, rule: str, ctx: _Ctx) -> dict | None:
-    """The node proving ``rule`` for the base of ``attempt``, or None.
+def _try(split: DegenerationSplit, rule: str, ctx: _Ctx) -> dict | None:
+    """The node proving ``rule`` for the base of ``split``, or None.
 
     :func:`criterion_failure` decides twice.  First on numbers: the pieces'
     virtual dimensions, so that an attempt they refute builds no split, then
@@ -358,13 +335,13 @@ def _try(attempt: _Attempt, rule: str, ctx: _Ctx) -> dict | None:
     differed from its prediction would refute the classifier; the checker
     reads no prediction.
     """
-    L, dims, v = attempt.base, attempt.dims, attempt.v
-    if criterion_failure(rule, dims, v, lambda name: ctx.removal(attempt.parts[name])):
+    L, dims, v = split.base, split.dims, split.v
+    if criterion_failure(rule, dims, v, lambda name: ctx.removal(split.parts[name])):
         return None
-    children = {name: _solve(s, ctx) for name, s in attempt.parts.items()}
+    children = {name: _solve(s, ctx) for name, s in split.parts.items()}
     if criterion_failure(rule, dims, v, lambda name: _dimension(children[name])):
         return None
-    return {"kind": "degeneration", "system": str(L), "k": attempt.k, "b": attempt.b,
+    return {"kind": "degeneration", "system": str(L), "k": split.k, "b": split.b,
             "rule": rule, "ell": _proved_ell(rule, L),
             "children": {name: c.to_json() for name, c in children.items()}}
 
@@ -560,22 +537,21 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
 
 
 def _check_degeneration(node: dict, system: LinearSystem) -> int:
-    k, b = _typed(node["k"], int, "k"), _typed(node["b"], int, "b")
-    try:
-        split = degenerate(system, k, b)
+    split = DegenerationSplit(system, _typed(node["k"], int, "k"), _typed(node["b"], int, "b"))
+    try:  # the pieces first: building them checks what dims and v trust
+        parts = split.parts
     except ValueError as err:
         raise CertificateError(f"degeneration: {err}") from None
-    if b >= len(system.tail):
+    if split.b >= len(system.tail):
         raise CertificateError("degeneration needs b < n")
     children = _typed(node["children"], dict, "the children map of a degeneration")
-    parts = split.parts()
 
     def checked(name: str) -> tuple[str, int]:
         child = _typed(children[name], dict, "a certificate")
         _check_verdict(child, parts[name])
         return child["status"], child["ell"]
     rule = node["rule"]
-    reason = criterion_failure(rule, split.dims(), virtual_dim(system), checked)
+    reason = criterion_failure(rule, split.dims, split.v, checked)
     if reason is not None:
         raise CertificateError(reason)
     ell = _proved_ell(rule, system)

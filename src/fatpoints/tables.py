@@ -20,8 +20,9 @@ from importlib import resources
 
 from .core import LinearSystem, parse_system, virtual_dim
 from .degeneration import CertificateError, check_certificate
-from .neg_curves import ClassificationRow, generate_classification, hh_dimension, hh_prediction
-from .oracle import DEFAULT_PRIME, check_settings, dimension_char_p
+from .neg_curves import (_E_MAX_LIMIT, ClassificationRow, generate_classification,
+                         hh_dimension, hh_prediction)
+from .oracle import DEFAULT_PRIME, check_settings, dimension_char_p, size_failure
 from .verdict import SPECIAL
 
 __all__ = [
@@ -143,6 +144,10 @@ def _check_instance(mode: str, sys: LinearSystem, v: int, ell: int, boundary: bo
     return InstanceCheck(name, ok, f"> {ell}" if boundary else str(ell), str(got), cmd)
 
 
+# the report keeps every instance; each family instance at e <= 26 has degree <= 260
+_D_CAP_LIMIT = 300
+
+
 def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
                  e_limit: int = 4, d_cap: int | None = None,
                  prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 3) -> TableReport:
@@ -151,16 +156,26 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
     In every mode only instances with degree at most ``d_cap`` are run.
     Boundary instances of the all-n rows (where the value jumps onto a
     parameter family) are checked for a strict excess instead of equality.
-    In oracle mode the trials stop at the bound of :func:`_proven_floor`, and the
-    prime and trial count are checked, like the mode, before any row.
+    In oracle mode the trials stop at the bound of :func:`_proven_floor`.  Before
+    any row, ValueError refuses an unknown mode, an ``e_limit`` above 26 (the
+    bound on ``e_max``), a ``d_cap`` above ``_D_CAP_LIMIT`` and, in oracle mode,
+    a bad prime or trial count or an instance over the oracle's size cap.
     """
     if mode not in ("formula", "hh", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
+    if e_limit > _E_MAX_LIMIT:
+        raise ValueError(f"e_limit must be <= {_E_MAX_LIMIT}, got {e_limit}")
+    if d_cap is not None and d_cap > _D_CAP_LIMIT:
+        raise ValueError(f"d_cap must be <= {_D_CAP_LIMIT}, got {d_cap}")
+    plan = [(row, tuple(row.instances(e_limit=e_limit, d_cap=d_cap))) for row in rows]
     if mode == "oracle":
         prime = check_settings(prime, trials)
+        for system in (inst[0] for _, instances in plan for inst in instances):
+            reason = size_failure(system)
+            if reason is not None:
+                raise ValueError(reason)
     results = []
-    for row in rows:
-        checks = tuple(_check_instance(mode, *inst, prime, seed, trials)
-                       for inst in row.instances(e_limit=e_limit, d_cap=d_cap))
+    for row, instances in plan:
+        checks = tuple(_check_instance(mode, *inst, prime, seed, trials) for inst in instances)
         results.append(RowResult(row.system, all(c.passed for c in checks), checks))
     return TableReport(tuple(results))

@@ -248,7 +248,7 @@ def test_criterion_7_degeneration_consistency(sweep_verdicts):
         for k in range(1, d):
             for b in range(0, n + 1):
                 s = degenerate(sys, k, b)
-                assert virtual_dim(s.plane) + virtual_dim(s.ruled_kernel) == virtual_dim(sys) - 1
+                assert virtual_dim(s["plane"]) + virtual_dim(s["ruled_kernel"]) == virtual_dim(sys) - 1
 
     # prover vs oracle over the sweep box
     unknowns, mismatches = [], []

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fatpoints
 from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, packaged_csv,
                       positions)
-from fatpoints import degeneration, neg_curves, oracle
+from fatpoints import degeneration, neg_curves, oracle, tables
 from fatpoints.cli import build_parser, main
 from fatpoints.core import parse_system
 
@@ -392,6 +392,19 @@ class TestTableCommand:
                              "--max-degree", max_degree, *setting)
         assert code == 2 and out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--max-degree", "301"], "d_cap must be <= 300"),
+        (["--mode", "oracle", "--max-degree", "100"],
+         "L(100,100,6^5) has a 5155 x 5151 matrix, over the oracle's cap"),
+    ], ids=["degree-cap", "oracle-size"])
+    def test_verify_bounds_refused_before_any_row(self, capsys, monkeypatch, argv, reason):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance was checked")
+        monkeypatch.setattr(tables, "_check_instance", no_instance)
+        code, out, err = run(capsys, "table", "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"error: {reason}" in err
 
     @pytest.mark.parametrize("action", ["generate", "verify"])
     def test_e_max_over_the_bound_refused_before_any_work(self, capsys, monkeypatch, action):

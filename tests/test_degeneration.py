@@ -13,7 +13,7 @@ from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, limit_value, mu
 from fatpoints import degeneration, oracle
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
 from fatpoints.cremona import cremona_vector
-from fatpoints.degeneration import (Budget, CertificateError, _Attempt, _Ctx,
+from fatpoints.degeneration import (Budget, CertificateError, DegenerationSplit, _Ctx,
                                     _is_minus_one_curve, _try, check_certificate,
                                     criterion_failure, degenerate, recursive_dim)
 from fatpoints.neg_curves import catalog, hh_dimension, is_catalog_curve
@@ -49,17 +49,17 @@ def _oracle_leaf_certificate(name, where):
 class TestDegenerate:
     def test_large_example(self):
         s = degenerate(L("L(141,100,6^50)"), 5, 13)
-        assert s.plane == L("L(136,100,6^37)")
-        assert s.ruled == L("L(141,136,6^13)")
-        assert s.plane_kernel == L("L(135,100,6^37)")
-        assert s.ruled_kernel == L("L(141,137,6^13)")
+        assert s["plane"] == L("L(136,100,6^37)")
+        assert s["ruled"] == L("L(141,136,6^13)")
+        assert s["plane_kernel"] == L("L(135,100,6^37)")
+        assert s["ruled_kernel"] == L("L(141,137,6^13)")
 
     def test_small_example(self):
         s = degenerate(L("L(14,0,6^6)"), 5, 3)
-        assert (s.plane, s.ruled) == (L("L(9,0,6^3)"), L("L(14,9,6^3)"))
-        assert (s.plane_kernel, s.ruled_kernel) == (L("L(8,0,6^3)"), L("L(14,10,6^3)"))
+        assert (s["plane"], s["ruled"]) == (L("L(9,0,6^3)"), L("L(14,9,6^3)"))
+        assert (s["plane_kernel"], s["ruled_kernel"]) == (L("L(8,0,6^3)"), L("L(14,10,6^3)"))
         v = virtual_dim(L("L(14,0,6^6)"))
-        assert virtual_dim(s.plane) + virtual_dim(s.ruled_kernel) == v - 1
+        assert virtual_dim(s["plane"]) + virtual_dim(s["ruled_kernel"]) == v - 1
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -79,8 +79,8 @@ class TestDegenerate:
             sys = LinearSystem(d, (m0,) + (m,) * n)
             k = rng.randint(1, d - 1)
             b = rng.randint(0, n)
-            s = degenerate(sys, k, b)  # identity asserted inside
-            assert virtual_dim(s.plane) + virtual_dim(s.ruled_kernel) == virtual_dim(sys) - 1
+            s = degenerate(sys, k, b)
+            assert virtual_dim(s["plane"]) + virtual_dim(s["ruled_kernel"]) == virtual_dim(sys) - 1
 
     def test_closed_form_dims_match_the_split(self):
         # the numbers the prover judges an attempt on are those of the split it would build
@@ -91,8 +91,10 @@ class TestDegenerate:
             m = rng.randint(1, 6)
             sys = LinearSystem(d, (rng.randint(0, d + 3),) + (m,) * n)
             k, b = rng.randint(1, d - 1), rng.randint(0, n)
-            attempt = _Attempt(sys, k, b)
-            assert (attempt.v, attempt.dims) == (virtual_dim(sys), degenerate(sys, k, b).dims())
+            split = DegenerationSplit(sys, k, b)
+            parts = degenerate(sys, k, b)
+            assert split.v == virtual_dim(sys)
+            assert split.dims == {name: virtual_dim(s) for name, s in parts.items()}
 
 
 class TestLimitValue:
@@ -115,10 +117,9 @@ class TestLimitValue:
         # by the rank oracle, give a limit far above the true dimension -1:
         # this split does not settle L(14,0,6^6)
         s = degenerate(L("L(14,0,6^6)"), 5, 3)
-        ells = [dimension_char_p(x)
-                for x in (s.plane, s.ruled, s.plane_kernel, s.ruled_kernel)]
+        ells = [dimension_char_p(x) for x in s.values()]
         assert ells == [0, 11, -1, 4]
-        d_minus_k = s.base.degree - s.k
+        d_minus_k = 14 - 5
         assert limit_value(d_minus_k, *ells) == 4
         assert limit_value(d_minus_k, *ells) >= dimension_char_p(L("L(14,0,6^6)"))
 
@@ -131,12 +132,12 @@ class _ReachedChild(Exception):
     pass
 
 
-def _passes_numbers(attempt, rule):
-    """Whether the conditions of ``rule`` that need no child hold for ``attempt``."""
+def _passes_numbers(split, rule):
+    """Whether the conditions of ``rule`` that need no child hold for ``split``."""
     def child(name):
         raise _ReachedChild
     try:
-        criterion_failure(rule, attempt.dims, attempt.v, child)
+        criterion_failure(rule, split.dims, split.v, child)
     except _ReachedChild:
         return True
     return False
@@ -156,7 +157,7 @@ def _count_splits(monkeypatch):
 
 def proves(system, k, b, rule):
     """Whether the prover's (k, b)-degeneration attempt at ``rule`` succeeds."""
-    return _try(_Attempt(L(system), k, b), rule, _Ctx(Budget())) is not None
+    return _try(DegenerationSplit(L(system), k, b), rule, _Ctx(Budget())) is not None
 
 
 class TestCriteria:
@@ -183,8 +184,8 @@ class TestCriteria:
 
     def test_emptiness_needs_a_ruled_kernel_of_negative_v_before_any_child(self):
         # v = -21 and v(plane_kernel) = -36, but the ruled kernel L(18,14,6^4) has v = 0
-        split = degenerate(L("L(18,0,6^10)"), 5, 4)
-        assert criterion_failure("empty", split.dims(), -21, _no_child) == \
+        split = DegenerationSplit(L("L(18,0,6^10)"), 5, 4)
+        assert criterion_failure("empty", split.dims, -21, _no_child) == \
             "emptiness rule needs v(ruled_kernel) <= -1"
 
     def test_predictions_refute_before_any_child_is_solved(self, monkeypatch):
@@ -194,8 +195,8 @@ class TestCriteria:
         solve = degeneration._solve
         monkeypatch.setattr(degeneration, "_solve",
                             lambda system, ctx: solved.append(system) or solve(system, ctx))
-        attempt = _Attempt(L("L(10,0,6^2)"), 5, 1)
-        assert _try(attempt, "nonspecial", _Ctx(Budget())) is None
+        split = DegenerationSplit(L("L(10,0,6^2)"), 5, 1)
+        assert _try(split, "nonspecial", _Ctx(Budget())) is None
         assert solved == []
 
     def test_attempt_refuted_on_numbers_builds_no_split(self, monkeypatch):
@@ -211,10 +212,10 @@ class TestCriteria:
                     if k >= system.degree:
                         continue
                     calls.clear()
-                    attempt = _Attempt(system, k, b)
+                    split = DegenerationSplit(system, k, b)
                     for rule in ("empty", "nonspecial"):
-                        _try(attempt, rule, ctx)
-                    viable = any(_passes_numbers(attempt, rule)
+                        _try(split, rule, ctx)
+                    viable = any(_passes_numbers(split, rule)
                                  for rule in ("empty", "nonspecial"))
                     assert [c for c in calls if c[0] == system] == \
                         ([(system, k, b)] if viable else []), (str(system), k, b)
@@ -263,10 +264,10 @@ class TestRecursiveDim:
         assert sorted((k, b) for s, k, b in calls if s == system) == viable
         refuted = [(k, b) for k in (5, 6) for b in range(10) if (k, b) not in viable]
         for k, b in refuted:
-            attempt = _Attempt(system, k, b)
-            assert not any(_passes_numbers(attempt, rule) for rule in ("empty", "nonspecial"))
+            split = DegenerationSplit(system, k, b)
+            assert not any(_passes_numbers(split, rule) for rule in ("empty", "nonspecial"))
             assert (system, k, b) not in calls
-        assert all(_passes_numbers(_Attempt(system, k, b), "empty") for k, b in viable)
+        assert all(_passes_numbers(DegenerationSplit(system, k, b), "empty") for k, b in viable)
 
     def test_classifier_trace_only_for_special_verdicts(self, monkeypatch):
         # over the criterion-7 box, hh_dimension runs only on systems proved special
@@ -493,7 +494,7 @@ class TestCertificates:
         ("L(21,0,6^10)", 5, 5, "nonspecial", "empty"),
     ])
     def test_flipped_rule_rejected(self, name, k, b, rule, flipped):
-        node = _try(_Attempt(L(name), k, b), rule, _Ctx(Budget()))
+        node = _try(DegenerationSplit(L(name), k, b), rule, _Ctx(Budget()))
         status = EMPTY if rule == "empty" else REGULAR
         cert = json.loads(DimVerdict(status, node["ell"], L(name), node).dumps())
         check_certificate(cert)
@@ -592,12 +593,24 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="slots"):
             check_certificate(cert)
 
-    @pytest.mark.parametrize("field,value", [("k", 0), ("k", 21), ("b", -1), ("b", 11)])
+    @pytest.mark.parametrize("field,value", [("k", 0), ("k", 21), ("b", -1), ("b", 10),
+                                             ("b", 11)])
     def test_out_of_range_k_or_b_raises_certificate_error(self, field, value):
         cert = json.loads(recursive_dim(L("L(21,0,6^10)")).dumps())
         assert cert["trace"]["kind"] == "degeneration"
         cert["trace"][field] = value
-        with pytest.raises(CertificateError, match=f"need .*{field}"):
+        # b = n = 10 splits, but a degeneration the checker accepts moves fewer points
+        reason = "needs b < n" if (field, value) == ("b", 10) else f"need .*{field}"
+        with pytest.raises(CertificateError, match=reason):
+            check_certificate(cert)
+
+    def test_degeneration_of_a_system_not_quasi_homogeneous_rejected(self):
+        # L(21,0,6^9,5,3) has the expected dimension 42 of L(21,0,6^10), so only
+        # the degeneration node itself can refuse it, before reading any number
+        cert = json.loads(recursive_dim(L("L(21,0,6^10)")).dumps())
+        assert cert["trace"]["kind"] == "degeneration"
+        cert["system"] = cert["trace"]["system"] = "L(21,0,6^9,5,3)"
+        with pytest.raises(CertificateError, match="degeneration: .*quasi-homogeneous"):
             check_certificate(cert)
 
     def test_too_deep_a_chain_raises_certificate_error(self):

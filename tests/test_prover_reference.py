@@ -29,8 +29,8 @@ from fatpoints import degeneration
 from fatpoints.core import LinearSystem, expected_dim, format_system, virtual_dim
 from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
                                next_move, replay_transcript, split_fixed_line, standard_reduce)
-from fatpoints.degeneration import (Budget, _Attempt, _Ctx, _is_minus_one_curve, _try,
-                                    degenerate)
+from fatpoints.degeneration import (Budget, DegenerationSplit, _Ctx, _is_minus_one_curve,
+                                    _try)
 from fatpoints.neg_curves import (CurveCatalogEntry, _next_split, _split_chain, catalog,
                                   hh_dimension, is_minus_one_class)
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
@@ -331,13 +331,13 @@ def reference_numeric_failure(rule, split, v):
     if rule == "empty":
         if v > -1:
             return "emptiness rule needs v <= -1"
-        if virtual_dim(split.plane_kernel) > v:
+        if virtual_dim(split.parts["plane_kernel"]) > v:
             return "emptiness rule needs v(plane_kernel) <= v"
         return None
     if rule == "nonspecial":
         if v < -1:
             return "non-speciality rule needs v >= -1"
-        if virtual_dim(split.plane) < -1 or virtual_dim(split.ruled) < -1:
+        if virtual_dim(split.parts["plane"]) < -1 or virtual_dim(split.parts["ruled"]) < -1:
             return "non-speciality rule needs restriction v >= -1"
         return None
     return f"unknown degeneration rule {rule!r}"
@@ -372,13 +372,13 @@ def reference_try(split, rule, ctx):
     v = virtual_dim(L)
     if reference_numeric_failure(rule, split, v) is not None:
         return None
-    parts = split.parts()
+    parts = split.parts
     if rule == "empty":
-        if virtual_dim(split.ruled_kernel) > -1:
+        if virtual_dim(parts["ruled_kernel"]) > -1:
             return None
         needed = parts.values()
     else:
-        needed = (split.plane, split.ruled)
+        needed = (parts["plane"], parts["ruled"])
     if any(ctx.removal(s)[0] == SPECIAL for s in needed):
         return None
     children = {name: degeneration._solve(s, ctx) for name, s in parts.items()}
@@ -634,8 +634,8 @@ class TestDegenerationAttemptMatchesReference:
         for system, plan in degeneration_attempts(tail_mults, max_degree, max_points):
             ctx = _Ctx(Budget())  # shared: a verdict depends on its system alone
             for k, b, rule in plan:
-                node = _try(_Attempt(system, k, b), rule, ctx)
-                assert node == reference_try(degenerate(system, k, b), rule, ctx), \
+                node = _try(DegenerationSplit(system, k, b), rule, ctx)
+                assert node == reference_try(DegenerationSplit(system, k, b), rule, ctx), \
                     (str(system), k, b, rule)
                 tried += 1
                 proved += node is not None

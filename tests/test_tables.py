@@ -68,6 +68,10 @@ class TestClassificationTable:
         assert data[0]["system"] == "L(d,d,6^n)"
 
 
+def _no_instance(*args, **kwargs):
+    raise AssertionError("an instance was checked")
+
+
 class TestVerifyTable:
     def test_formula_mode_all_pass(self, rows):
         report = verify_table(rows, "formula", e_limit=4, d_cap=40)
@@ -131,6 +135,23 @@ class TestVerifyTable:
     def test_settings_checked_before_any_row(self, rows, mode, settings):
         with pytest.raises(ValueError):
             verify_table(rows, mode, d_cap=-1, **settings)
+
+    @pytest.mark.parametrize("limits, reason", [
+        ({"e_limit": 27}, "e_limit must be <= 26"), ({"d_cap": 301}, "d_cap must be <= 300"),
+    ], ids=["e_limit", "d_cap"])
+    def test_limits_checked_before_any_row(self, rows, monkeypatch, limits, reason):
+        # the report keeps every instance, so an unbounded d_cap exhausts memory
+        monkeypatch.setattr(tables, "_check_instance", _no_instance)
+        with pytest.raises(ValueError, match=reason):
+            verify_table(rows, "formula", **limits)
+
+    def test_largest_limits_accepted(self, rows):
+        assert verify_table(rows, "formula", e_limit=26, d_cap=300).ok
+
+    def test_oracle_instance_over_the_size_cap_refused_before_any_row(self, rows, monkeypatch):
+        monkeypatch.setattr(tables, "dimension_char_p", _no_instance)
+        with pytest.raises(ValueError, match=r"L\(100,100,6\^5\) has a 5155 x 5151 matrix"):
+            verify_table(rows, "oracle", d_cap=100)
 
     def test_reports_carry_repro_commands(self, rows):
         report = verify_table(rows[:1], "formula", e_limit=1, d_cap=10)
