@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from .core import (LinearSystem, SystemParseError, expected_dim, parse_system,
+from .core import (_MAX_REPEAT, LinearSystem, SystemParseError, expected_dim, parse_system,
                    virtual_dim)
 from .cremona import Move, cremona, replay_transcript, standard_reduce
 from .degeneration import (Budget, CertificateError, check_certificate, degenerate,
@@ -112,6 +112,10 @@ def _cmd_cremona(args) -> int:
         _emit(args, {"system": str(L), "slots": args.slots, "result": str(out)},
               [f"{L} -> {out}"])
         return 0
+    if L.degree > _MAX_REPEAT:  # a reduction prints up to degree + 1 moves
+        print(f"error: refusing to reduce a system of degree above {_MAX_REPEAT}",
+              file=sys.stderr)
+        return 2
     final, moves = standard_reduce(L)
     steps = transcript(L, moves)
     payload = {"system": str(L), "final": str(final), "moves": steps}

@@ -12,6 +12,15 @@ multiplicities by one.
 moves it took, each its kind and slots; ``replay_transcript`` re-applies such
 a list and returns the system it reaches.  Both take every move with the same
 step on raw ``(degree, mults)`` data and format no intermediate system.
+
+A reduction works on normalized data: ``p0`` first, then the tail in
+descending order.  Its three heaviest slots are therefore ``p0`` inserted into
+the tail at rank ``r``, the number of tail values above ``m0``, so it only
+ever takes seven moves: the quadratic transformations on slots ``(0, 1, 2)``,
+``(1, 0, 2)``, ``(1, 2, 0)`` and ``(1, 2, 3)`` (r = 0, 1, 2 and 3 or more), and
+the line splits on the first two of those, ``(0, 1)``, ``(1, 0)`` and ``(1, 2)``.
+``STANDARD_MOVES``, fixed at import, holds one :class:`Move` and one JSON form
+of each, which every reduction shares.  ``replay_transcript`` accepts any move.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ __all__ = [
     "split_fixed_line",
     "next_move",
     "standard_reduce",
+    "STANDARD_MOVES",
     "is_standard",
     "replay_transcript",
 ]
@@ -123,6 +133,15 @@ class Move:
         return cls(data["move"], tuple(data["slots"]))
 
 
+# The seven moves of a reduction, each (kind, slots) to its one Move and its one
+# JSON form.  Every reduction and every trace shares them: edit neither.
+STANDARD_MOVES: dict[tuple[str, tuple[int, ...]], tuple[Move, dict]] = {
+    (move.kind, move.slots): (move, move.to_json())
+    for move in (Move("cremona", (0, 1, 2)), Move("cremona", (1, 0, 2)),
+                 Move("cremona", (1, 2, 0)), Move("cremona", (1, 2, 3)),
+                 Move("line", (0, 1)), Move("line", (1, 0)), Move("line", (1, 2)))}
+
+
 def next_move(degree: int, mults: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
     """The next move of the reduction to standard form, or None when there is none.
 
@@ -159,9 +178,10 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     """Iterate line splits and quadratic transformations until standard.
 
     Each step is :func:`next_move` on the normalized form and is recorded as
-    a :class:`Move`; one line split per step even when the line splits off
-    several times.  Stops early when some multiplicity exceeds the degree
-    (the system is then empty and no further move is meaningful).
+    the shared :class:`Move` of ``STANDARD_MOVES`` (a move missing there is a
+    bug and raises KeyError); one line split per step even when the line
+    splits off several times.  Stops early when some multiplicity exceeds the
+    degree (the system is then empty and no further move is meaningful).
     Terminates because every move strictly decreases the degree.
     """
     moves: list[Move] = []
@@ -172,7 +192,7 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
         if move is None:
             break
         d, m = _step(d, m, *move)
-        moves.append(Move(*move))
+        moves.append(STANDARD_MOVES[move][0])
     assert len(moves) <= L.degree + 1, "reduction failed to terminate"
     return (LinearSystem(d, m) if moves else start), tuple(moves)
 

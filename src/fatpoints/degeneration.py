@@ -37,8 +37,8 @@ from operator import attrgetter
 from typing import Callable, Mapping
 
 from .core import LinearSystem, SystemParseError, expected_dim, intersect, parse_system
-from .cremona import (Move, cremona_vector, is_standard, next_move, replay_transcript,
-                      standard_reduce)
+from .cremona import (STANDARD_MOVES, Move, cremona_vector, is_standard, next_move,
+                      replay_transcript, standard_reduce)
 from .neg_curves import (check_regime, hh_dimension, hh_prediction, is_catalog_curve,
                          is_minus_one_class, speciality_failure, split_off)
 from .oracle import DEFAULT_PRIME, check_settings, dimension_char_p, size_failure
@@ -56,14 +56,17 @@ __all__ = [
 
 
 class DegenerationSplit:
-    """The (k, b)-degeneration of a normalized, quasi-homogeneous system ``base``:
-    ``v`` and ``dims``, the virtual dimensions of ``base`` and of its pieces by
-    name in closed form, trust the input; ``parts``, the pieces, are built by
-    :func:`degenerate` on first read, which checks it."""
+    """The (k, b)-degeneration of a normalized, quasi-homogeneous system ``base``,
+    which raises ValueError for any other base: ``v`` and ``dims``, the virtual
+    dimensions of ``base`` and of its pieces by name in closed form; ``parts``,
+    the pieces, built by :func:`degenerate` on first read, which checks k and b."""
 
     def __init__(self, base: LinearSystem, k: int, b: int):
-        d, m0, n = base.degree, base.m0, len(base.tail)
-        c = base.tail[0] * (base.tail[0] + 1) if n else 0  # twice one tail point's conditions
+        d, m0, tail = base.degree, base.m0, base.tail
+        n = len(tail)
+        if n and (tail.count(tail[0]) != n or not tail[0]):  # normalized: no zero in the tail
+            raise ValueError(f"degeneration needs a quasi-homogeneous system, got {base}")
+        c = tail[0] * (tail[0] + 1) if n else 0  # twice one tail point's conditions
 
         def v(e: int, a: int, r: int) -> int:  # virtual_dim(L(e, a, m^r))
             return (e * (e + 3) - a * (a + 1) - r * c) // 2
@@ -299,8 +302,8 @@ def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
         leaf = proof.trace
     ell = leaf["ell"]
     trace = {"kind": "cremona_reduction", "system": str(L),
-             "moves": [m.to_json() for m in moves], "final": str(final),
-             "leaf": leaf, "ell": ell}
+             "moves": [STANDARD_MOVES[m.kind, m.slots][1] for m in moves],
+             "final": str(final), "leaf": leaf, "ell": ell}
     if ell == -1 or ell == expected_dim(L):
         return DimVerdict(_status(ell), ell, L, trace)
     # a special value here would contradict the classifier run before us
@@ -537,12 +540,13 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
 
 
 def _check_degeneration(node: dict, system: LinearSystem) -> int:
-    split = DegenerationSplit(system, _typed(node["k"], int, "k"), _typed(node["b"], int, "b"))
-    try:  # the pieces first: building them checks what dims and v trust
+    k, b = _typed(node["k"], int, "k"), _typed(node["b"], int, "b")
+    try:  # the split and its pieces first: building them checks the system, k and b
+        split = DegenerationSplit(system, k, b)
         parts = split.parts
     except ValueError as err:
         raise CertificateError(f"degeneration: {err}") from None
-    if split.b >= len(system.tail):
+    if b >= len(system.tail):
         raise CertificateError("degeneration needs b < n")
     children = _typed(node["children"], dict, "the children map of a degeneration")
 

@@ -10,6 +10,11 @@ A verdict is one of
 ``trace`` is a JSON-serializable tree describing how the value was obtained;
 ``fatpoints check-certificate`` replays such trees using only the arithmetic
 of the other modules, with no search.
+
+A trace is a read-only value: its nested parts are shared between verdicts
+(the seven move dicts of ``cremona.STANDARD_MOVES``, and child subtrees within
+one prover run), so editing one in place edits them all.  For an editable
+copy, use ``json.loads(v.dumps())``.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ SEARCH = {"recursive_dim", "_solve", "_solve_fresh", "_Ctx", "_try", "_scan_dege
 # Source lines of the definitions check_certificate reaches, constants and
 # decorators included.  A change that grows the closure raises this ceiling and
 # says why.
-CHECKER_CLOSURE_LINES = 942
+CHECKER_CLOSURE_LINES = 946
 
 
 def _closure(root: str) -> dict[str, list[ast.AST]]:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fatpoints
 from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, mutant, packaged_csv,
                       positions)
-from fatpoints import degeneration, neg_curves, oracle, tables
+from fatpoints import cli, degeneration, neg_curves, oracle, tables
 from fatpoints.cli import build_parser, main
 from fatpoints.core import parse_system
 
@@ -168,6 +168,10 @@ class TestClassify:
         assert "refusing to list" in err
 
 
+def _no_reduction(system):
+    raise AssertionError(f"{system} was reduced")
+
+
 class TestCremonaCommand:
     def test_single_move(self, capsys):
         code, out, _ = run(capsys, "--json", "cremona", "L(14,5,6^5)",
@@ -180,6 +184,26 @@ class TestCremonaCommand:
         doc = json.loads(out)
         assert doc["final"].startswith("L(0,")
         assert all(m["move"] == "line" for m in doc["moves"])
+
+    @pytest.mark.parametrize("system,code", [
+        ("L(100000000000000000000,99999999999999999999,99999999999999999999)", 2),
+        ("L(10001)", 2), ("L(10000)", 0)])
+    def test_reduce_refuses_a_degree_above_the_cap(self, capsys, monkeypatch, system, code):
+        # a reduction takes up to degree + 1 moves, each one line of output
+        if code == 2:
+            monkeypatch.setattr(cli, "standard_reduce", _no_reduction)
+        got, out, err = run(capsys, "cremona", system)
+        assert got == code
+        if code == 2:
+            assert out == "" and err == "error: refusing to reduce a system of degree above 10000\n"
+        else:
+            assert out == "final: L(10000)  (e = 50015000)\n" and err == ""
+
+    def test_single_move_has_no_degree_cap(self, capsys):
+        code, out, _ = run(capsys, "cremona", "L(100000000000000000000,1,1,1)",
+                           "--slots", "0", "1", "2")
+        assert (code, out) == (0, "L(100000000000000000000,1,1^2) -> L(199999999999999999997,"
+                                  "99999999999999999998,99999999999999999998^2)\n")
 
 
 # ``fatpoints cremona SYSTEM`` as it printed while each move of a reduction

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpoints.core import LinearSystem, intersect, parse_system, virtual_dim
-from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona,
-                               cremona_vector, is_standard, replay_transcript,
+from fatpoints.cremona import (STANDARD_MOVES, Move, NegativeEntryError, NotFixedError,
+                               cremona, cremona_vector, is_standard, replay_transcript,
                                split_fixed_line, standard_reduce)
 
 
@@ -177,6 +177,16 @@ class TestStandardReduce:
         assert len(moves) == n_moves and any(m > final.degree for m in final.mults) == exceeds
         assert replay_transcript(moves, L(name)) == final
         assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 45), st.lists(st.integers(0, 12), max_size=12))
+    def test_only_the_seven_table_moves(self, degree, m0, tail):
+        # zeros in the tail, p0 above, among and below the tail, tails of mixed values
+        sys = LinearSystem(degree, (m0, *tail))
+        final, moves = standard_reduce(sys)
+        assert len(STANDARD_MOVES) == 7
+        assert all(STANDARD_MOVES[m.kind, m.slots][0] is m for m in moves)
+        assert replay_transcript(moves, sys) == final
 
     def test_normalize_keeps_a_canonical_system(self):
         for name in ("L(20,18,6^5)", "L(1,1,2^4,1)", "L(5,0)", "L(3)"):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, limit_value, mutant,
                       positions, trace_nodes, with_transcripts)
 from fatpoints import degeneration, oracle
+from fatpoints.cli import main
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
-from fatpoints.cremona import cremona_vector
+from fatpoints.cremona import STANDARD_MOVES, cremona_vector
 from fatpoints.degeneration import (Budget, CertificateError, DegenerationSplit, _Ctx,
                                     _is_minus_one_curve, _try, check_certificate,
                                     criterion_failure, degenerate, recursive_dim)
@@ -53,6 +54,15 @@ class TestDegenerate:
         assert s["ruled"] == L("L(141,136,6^13)")
         assert s["plane_kernel"] == L("L(135,100,6^37)")
         assert s["ruled_kernel"] == L("L(141,137,6^13)")
+
+    @pytest.mark.parametrize("base", [LinearSystem(14, (0, 0, 6, 6, 6)),  # v was 119, not 56
+                                      LinearSystem(14, (0, 6, 6, 6, 0)),
+                                      LinearSystem(14, (3, 0, 0)),
+                                      LinearSystem(14, (0, 5, 6, 6)),
+                                      L("L(14,0,6^2,5)")])
+    def test_split_refuses_a_base_not_normalized_or_not_quasi_homogeneous(self, base):
+        with pytest.raises(ValueError, match="degeneration needs a quasi-homogeneous system"):
+            DegenerationSplit(base, 5, 1)
 
     def test_small_example(self):
         s = degenerate(L("L(14,0,6^6)"), 5, 3)
@@ -231,6 +241,22 @@ class TestCriteria:
 
 
 class TestRecursiveDim:
+    def test_reductions_share_the_seven_move_dicts(self, capsys):
+        # a trace is read-only: every reduction records the table's own JSON forms
+        shared = {id(data) for _, data in STANDARD_MOVES.values()}
+        ids = {id(move) for d in range(13) for m0 in range(d + 1) for n in range(13)
+               for node in trace_nodes(recursive_dim(LinearSystem(d, (m0,) + (6,) * n),
+                                                     Budget(use_oracle=False)).to_json())
+               if node["kind"] == "cremona_reduction" for move in node["moves"]}
+        assert ids and ids <= shared  # six of the seven occur here
+        for argv in (["cremona", "L(14,0,6^6)"], ["--json", "cremona", "L(20,18,6^5)"],
+                     ["dim", "--json", "L(14,0,6^6)"], ["dim", "--json", "L(21,0,6^10)"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        for (kind, slots), (move, data) in STANDARD_MOVES.items():
+            assert (move.kind, move.slots) == (kind, slots)
+            assert data == {"move": kind, "slots": list(slots)} == move.to_json()
+
     def test_special(self):
         v = recursive_dim(L("L(10,2,6^3)"))
         assert (v.status, v.ell) == (SPECIAL, 2)
