@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from .core import (_MAX_REPEAT, LinearSystem, SystemParseError, expected_dim, parse_system,
                    virtual_dim)
@@ -28,7 +29,8 @@ from .degeneration import (Budget, CertificateError, check_certificate, degenera
 from .neg_curves import find_splittings, hh_dimension
 from .oracle import DEFAULT_PRIME, oracle_report
 from .tables import (classification_table, classification_to_csv,
-                     classification_to_json, hard_cases_csv, verify_table)
+                     classification_to_json, hard_cases_csv, known_hard_cases,
+                     verify_table)
 from .verdict import UNKNOWN
 
 
@@ -41,7 +43,7 @@ def _parse(text: str) -> LinearSystem:
         raise SystemExit(2)
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload: dict | list, text_lines: list[str]):
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -149,28 +151,32 @@ def _cmd_oracle(args) -> int:
 def _cmd_table(args) -> int:
     rows = classification_table(args.e_max)
     if args.action == "generate":
-        if args.format == "json":
-            print(json.dumps(classification_to_json(rows), indent=2))
-        else:
-            sys.stdout.write(classification_to_csv(rows))
+        payload = classification_to_json(rows)
+        text = (json.dumps(payload, indent=2) if args.format == "json"
+                else classification_to_csv(rows))
+        _emit(args, payload, text.splitlines())
         return 0
     report = verify_table(rows, args.mode, e_limit=args.e_max,
                           d_cap=args.max_degree, prime=args.prime,
                           seed=args.seed, trials=args.trials)
+    lines = []
     for result in report.results:
         status = "FAIL" if not result.passed else "ok" if result.checks else "skip"
-        print(f"{status}  {result.system}  [{len(result.checks)} instances]")
-        if not result.passed:
-            for c in result.checks:
-                if not c.passed:
-                    print(f"      {c.system}: expected {c.expected}, got {c.got}")
-                    print(f"      reproduce: {c.command}")
-    print(f"{'all rows pass' if report.ok else 'FAILURES PRESENT'}")
+        lines.append(f"{status}  {result.system}  [{len(result.checks)} instances]")
+        for c in result.checks:
+            if not c.passed:
+                lines.append(f"      {c.system}: expected {c.expected}, got {c.got}")
+                lines.append(f"      reproduce: {c.command}")
+    lines.append(f"{'all rows pass' if report.ok else 'FAILURES PRESENT'}")
+    _emit(args, {"rows": [asdict(result) for result in report.results], "ok": report.ok},
+          lines)
     return 0 if report.ok else 1
 
 
 def _cmd_hard_cases(args) -> int:
-    sys.stdout.write(hard_cases_csv())
+    rows = [{"d_minus_m0": case.offset, "system": case.system, "status": case.status,
+             "method": case.method} for case in known_hard_cases()]
+    _emit(args, rows, hard_cases_csv().splitlines())
     return 0
 
 
@@ -180,10 +186,13 @@ def _cmd_check_certificate(args) -> int:
     try:
         check_certificate(cert)
     except CertificateError as err:
-        print(f"certificate INVALID: {err}", file=sys.stderr)
+        if not args.json:
+            print(f"certificate INVALID: {err}", file=sys.stderr)
+        _emit(args, {"valid": False, "reason": str(err)}, [])
         return 1
-    print(f"certificate OK: {cert['system']} has status "
-          f"{cert['status']} (ell = {cert['ell']})")
+    _emit(args, {"system": cert["system"], "status": cert["status"], "ell": cert["ell"],
+                 "valid": True},
+          [f"certificate OK: {cert['system']} has status {cert['status']} (ell = {cert['ell']})"])
     return 0
 
 

@@ -85,7 +85,7 @@ class LinearSystem:
     @property
     def base_points(self) -> int:
         """Number of points actually imposing conditions."""
-        return sum(1 for m in self.mults if m > 0)
+        return len(self.mults) - self.mults.count(0)  # multiplicities are >= 0
 
     def is_quasi_homogeneous(self) -> bool:
         """True when all multiplicities away from ``p0`` agree (zeros ignored)."""

@@ -20,11 +20,13 @@ they are first read.  The prover first applies the criterion to numbers
 alone: those virtual dimensions, so that an attempt they refute builds no
 split, then the classifier's predictions for the pieces (``hh_prediction``,
 arithmetic on raw data), so that an attempt they refute solves no child.
-``recursive_dim`` chains these with the speciality classifier, reduction to
-standard form (ending in a small base case or in the proof of the reduced
-system), and a finite-field rank fallback; a fixed-part removal proves only
-speciality or emptiness, and only a system predicted special gets the
-``hh_dimension`` trace of its removal.  Every verdict carries a trace that
+``recursive_dim`` chains these with reduction to standard form (ending in a
+small base case or in the proof of the reduced system), the speciality
+classifier, and a finite-field rank fallback.  A base case proving the empty
+or the expected dimension settles a system before the classifier runs, since a
+special dimension is above both; a fixed-part removal proves only speciality
+or emptiness, and only a system predicted special gets the ``hh_dimension``
+trace of its removal.  Every verdict carries a trace that
 ``check_certificate`` replays without search: it reads the same split, virtual
 dimensions and criterion as the prover and rebuilds each leaf with the
 function that wrote it."""
@@ -162,7 +164,7 @@ def _base_case(S: LinearSystem, kinds: tuple[str, ...]) -> dict | None:
     for kind in kinds:
         if kind == "no_conditions" and S.base_points == 0:
             return {"kind": kind, "system": str(S), "ell": d * (d + 3) // 2}
-        if kind == "multiplicity_exceeds_degree" and any(m > d for m in S.mults):
+        if kind == "multiplicity_exceeds_degree" and max(S.mults, default=0) > d:
             return {"kind": kind, "system": str(S), "ell": -1}
         if kind == "standard_small" and S.base_points <= 9 and is_standard(S):
             return {"kind": kind, "system": str(S), "points": S.base_points,
@@ -214,9 +216,11 @@ class _Ctx:
 def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
     """Sound decision procedure for the dimension of a tail-6 system.
 
-    Order of attack: speciality classifier; reduction to standard form,
-    concluding from a base case (at most nine base points) or, for a
-    quasi-homogeneous reduced system of lower degree, from its own proof; a
+    Order of attack: reduction to standard form, concluding at once from a
+    base case (at most nine base points) that proves ell = -1 or ell =
+    expected; the speciality classifier, for what that leaves open; the
+    reduction's other conclusions: a base case above expected (Unknown) or,
+    for a quasi-homogeneous reduced system of lower degree, its own proof; a
     scan of (k, b)-degenerations for k in {5, 6, m-1, m} (m the tail
     multiplicity) applying the emptiness / non-speciality criteria
     recursively, until a proof is found; the finite-field rank oracle under
@@ -240,7 +244,9 @@ def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
 # ``b < n`` tail points; a reduction recurses into a final system of lower
 # degree.
 def _solve(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
-    L = L.normalize()
+    """The memoized verdict for ``L``, which every caller passes in normal form:
+    :func:`recursive_dim` normalizes, :func:`degenerate` builds normal pieces and
+    ``standard_reduce`` returns a normal final system."""
     hit = ctx.memo.get(L)
     if hit is not None:
         return hit
@@ -257,12 +263,26 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
     if leaf is not None:
         return DimVerdict(_status(leaf["ell"]), leaf["ell"], L, leaf)
 
+    predicted = ctx.removals.get(L)  # every piece of an attempt is predicted before it is solved
+    if predicted is not None and predicted[0] == SPECIAL:
+        return hh_dimension(L)
+
+    # A leaf proving ell = -1 or expected settles L before the classifier runs:
+    # a special verdict has ell above expected, so the two never both apply.
+    final, moves = standard_reduce(L)
+    leaf = _base_case(final, _BASE_CASES[1:])
+    if leaf is not None and leaf["ell"] in (-1, expected_dim(L)):
+        return _reduction_verdict(L, moves, final, leaf)
+
     if ctx.removal(L)[0] == SPECIAL:
         return hh_dimension(L)  # the one node whose removal trace a certificate holds
 
-    reduced = _conclude_from_reduction(L, ctx)
-    if reduced is not None:
-        return reduced
+    if leaf is None and moves and final.is_quasi_homogeneous():  # a final system of lower degree
+        proof = _solve(final, ctx)
+        if proof.status != UNKNOWN:
+            leaf = proof.trace
+    if leaf is not None:
+        return _reduction_verdict(L, moves, final, leaf)
 
     found = _scan_degenerations(L, ctx)
     if found is not None:
@@ -287,26 +307,18 @@ def _unknown(L: LinearSystem, reason: str, **evidence) -> DimVerdict:
                                          "reason": reason, **evidence})
 
 
-def _conclude_from_reduction(L: LinearSystem, ctx: _Ctx) -> DimVerdict | None:
-    """The reduction of ``L`` to standard form, concluding from a base case or,
-    when at least one move lowered the degree, from the proof of the final
-    quasi-homogeneous system; None when neither settles it."""
-    final, moves = standard_reduce(L)
-    leaf = _base_case(final, _BASE_CASES[1:])
-    if leaf is None:
-        if not moves or not final.is_quasi_homogeneous():
-            return None
-        proof = _solve(final, ctx)
-        if proof.status == UNKNOWN:
-            return None
-        leaf = proof.trace
+def _reduction_verdict(L: LinearSystem, moves: tuple[Move, ...], final: LinearSystem,
+                       leaf: dict) -> DimVerdict:
+    """The verdict on ``L`` from its reduction ``moves`` to ``final`` and the proof
+    ``leaf`` of ``final``: a base case or the trace of the final system's verdict."""
     ell = leaf["ell"]
     trace = {"kind": "cremona_reduction", "system": str(L),
              "moves": [STANDARD_MOVES[m.kind, m.slots][1] for m in moves],
              "final": str(final), "leaf": leaf, "ell": ell}
     if ell == -1 or ell == expected_dim(L):
         return DimVerdict(_status(ell), ell, L, trace)
-    # a special value here would contradict the classifier run before us
+    # a special value here would contradict the classifier: a leaf above expected
+    # reaches this line only after the classifier has found L non-special
     return _unknown(L, f"reduction reports dimension {ell} above expected", reduction=trace)
 
 

@@ -108,7 +108,7 @@ def test_every_private_helper_is_referenced():
 # The prover's search and memo, the classifier's split chain and the table
 # generator: the certificate checker replays a proof without any of them.
 SEARCH = {"recursive_dim", "_solve", "_solve_fresh", "_Ctx", "_try", "_scan_degenerations",
-          "_conclude_from_reduction", "hh_dimension", "hh_prediction", "_judged",
+          "_reduction_verdict", "hh_dimension", "hh_prediction", "_judged",
           "_split_chain", "_next_split", "find_splittings", "catalog", "standard_reduce",
           "generate_classification"}
 # Source lines of the definitions check_certificate reaches, constants and

@@ -327,6 +327,13 @@ class TestHardCasesCommand:
         assert code == 0
         assert out == packaged_csv("hard_cases.csv")
 
+    def test_json_lists_the_rows(self, capsys):
+        code, out, _ = run(capsys, "hard-cases", "--json")
+        rows = json.loads(out)
+        assert code == 0 and len(rows) == len(tables.known_hard_cases()) == 81
+        assert rows[0] == {"d_minus_m0": 8, "system": "L(8,0,6^3)", "status": "empty",
+                           "method": "three-point base case"}
+
 
 class TestOracleCommand:
     def test_report(self, capsys):
@@ -394,6 +401,30 @@ class TestTableCommand:
         assert code == 0
         assert out == packaged_csv("classification_table.csv")
 
+    def test_generate_json_flag_matches_format_json(self, capsys):
+        code, out, _ = run(capsys, "table", "generate", "--json")
+        assert code == 0
+        assert json.loads(out) == tables.classification_to_json(tables.classification_table(4))
+        assert run(capsys, "table", "generate", "--format", "json") == (0, out, "")
+
+    def test_verify_json(self, capsys):
+        code, out, _ = run(capsys, "--json", "table", "verify", "--mode", "formula",
+                           "--e-max", "2", "--max-degree", "25")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] is True
+        assert all(set(row) == {"system", "passed", "checks"} for row in doc["rows"])
+        checks = [c for row in doc["rows"] for c in row["checks"]]
+        assert checks and all(c["passed"] for c in checks)
+        assert set(checks[0]) == {"system", "passed", "expected", "got", "command"}
+
+    def test_verify_json_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(tables, "virtual_dim", lambda system: 10 ** 6)
+        code, out, _ = run(capsys, "table", "verify", "--max-degree", "12", "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["ok"] is False
+        assert any(c["got"] == "1000000" and not c["passed"]
+                   for row in doc["rows"] for c in row["checks"])
+
     def test_verify_formula(self, capsys):
         code, out, _ = run(capsys, "table", "verify", "--mode", "formula",
                            "--e-max", "2", "--max-degree", "25")
@@ -448,6 +479,23 @@ class TestCertificateFlow:
         assert code == 0
         code, out, _ = run(capsys, "check-certificate", str(path))
         assert code == 0 and "certificate OK" in out
+
+    def test_json_report(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "dim", "L(14,0,6^6)", "--certificate", str(path))
+        code, out, err = run(capsys, "check-certificate", str(path), "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"system": "L(14,0,6^6)", "status": "empty", "ell": -1,
+                                   "valid": True}
+        doc = json.loads(path.read_text())
+        doc["ell"], doc["status"] = 3, "regular"
+        path.write_text(json.dumps(doc))
+        _, _, text_err = run(capsys, "check-certificate", str(path))
+        code, out, err = run(capsys, "--json", "check-certificate", str(path))
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["valid"] is False and list(report) == ["valid", "reason"]
+        assert text_err == f"certificate INVALID: {report['reason']}\n"
 
     def test_tampered(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

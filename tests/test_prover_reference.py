@@ -16,8 +16,16 @@ dimensions in closed form and to the classifier's predictions;
 ``reference_try`` is the earlier attempt, run on the prover's own context, and
 must return the same node on every attempt of two boxes.  The prediction,
 ``hh_prediction``, must equal the ``(status, ell)`` of ``hh_dimension``.
+
+A prover node once ran the classifier before it reduced the system, and now
+reduces first and classifies only when the reduction's base case leaves the
+question open; ``reference_solve_fresh`` is the earlier node, built from the
+module's own names, and must give the same verdicts, node counts and budget
+outcomes.  ``LinearSystem.base_points`` and the ``multiplicity_exceeds_degree``
+test were rewritten with C-level builtins and are held to their earlier forms.
 """
 
+import json
 import random
 from itertools import combinations
 
@@ -29,11 +37,12 @@ from fatpoints import degeneration
 from fatpoints.core import LinearSystem, expected_dim, format_system, virtual_dim
 from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
                                next_move, replay_transcript, split_fixed_line, standard_reduce)
-from fatpoints.degeneration import (Budget, DegenerationSplit, _Ctx, _is_minus_one_curve,
-                                    _try)
+from fatpoints.degeneration import (_BASE_CASES, Budget, DegenerationSplit, _base_case, _Ctx,
+                                    _is_minus_one_curve, _try)
 from fatpoints.neg_curves import (CurveCatalogEntry, _next_split, _split_chain, catalog,
-                                  hh_dimension, is_minus_one_class)
-from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
+                                  hh_dimension, hh_prediction, is_minus_one_class)
+from fatpoints.oracle import size_failure
+from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
 
 def outcome(fn, *args):
@@ -63,6 +72,10 @@ def reference_normalize(L):
         return L
     tail = tuple(sorted((m for m in L.tail if m > 0), reverse=True))
     return LinearSystem(L.degree, (L.mults[0],) + tail)
+
+
+def reference_base_points(L):
+    return sum(1 for m in L.mults if m > 0)
 
 
 def reference_virtual_dim(L):
@@ -390,6 +403,39 @@ def reference_try(split, rule, ctx):
             "children": {name: c.to_json() for name, c in children.items()}}
 
 
+# -- references: the prover node --------------------------------------------------
+
+
+def reference_solve_fresh(L, ctx):
+    """The prover's node as it was: the classifier's prediction for every system
+    that is no base case, before its reduction."""
+    leaf = _base_case(L, _BASE_CASES[:2])
+    if leaf is not None:
+        return DimVerdict(degeneration._status(leaf["ell"]), leaf["ell"], L, leaf)
+    if ctx.removal(L)[0] == SPECIAL:
+        return hh_dimension(L)
+    final, moves = degeneration.standard_reduce(L)
+    leaf = _base_case(final, _BASE_CASES[1:])
+    if leaf is None and moves and final.is_quasi_homogeneous():
+        proof = degeneration._solve(final, ctx)
+        if proof.status != UNKNOWN:
+            leaf = proof.trace
+    if leaf is not None:
+        return degeneration._reduction_verdict(L, moves, final, leaf)
+    found = degeneration._scan_degenerations(L, ctx)
+    if found is not None:
+        return found
+    budget = ctx.budget
+    if budget.use_oracle and size_failure(L) is None:
+        leaf = degeneration._oracle_leaf(L, budget.prime, budget.seed, budget.trials)
+        if leaf["ell"] == leaf["expected"]:
+            return DimVerdict(degeneration._status(leaf["ell"]), leaf["ell"], L, leaf)
+        return degeneration._unknown(L, "rank oracle exceeds the expected dimension",
+                                     oracle=leaf)
+    return degeneration._unknown(
+        L, "out of methods" if ctx.nodes <= degeneration._MAX_NODES else "budget exhausted")
+
+
 # -- strategies -----------------------------------------------------------------
 
 # Any valid system: zeros inside the tail, tails out of order, m > d, no slots.
@@ -452,6 +498,9 @@ class TestCoreMatchesReference:
         assert format_system(sys.degree, sys.mults) == reference_format_system(sys)
         assert sys.normalize() == reference_normalize(sys)
         assert virtual_dim(sys) == reference_virtual_dim(sys)
+        assert sys.base_points == reference_base_points(sys)
+        exceeds = _base_case(sys, ("multiplicity_exceeds_degree",)) is not None
+        assert exceeds == any(m > sys.degree for m in sys.mults)
 
 
 class TestCremonaMatchesReference:
@@ -640,3 +689,93 @@ class TestDegenerationAttemptMatchesReference:
                 tried += 1
                 proved += node is not None
         assert tried == count and 0 < proved < tried
+
+
+def solved(system, budget):
+    """The ``dumps()`` of the prover's verdict on ``system`` and the number of
+    systems its run solved."""
+    ctx = _Ctx(budget)
+    verdict = degeneration._solve(system.normalize(), ctx)
+    return verdict.dumps(), ctx.nodes
+
+
+def box(tail_mults, max_degree, max_points):
+    """Every ``L(d, m0, m^n)`` with m in ``tail_mults``, m0 <= d <= max_degree and
+    n <= max_points."""
+    return [LinearSystem(d, (m0,) + (m,) * n) for m in tail_mults
+            for d in range(max_degree + 1) for m0 in range(d + 1) for n in range(max_points + 1)]
+
+
+# with two special systems whose reduction ends in a quasi-homogeneous system of
+# lower degree and no base case: the classifier settles them before that recursion
+NODE_BOXES = box((6,), 14, 12) + box((2, 3, 4, 5), 10, 12) + [
+    LinearSystem(29, (22,) + (6,) * 10), LinearSystem(30, (23,) + (6,) * 10)]
+
+
+def call_counts(monkeypatch, systems):
+    """How often the prover calls ``hh_prediction`` and ``standard_reduce`` while
+    proving ``systems``, in that order."""
+    counts = {"hh_prediction": 0, "standard_reduce": 0}
+    with monkeypatch.context() as patch:
+        for name in counts:
+            inner = getattr(degeneration, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                counts[_name] += 1
+                return _inner(*args)
+            patch.setattr(degeneration, name, counted)
+        for system in systems:
+            degeneration.recursive_dim(system, Budget(use_oracle=False))
+    return tuple(counts.values())
+
+
+class TestNodeOrderMatchesReference:
+    def test_same_verdict_and_nodes_on_two_boxes(self, monkeypatch):
+        lean = Budget(use_oracle=False)
+        reduced_first = [solved(system, lean) for system in NODE_BOXES]
+        monkeypatch.setattr(degeneration, "_solve_fresh", reference_solve_fresh)
+        classified_first = [solved(system, lean) for system in NODE_BOXES]
+        for system, got, want in zip(NODE_BOXES, reduced_first, classified_first):
+            assert got == want, str(system)
+        statuses = {json.loads(text)["status"] for text, _ in reduced_first}
+        assert statuses == {EMPTY, REGULAR, SPECIAL}
+
+    @pytest.mark.parametrize("max_nodes", [3, 10])
+    def test_same_verdict_when_the_node_budget_runs_out(self, monkeypatch, max_nodes):
+        monkeypatch.setattr(degeneration, "_MAX_NODES", max_nodes)
+        # with the oracle, nodes past the budget fall to it; without, they stay unknown
+        runs = [(system, budget) for budget in (Budget(), Budget(use_oracle=False))
+                for system in (LinearSystem(31, (23,) + (6,) * 12),
+                               LinearSystem(26, (16,) + (6,) * 9),
+                               LinearSystem(19, (1,) + (6,) * 11))]
+        reduced_first = [solved(*run) for run in runs]
+        monkeypatch.setattr(degeneration, "_solve_fresh", reference_solve_fresh)
+        assert reduced_first == [solved(*run) for run in runs]
+        assert any('"reason": "budget exhausted"' in text for text, _ in reduced_first)
+
+    def test_a_conclusive_reduction_is_never_classified_special(self):
+        """The premise of the order: a base case proving ell = -1 or expected
+        after the reduction is the classifier's own value, never a speciality."""
+        settled = 0
+        for system in box((6,), 20, 12):
+            final, _ = standard_reduce(system)
+            leaf = _base_case(final, _BASE_CASES[1:])
+            if leaf is None or leaf["ell"] not in (-1, expected_dim(system)):
+                continue
+            status, ell = hh_prediction(system)
+            assert status != SPECIAL and ell == leaf["ell"], str(system)
+            settled += 1
+        assert settled == 2683
+
+    @pytest.mark.parametrize("systems,counts,reference_counts", [
+        (box((6,), 12, 12), (79, 918), (918, 839)),
+        # its degeneration solves the kernel L(14,0,6^5), predicted special before it
+        # is solved: the prover proves that kernel with hh_dimension and does not reduce it
+        ([LinearSystem(20, (0,) + (6,) * 10)], (5, 4), (5, 4)),
+    ], ids=["sweep-slice-d12", "special-kernel"])
+    def test_fewer_predictions(self, monkeypatch, systems, counts, reference_counts):
+        """The prover predicts far fewer systems than the classify-first node, at
+        the cost of reducing the special systems it has not predicted yet."""
+        assert call_counts(monkeypatch, systems) == counts
+        monkeypatch.setattr(degeneration, "_solve_fresh", reference_solve_fresh)
+        assert call_counts(monkeypatch, systems) == reference_counts
