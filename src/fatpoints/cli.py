@@ -24,7 +24,7 @@ from dataclasses import asdict
 from .core import (_MAX_REPEAT, LinearSystem, SystemParseError, expected_dim, parse_system,
                    virtual_dim)
 from .cremona import Move, cremona, replay_transcript, standard_reduce
-from .degeneration import (Budget, CertificateError, check_certificate, degenerate,
+from .degeneration import (Budget, CertificateError, DegenerationSplit, check_certificate,
                            recursive_dim)
 from .neg_curves import find_splittings, hh_dimension
 from .oracle import DEFAULT_PRIME, oracle_report
@@ -129,11 +129,12 @@ def _cmd_cremona(args) -> int:
 
 def _cmd_degen(args) -> int:
     L = _parse(args.system)
-    parts = degenerate(L, args.k, args.b)
+    split = DegenerationSplit(L.normalize(), args.k, args.b)
+    parts, dims = split.parts, split.dims
     payload = {"system": str(L), "k": args.k, "b": args.b,
                **{name: str(S) for name, S in parts.items()},
-               **{f"v_{name}": virtual_dim(S) for name, S in parts.items()}}
-    _emit(args, payload, [f"{name.replace('_', ' ') + ':':<15}{S}  (v = {virtual_dim(S)})"
+               **{f"v_{name}": v for name, v in dims.items()}}
+    _emit(args, payload, [f"{name.replace('_', ' ') + ':':<15}{S}  (v = {dims[name]})"
                           for name, S in parts.items()])
     return 0
 
@@ -151,10 +152,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_table(args) -> int:
     rows = classification_table(args.e_max)
     if args.action == "generate":
-        payload = classification_to_json(rows)
-        text = (json.dumps(payload, indent=2) if args.format == "json"
-                else classification_to_csv(rows))
-        _emit(args, payload, text.splitlines())
+        _emit(args, classification_to_json(rows), classification_to_csv(rows).splitlines())
         return 0
     report = verify_table(rows, args.mode, e_limit=args.e_max,
                           d_cap=args.max_degree, prime=args.prime,
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="generate or verify the classification table")
     p.add_argument("action", choices=["generate", "verify"])
     p.add_argument("--e-max", type=int, default=4)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--mode", choices=["formula", "hh", "oracle"], default="formula")
     p.add_argument("--max-degree", type=int, default=26)
     p.set_defaults(func=_cmd_table)

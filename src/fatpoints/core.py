@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 __all__ = [
@@ -62,8 +62,8 @@ class LinearSystem:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self):
-        mults = tuple(map(int, self.mults))
-        degree = int(self.degree)
+        mults = tuple(map(index, self.mults))  # index: no float, no string of digits
+        degree = index(self.degree)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "mults", mults)
         if degree < 0:

@@ -13,13 +13,14 @@ system restricts to four numerical systems::
 The dimension of the limit system bounds that of the original system from
 above (semicontinuity).  Two sufficient criteria follow, both decided by
 ``criterion_failure``: one proving emptiness (for systems with negative
-virtual dimension) and one proving non-speciality.  ``DegenerationSplit``
-holds the virtual dimensions of a system and of its four pieces in closed
-form, the one copy of them, and builds the pieces with ``degenerate`` when
-they are first read.  The prover first applies the criterion to numbers
-alone: those virtual dimensions, so that an attempt they refute builds no
-split, then the classifier's predictions for the pieces (``hh_prediction``,
-arithmetic on raw data), so that an attempt they refute solves no child.
+virtual dimension) and one proving non-speciality; either proves the expected
+dimension.  ``DegenerationSplit`` is the one statement of a degeneration: it
+checks the system, ``k`` and ``b`` once and holds the table above, from which
+it reads the virtual dimensions and ``degenerate`` builds the pieces when they
+are first read.  The prover first applies the criterion to numbers alone:
+those virtual dimensions, so that an attempt they refute builds no piece, then
+the classifier's predictions for the pieces (``hh_prediction``, arithmetic on
+raw data), so that an attempt they refute solves no child.
 ``recursive_dim`` chains these with reduction to standard form (ending in a
 small base case or in the proof of the reduced system), the speciality
 classifier, and a finite-field rank fallback.  A base case proving the empty
@@ -58,23 +59,30 @@ __all__ = [
 
 
 class DegenerationSplit:
-    """The (k, b)-degeneration of a normalized, quasi-homogeneous system ``base``,
-    which raises ValueError for any other base: ``v`` and ``dims``, the virtual
-    dimensions of ``base`` and of its pieces by name in closed form; ``parts``,
-    the pieces, built by :func:`degenerate` on first read, which checks k and b."""
+    """The (k, b)-degeneration of a normalized quasi-homogeneous ``base``, for
+    ``1 <= k < d`` and ``0 <= b <= n`` (ValueError otherwise): ``shapes``, each
+    piece's ``(degree, m0, tail points)`` by name in the order the prover solves
+    them; ``v`` and ``dims``, the virtual dimensions of ``base`` and of the
+    pieces; ``parts``, the pieces, built by :func:`degenerate` on first read."""
 
     def __init__(self, base: LinearSystem, k: int, b: int):
         d, m0, tail = base.degree, base.m0, base.tail
         n = len(tail)
         if n and (tail.count(tail[0]) != n or not tail[0]):  # normalized: no zero in the tail
             raise ValueError(f"degeneration needs a quasi-homogeneous system, got {base}")
+        if not 1 <= k < d:
+            raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
+        if not 0 <= b <= n:
+            raise ValueError(f"need 0 <= b <= n, got b={b}, n={n}")
+        self.base, self.k, self.b = base, k, b
+        self.shapes = {"plane": (d - k, m0, n - b), "ruled": (d, d - k, b),
+                       "plane_kernel": (d - k - 1, m0, n - b), "ruled_kernel": (d, d - k + 1, b)}
         c = tail[0] * (tail[0] + 1) if n else 0  # twice one tail point's conditions
 
         def v(e: int, a: int, r: int) -> int:  # virtual_dim(L(e, a, m^r))
             return (e * (e + 3) - a * (a + 1) - r * c) // 2
-        self.base, self.k, self.b, self.v = base, k, b, v(d, m0, n)
-        self.dims = {"plane": v(d - k, m0, n - b), "ruled": v(d, d - k, b),
-                     "plane_kernel": v(d - k - 1, m0, n - b), "ruled_kernel": v(d, d - k + 1, b)}
+        self.v = v(d, m0, n)
+        self.dims = {name: v(*shape) for name, shape in self.shapes.items()}
 
     @cached_property
     def parts(self) -> dict[str, LinearSystem]:
@@ -82,22 +90,12 @@ class DegenerationSplit:
 
 
 def degenerate(L: LinearSystem, k: int, b: int) -> dict[str, LinearSystem]:
-    """The four restricted systems of a (k, b)-degeneration of ``L``, by name in
-    the order the prover solves them."""
-    base = L.normalize()
-    if not base.is_quasi_homogeneous():
-        raise ValueError(f"degeneration needs a quasi-homogeneous system, got {L}")
-    n = len(base.tail)
-    m = base.tail_multiplicity() if n else 0
-    d, m0 = base.degree, base.m0
-    if not 1 <= k < d:
-        raise ValueError(f"need 1 <= k < d, got k={k}, d={d}")
-    if not 0 <= b <= n:
-        raise ValueError(f"need 0 <= b <= n, got b={b}, n={n}")
-    return {"plane": LinearSystem(d - k, (m0,) + (m,) * (n - b)),
-            "ruled": LinearSystem(d, (d - k,) + (m,) * b),
-            "plane_kernel": LinearSystem(d - k - 1, (m0,) + (m,) * (n - b)),
-            "ruled_kernel": LinearSystem(d, (d - k + 1,) + (m,) * b)}
+    """The pieces of the (k, b)-degeneration of ``L``, normalized first, by name in
+    the order the prover solves them: the systems of :class:`DegenerationSplit`'s
+    table, which raises ValueError for a degeneration that does not exist."""
+    split = DegenerationSplit(L.normalize(), k, b)
+    tail = split.base.tail[:1]  # (m,), or () on a base without tail points
+    return {name: LinearSystem(e, (a,) + tail * r) for name, (e, a, r) in split.shapes.items()}
 
 
 _NONSPECIAL = (REGULAR, EMPTY)
@@ -145,11 +143,6 @@ def criterion_failure(rule: str, dims: Mapping[str, int], v: int,
     if pk_ell + rk_ell > v - 1:
         return "kernels too large for the non-speciality rule"
     return None
-
-
-def _proved_ell(rule: str, L: LinearSystem) -> int:
-    """The dimension that a criterion which holds proves for ``L``."""
-    return -1 if rule == "empty" else expected_dim(L)
 
 
 # -- certificate leaves: written by the prover, rebuilt by the checker ----------
@@ -228,13 +221,13 @@ def recursive_dim(L: LinearSystem, budget: Budget | None = None) -> DimVerdict:
     run solves each distinct system once and at most ``_MAX_NODES`` of them
     (beyond that, ``budget exhausted``); short of that bound a system's
     verdict and trace depend on the system alone, not on where the search
-    first met it.  With the oracle on, a bad prime or trial count raises
+    first met it.  With the oracle on, a bad prime, seed or trial count raises
     ValueError before any system is solved.
     """
     check_regime(L)
     budget = budget or Budget()
     if budget.use_oracle:
-        check_settings(budget.prime, budget.trials)
+        check_settings(budget.prime, budget.trials, budget.seed)
     return _solve(L.normalize(), _Ctx(budget))
 
 
@@ -344,7 +337,7 @@ def _try(split: DegenerationSplit, rule: str, ctx: _Ctx) -> dict | None:
     """The node proving ``rule`` for the base of ``split``, or None.
 
     :func:`criterion_failure` decides twice.  First on numbers: the pieces'
-    virtual dimensions, so that an attempt they refute builds no split, then
+    virtual dimensions, so that an attempt they refute builds no piece, then
     the classifier's predictions for the pieces, so that an attempt they
     refute solves no child.  Then on the proofs of all four.  A proof that
     differed from its prediction would refute the classifier; the checker
@@ -357,7 +350,7 @@ def _try(split: DegenerationSplit, rule: str, ctx: _Ctx) -> dict | None:
     if criterion_failure(rule, dims, v, lambda name: _dimension(children[name])):
         return None
     return {"kind": "degeneration", "system": str(L), "k": split.k, "b": split.b,
-            "rule": rule, "ell": _proved_ell(rule, L),
+            "rule": rule, "ell": max(-1, v),  # either rule proves the expected dimension
             "children": {name: c.to_json() for name, c in children.items()}}
 
 
@@ -553,9 +546,8 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
 
 def _check_degeneration(node: dict, system: LinearSystem) -> int:
     k, b = _typed(node["k"], int, "k"), _typed(node["b"], int, "b")
-    try:  # the split and its pieces first: building them checks the system, k and b
+    try:  # the split first: it checks the system, k and b
         split = DegenerationSplit(system, k, b)
-        parts = split.parts
     except ValueError as err:
         raise CertificateError(f"degeneration: {err}") from None
     if b >= len(system.tail):
@@ -564,13 +556,13 @@ def _check_degeneration(node: dict, system: LinearSystem) -> int:
 
     def checked(name: str) -> tuple[str, int]:
         child = _typed(children[name], dict, "a certificate")
-        _check_verdict(child, parts[name])
+        _check_verdict(child, split.parts[name])
         return child["status"], child["ell"]
     rule = node["rule"]
     reason = criterion_failure(rule, split.dims, split.v, checked)
     if reason is not None:
         raise CertificateError(reason)
-    ell = _proved_ell(rule, system)
+    ell = max(-1, split.v)  # either rule proves the expected dimension
     if node["ell"] != ell:
         raise CertificateError(f"the {rule} rule proves ell = {ell}")
     return ell

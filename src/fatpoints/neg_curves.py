@@ -181,10 +181,12 @@ class Splitting(NamedTuple):
 
 def check_regime(L: LinearSystem):
     """Raise ValueError unless ``L`` is quasi-homogeneous of tail multiplicity <= 6."""
-    if not L.is_quasi_homogeneous():
-        raise ValueError(f"{L} is not quasi-homogeneous: its tail multiplicities differ")
-    if L.tail and L.tail_multiplicity() > 6:
-        raise ValueError(f"{L} has tail multiplicity {L.tail_multiplicity()}; "
+    try:
+        m = L.tail_multiplicity()
+    except ValueError:
+        raise ValueError(f"{L} is not quasi-homogeneous: its tail multiplicities differ") from None
+    if m > 6:
+        raise ValueError(f"{L} has tail multiplicity {m}; "
                          f"only systems of tail multiplicity <= 6 are handled")
 
 

@@ -239,13 +239,17 @@ def size_failure(L: LinearSystem) -> str | None:
     return None
 
 
-def check_settings(prime, trials: int) -> _CheckedPrime:
-    """The checks of :func:`check_request` that read no system: raise ValueError
-    unless ``prime`` passes :func:`check_prime` and ``1 <= trials <=
-    ORACLE_MAX_TRIALS``.  Returns the checked prime."""
+def check_settings(prime, trials: int, seed: int = 0) -> _CheckedPrime:
+    """The oracle's checks that read no system: raise ValueError unless ``prime``
+    passes :func:`check_prime`, ``trials`` and ``seed`` are ints as a certificate
+    records them (no bool, no float) and ``1 <= trials <= ORACLE_MAX_TRIALS``.
+    Returns the checked prime."""
     if type(prime) is not _CheckedPrime:
         check_prime(prime)
         prime = _CheckedPrime(prime)
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
     if not 1 <= trials <= ORACLE_MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{ORACLE_MAX_TRIALS}, got {trials}")
     return prime

@@ -159,7 +159,7 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
     In oracle mode the trials stop at the bound of :func:`_proven_floor`.  Before
     any row, ValueError refuses an unknown mode, an ``e_limit`` above 26 (the
     bound on ``e_max``), a ``d_cap`` above ``_D_CAP_LIMIT`` and, in oracle mode,
-    a bad prime or trial count or an instance over the oracle's size cap.
+    a bad prime, seed or trial count or an instance over the oracle's size cap.
     """
     if mode not in ("formula", "hh", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -169,7 +169,7 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
         raise ValueError(f"d_cap must be <= {_D_CAP_LIMIT}, got {d_cap}")
     plan = [(row, tuple(row.instances(e_limit=e_limit, d_cap=d_cap))) for row in rows]
     if mode == "oracle":
-        prime = check_settings(prime, trials)
+        prime = check_settings(prime, trials, seed)
         for system in (inst[0] for _, instances in plan for inst in instances):
             reason = size_failure(system)
             if reason is not None:

@@ -64,6 +64,17 @@ class TestDegenerate:
         with pytest.raises(ValueError, match="degeneration needs a quasi-homogeneous system"):
             DegenerationSplit(base, 5, 1)
 
+    @pytest.mark.parametrize("k, b, reason", [
+        (0, 3, r"need 1 <= k < d, got k=0, d=14"), (14, 3, r"need 1 <= k < d, got k=14, d=14"),
+        (5, -1, r"need 0 <= b <= n, got b=-1, n=6"), (5, 7, r"need 0 <= b <= n, got b=7, n=6"),
+    ])
+    def test_split_refuses_a_degeneration_that_does_not_exist(self, k, b, reason):
+        # no virtual dimension is read off a degeneration that does not exist
+        base = L("L(14,0,6^6)")
+        for build in (DegenerationSplit, degenerate):
+            with pytest.raises(ValueError, match=f"^{reason}$"):
+                build(base, k, b)
+
     def test_small_example(self):
         s = degenerate(L("L(14,0,6^6)"), 5, 3)
         assert (s["plane"], s["ruled"]) == (L("L(9,0,6^3)"), L("L(14,9,6^3)"))
@@ -377,6 +388,18 @@ class TestRecursiveDim:
     def test_regime_enforced(self):
         with pytest.raises(ValueError):
             recursive_dim(L("L(20,1,7^5)"))
+
+    @pytest.mark.parametrize("setting", [{"trials": True}, {"trials": 2.0}, {"seed": True},
+                                         {"seed": 1.5}], ids=str)
+    def test_oracle_seed_and_trials_are_plain_integers(self, monkeypatch, setting):
+        # the checker refuses an oracle leaf whose seed or trials is no integer
+        monkeypatch.setattr(degeneration, "_solve", lambda *_: pytest.fail("a node was solved"))
+        name = next(iter(setting))
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got "):
+            recursive_dim(L("L(40,27,6^23)"), Budget(**setting))
+
+    def test_seed_and_trials_unread_without_the_oracle(self):
+        assert recursive_dim(L("L(14,0,6^6)"), Budget(use_oracle=False, seed=1.5)).ell == -1
 
 
 class TestCertificates:

@@ -23,12 +23,16 @@ question open; ``reference_solve_fresh`` is the earlier node, built from the
 module's own names, and must give the same verdicts, node counts and budget
 outcomes.  ``LinearSystem.base_points`` and the ``multiplicity_exceeds_degree``
 test were rewritten with C-level builtins and are held to their earlier forms.
+The constructor's reference converts with ``operator.index``, as the
+constructor does, so a float or a string of digits is refused.
 """
 
 import json
+import operator
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -57,9 +61,10 @@ def outcome(fn, *args):
 
 
 def reference_construct(degree, mults):
-    """``LinearSystem.__post_init__`` as it was: the stored fields, or its error."""
-    mults = tuple(int(m) for m in mults)
-    degree = int(degree)
+    """``LinearSystem.__post_init__``: the stored fields, or its error.  Every entry
+    is converted by ``operator.index``, so a float or a string is refused."""
+    mults = tuple(operator.index(m) for m in mults)
+    degree = operator.index(degree)
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if any(m < 0 for m in mults):
@@ -485,6 +490,9 @@ class TestCoreMatchesReference:
     @example(True, (False, True))
     @example(4, 5)
     @example(None, (1,))
+    @example(10, "32")
+    @example(12.7, (6.9, 6, 6))
+    @example(np.int64(10), (np.int32(3), np.uint8(2)))
     def test_construction(self, degree, mults):
         got = outcome(construct, degree, mults)
         assert got == outcome(reference_construct, degree, mults)

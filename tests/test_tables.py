@@ -130,7 +130,8 @@ class TestVerifyTable:
 
     @pytest.mark.parametrize("mode, settings", [
         ("bogus", {}), ("oracle", {"trials": 99}), ("oracle", {"prime": 4}),
-        ("oracle", {"trials": 0}),
+        ("oracle", {"trials": 0}), ("oracle", {"trials": 2.0}), ("oracle", {"trials": True}),
+        ("oracle", {"seed": 1.5}), ("oracle", {"seed": True}),  # --seed 1.5 would not parse
     ])
     def test_settings_checked_before_any_row(self, rows, mode, settings):
         with pytest.raises(ValueError):
