@@ -6,9 +6,8 @@ from .cremona import (Move, NegativeEntryError, NotFixedError, cremona,
                       split_fixed_line, standard_reduce)
 from .degeneration import (Budget, CertificateError, DegenerationSplit,
                            check_certificate, degenerate, recursive_dim)
-from .neg_curves import (ClassificationRow, CurveCatalogEntry, catalog, find_splittings,
-                         generate_classification, hh_dimension, is_minus_one_class,
-                         is_minus_one_special)
+from .neg_curves import (ClassificationRow, find_splittings, generate_classification,
+                         hh_dimension, is_minus_one_class, is_minus_one_special)
 from .oracle import DEFAULT_PRIME, PrimeFieldMatrix, build_matrix, dimension_char_p, rank_ff
 from .tables import classification_table, known_hard_cases, verify_table
 from .verdict import DimVerdict
@@ -21,7 +20,7 @@ __all__ = [
     "arithmetic_genus", "parse_system", "format_system",
     "cremona", "split_fixed_line", "standard_reduce", "Move",
     "NegativeEntryError", "NotFixedError",
-    "catalog", "CurveCatalogEntry", "find_splittings",
+    "find_splittings",
     "is_minus_one_class", "is_minus_one_special", "hh_dimension",
     "generate_classification", "ClassificationRow",
     "degenerate", "DegenerationSplit", "recursive_dim", "Budget", "check_certificate",

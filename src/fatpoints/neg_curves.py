@@ -6,11 +6,11 @@ belongs to a short catalog: the conic through five points, the degree-e family
 ``L(e, e-1, 1^2e)``, the line through ``p0`` and one point, the sextic
 ``L(6, 3, 2^7)``, the degree-12 curve ``L(12, 8, 3^9)``, and two compound
 configurations built from permuted lines, ``L(k, k, 1^k)`` and ``L(3, 0, 2^3)``.
-The catalog is encoded as given data; its completeness is not re-derived here.
-``catalog`` lists the families in the order in which the split chain tries
-them.  The chain walks that order without building catalog entries: the
-compounds in closed form, the simple classes from prefix sums of the sorted
-tail.  The module keeps no cache.
+The catalog is encoded once, as given data; its completeness is not re-derived
+here.  The split chain tries the compounds first, so that symmetric fixed parts
+are removed as units, then the simple classes of ``_simple_classes``;
+``find_splittings`` lists every placement of the same classes.  The module
+keeps no cache.
 
 A system is ``(-1)-special`` when some catalog curve splits off at least
 twice and the residual system, after all fixed (-1)-parts are removed, still
@@ -46,13 +46,11 @@ from .core import (LinearSystem, arithmetic_genus, format_system, intersect, slo
 from .verdict import EMPTY, REGULAR, SPECIAL, DimVerdict
 
 __all__ = [
-    "CurveCatalogEntry",
     "ClassificationRow",
     "Splitting",
     "is_minus_one_class",
     "is_catalog_curve",
     "check_regime",
-    "catalog",
     "find_splittings",
     "is_minus_one_special",
     "hh_prediction",
@@ -71,48 +69,6 @@ def is_minus_one_class(D: LinearSystem) -> bool:
 # -- the catalog ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveCatalogEntry:
-    """One catalog family, instantiable on a choice of tail slots.
-
-    All entries have a uniform tail multiplicity.
-    """
-
-    kind: str  # "simple" | "compound"
-    degree: int
-    m0: int
-    tail_mult: int
-    tail_points: int
-
-    @property
-    def label(self) -> str:
-        return format_system(self.degree, (self.m0,) + (self.tail_mult,) * self.tail_points)
-
-    def _slots(self, n: int, placement: tuple[int, ...] | None) -> list[int]:
-        """The slots of ``placement`` among ``n`` tail slots, as indices with 0
-        for ``p0``; the default placement is the first slots."""
-        if placement is None:
-            placement = tuple(range(self.tail_points))
-        if len(placement) != self.tail_points:
-            raise ValueError(f"{self.label} needs {self.tail_points} tail slots")
-        if any(not 0 <= s < n for s in placement) or len(set(placement)) != len(placement):
-            raise ValueError(f"bad placement {placement} on {n} slots")
-        return [s + 1 for s in placement]
-
-    def instantiate(self, n: int, placement: tuple[int, ...] | None = None) -> LinearSystem:
-        """The class on ``n`` tail slots; default placement is the first slots."""
-        return LinearSystem(*_curve(self.degree, self.m0, self.tail_mult,
-                                    self._slots(n, placement), n + 1))
-
-    def constituents(self, n: int, placement: tuple[int, ...] | None = None
-                     ) -> tuple[LinearSystem, ...]:
-        """Irreducible pieces: the entry itself, or the lines of a compound."""
-        if self.kind == "simple":
-            return (self.instantiate(n, placement),)
-        return tuple(LinearSystem(*line) for line in
-                     _compound_lines(self.m0 > 0, self._slots(n, placement), n + 1))
-
-
 # (degree, m0, tail_mult, tail_points) of the simple classes that are not
 # pencils L(e, e-1, 1^2e), by degree and then m0, both descending
 _NON_PENCILS = ((12, 8, 3, 9), (6, 3, 2, 7), (2, 0, 1, 5), (1, 1, 1, 1))
@@ -129,26 +85,12 @@ def _simple_classes(t: int) -> list[tuple[int, int, int, int]]:
 
 
 def is_catalog_curve(curve: LinearSystem) -> bool:
-    """Whether ``curve`` in normal form is a simple class of :func:`catalog`
-    (the lines of the compounds among them): the curves the split chain writes."""
+    """Whether ``curve`` in normal form is a simple class of the catalog (the
+    lines of the compounds among them): the curves the split chain writes."""
     c = curve.normalize()
     t = len(c.tail)
     return any(c == LinearSystem(e, (a,) + (mu,) * r) for e, a, mu, r in _simple_classes(t)
                if r == t)
-
-
-def catalog(n: int) -> tuple[CurveCatalogEntry, ...]:
-    """All catalog families instantiable on ``n`` tail slots, in the order in
-    which the split chain tries them: the compounds ``L(k,k,1^k)`` for
-    k = n..2, then ``L(3,0,2^3)``, so that symmetric fixed parts are removed
-    as units; then the simple classes by degree and then m0, both descending.
-    """
-    if n < 1:
-        raise ValueError("need at least one tail slot")
-    compounds = [CurveCatalogEntry("compound", k, k, 1, k) for k in range(n, 1, -1)]
-    if n >= 3:
-        compounds.append(CurveCatalogEntry("compound", 3, 0, 2, 3))
-    return tuple(compounds) + tuple(CurveCatalogEntry("simple", *c) for c in _simple_classes(n))
 
 
 def _curve(degree: int, m0: int, mult: int, slots: Sequence[int], width: int
@@ -218,7 +160,7 @@ def speciality_failure(pieces: Sequence[tuple[tuple[int, tuple[int, ...]], int]]
 
 
 def _next_split(d: int, m: tuple[int, ...]):
-    """First applicable split in the order of :func:`catalog`.
+    """First applicable split: the compounds, then :func:`_simple_classes`.
 
     Each family is placed on the tail slots of largest multiplicity.  Returns
     ``("apply", constituents, n)`` for a usable split, ``("reject", curve, n)``
@@ -284,27 +226,31 @@ _MAX_SPLITTINGS = 100_000  # placements that find_splittings lists at most
 
 
 def find_splittings(L: LinearSystem) -> tuple[Splitting, ...]:
-    """Every catalog instantiation meeting ``L`` negatively, all placements,
-    by degree of the curve, then by multiplicity vector (largest first).
+    """Every catalog class meeting ``L`` negatively, at every placement, by
+    degree of the curve, then by multiplicity vector (largest first).
 
-    In the regime a family meets ``L`` in the same number wherever it is
-    placed, so each family is tested once, and more than ``_MAX_SPLITTINGS``
-    placements are refused (ValueError) before any is built.
+    On ``t`` tail slots the classes are the compounds ``L(k,k,1^k)`` for
+    k = t..2 and ``L(3,0,2^3)``, then :func:`_simple_classes`.  In the regime a
+    class meets ``L`` in the same number wherever it is placed, so each class
+    is tested once, and more than ``_MAX_SPLITTINGS`` placements are refused
+    (ValueError) before any is built.
     """
     check_regime(L)
     base = L.normalize()
     t = len(base.tail)
     m = base.tail_multiplicity()
-    negative = [(entry, val) for entry in (catalog(t) if t else ())
-                if (val := entry.degree * base.degree - entry.m0 * base.m0
-                    - entry.tail_mult * m * entry.tail_points) <= -1]
-    sizes = accumulate(comb(t, entry.tail_points) for entry, _ in negative)
+    classes = [(k, k, 1, k) for k in range(t, 1, -1)]
+    if t >= 3:
+        classes.append((3, 0, 2, 3))
+    negative = [((e, a, mu, r), val) for e, a, mu, r in classes + _simple_classes(t)
+                if (val := e * base.degree - a * base.m0 - mu * m * r) <= -1]
+    sizes = accumulate(comb(t, r) for (*_, r), _ in negative)
     if any(size > _MAX_SPLITTINGS for size in sizes):
         raise ValueError(f"{base} meets more than {_MAX_SPLITTINGS} catalog "
                          f"placements negatively; refusing to list them")
-    found = [Splitting(entry.instantiate(t, placement), val)
-             for entry, val in negative
-             for placement in combinations(range(t), entry.tail_points)]
+    found = [Splitting(LinearSystem(*_curve(e, a, mu, slots, t + 1)), val)
+             for (e, a, mu, r), val in negative
+             for slots in combinations(range(1, t + 1), r)]
     found.sort(key=lambda s: (s.curve.degree, tuple(-x for x in s.curve.mults)))
     return tuple(found)
 

@@ -255,12 +255,12 @@ def check_settings(prime, trials: int, seed: int = 0) -> _CheckedPrime:
     return prime
 
 
-def check_request(L: LinearSystem, prime, trials: int) -> _CheckedPrime:
+def check_request(L: LinearSystem, prime, trials: int, seed: int = 0) -> _CheckedPrime:
     """Raise ValueError unless the oracle takes ``L`` over F_prime for ``trials``
-    trials: a usable field and bounded trials (:func:`check_settings`), a prime
-    above the degree, a bounded matrix (:func:`size_failure`), and room for the
-    points.  Returns the checked prime."""
-    prime = check_settings(prime, trials)
+    trials from ``seed``: a usable field, bounded trials and an int seed
+    (:func:`check_settings`), a prime above the degree, a bounded matrix
+    (:func:`size_failure`), and room for the points.  Returns the checked prime."""
+    prime = check_settings(prime, trials, seed)
     if prime <= L.degree:
         raise ValueError(f"prime {prime} must exceed the degree {L.degree}")
     if max(L.mults, default=0) > 1 and prime <= 720:
@@ -467,7 +467,7 @@ def _trial_dimension(degree: int, mults: list[int], points: list[tuple[int, int]
 
 def _trials(L: LinearSystem, seed: int, prime: int, trials: int):
     """Yield the dimension ``cols - 1 - rank`` of each independently seeded trial."""
-    prime = check_request(L, prime, trials)
+    prime = check_request(L, prime, trials, seed)
     mults = [m for m in L.mults if m > 0]
     for trial in range(trials):
         rng = random.Random(f"fatpoints:{seed}:{trial}")

@@ -157,14 +157,19 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
     Boundary instances of the all-n rows (where the value jumps onto a
     parameter family) are checked for a strict excess instead of equality.
     In oracle mode the trials stop at the bound of :func:`_proven_floor`.  Before
-    any row, ValueError refuses an unknown mode, an ``e_limit`` above 26 (the
-    bound on ``e_max``), a ``d_cap`` above ``_D_CAP_LIMIT`` and, in oracle mode,
-    a bad prime, seed or trial count or an instance over the oracle's size cap.
+    any row, ValueError refuses an unknown mode, an ``e_limit`` outside 1..26 (the
+    range of ``e_max``), a ``d_cap`` outside 0..``_D_CAP_LIMIT`` (either would
+    check no instance or too many) and, in oracle mode, a bad prime, seed or
+    trial count or an instance over the oracle's size cap.
     """
     if mode not in ("formula", "hh", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
+    if e_limit < 1:
+        raise ValueError(f"e_limit must be >= 1, got {e_limit}")
     if e_limit > _E_MAX_LIMIT:
         raise ValueError(f"e_limit must be <= {_E_MAX_LIMIT}, got {e_limit}")
+    if d_cap is not None and d_cap < 0:
+        raise ValueError(f"d_cap must be >= 0, got {d_cap}")
     if d_cap is not None and d_cap > _D_CAP_LIMIT:
         raise ValueError(f"d_cap must be <= {_D_CAP_LIMIT}, got {d_cap}")
     plan = [(row, tuple(row.instances(e_limit=e_limit, d_cap=d_cap))) for row in rows]

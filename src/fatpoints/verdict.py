@@ -69,7 +69,7 @@ class DimVerdict:
             "system": str(self.system),
             "status": self.status,
             "ell": self.ell,
-            "trace": dict(self.trace),
+            "trace": self.trace,
         }
 
     def dumps(self, indent: int | None = None) -> str:

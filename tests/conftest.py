@@ -4,20 +4,24 @@ Every Hypothesis test draws the same examples on every run,
 ``packaged_csv`` reads a data file as the package ships it, ``positions``,
 ``trace_nodes``, ``mutant`` and ``json_values`` serve the certificate
 mutation fuzzes, ``with_transcripts`` writes a certificate as certificates
-were written while each reduction move recorded the systems around it, and
+were written while each reduction move recorded the systems around it,
 ``limit_value`` is the reference formula for the dimension of a
-degeneration's limit system.
+degeneration's limit system, and ``reference_catalog`` states the (-1)-curve
+catalog in the split chain's order, independently of the package's lists;
+``catalog_pieces`` builds the package's classes for the soundness tests.
 """
 
 import json
 from importlib import resources
+from typing import NamedTuple
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from fatpoints.cli import transcript
-from fatpoints.core import parse_system
+from fatpoints.core import LinearSystem, parse_system
 from fatpoints.cremona import Move
+from fatpoints.neg_curves import _compound_lines, _curve, _simple_classes
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN
 
 # derandomize=True seeds each test from a hash of the test itself (and implies
@@ -115,6 +119,53 @@ def limit_value(d_minus_k: int, ell_plane: int, ell_ruled: int,
             raise ValueError("limit formulas disagree at the overlap; inconsistent input")
         return out
     return ell_plane + ell_ruled - d_minus_k
+
+
+class CatalogEntry(NamedTuple):
+    """One catalog class with a uniform tail multiplicity: a simple (-1)-class,
+    or a compound made of lines."""
+
+    kind: str  # "simple" | "compound"
+    degree: int
+    m0: int
+    tail_mult: int
+    tail_points: int
+
+
+def reference_catalog(t):
+    """The catalog on ``t`` tail slots in the order in which the split chain
+    tries it: the compounds L(k,k,1^k) for k = t..2, then L(3,0,2^3), so that
+    symmetric fixed parts are removed as units; then the simple classes sorted
+    by descending degree, m0 and tail multiplicity, each list built afresh."""
+    compounds = [CatalogEntry("compound", k, k, 1, k) for k in range(t, 1, -1)]
+    if t >= 3:
+        compounds.append(CatalogEntry("compound", 3, 0, 2, 3))
+    simples = []
+    if t >= 9:
+        simples.append(CatalogEntry("simple", 12, 8, 3, 9))
+    if t >= 7:
+        simples.append(CatalogEntry("simple", 6, 3, 2, 7))
+    simples.extend(CatalogEntry("simple", e, e - 1, 1, 2 * e) for e in range(1, t // 2 + 1))
+    if t >= 5:
+        simples.append(CatalogEntry("simple", 2, 0, 1, 5))
+    if t >= 1:
+        simples.append(CatalogEntry("simple", 1, 1, 1, 1))
+    simples.sort(key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
+    return compounds + simples
+
+
+def catalog_pieces(t):
+    """``(curve, pieces)`` for each catalog class on the first of ``t`` tail
+    slots, as the split chain writes it: each compound of ``reference_catalog``
+    is the sum of its ``_compound_lines``, and each class of
+    ``_simple_classes(t)`` is its own one piece.  Both are ``LinearSystem``s."""
+    width = t + 1
+    classes = [(entry[1:], _compound_lines(entry.m0 > 0, range(1, entry.tail_points + 1), width))
+               for entry in reference_catalog(t) if entry.kind == "compound"]
+    classes += [(c, [_curve(*c[:3], range(1, c[3] + 1), width)]) for c in _simple_classes(t)]
+    return [(LinearSystem(*_curve(e, a, mu, range(1, r + 1), width)),
+             [LinearSystem(*piece) for piece in pieces])
+            for (e, a, mu, r), pieces in classes]
 
 
 def _removal(system, status, ell, steps, residual):

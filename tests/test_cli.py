@@ -445,7 +445,7 @@ class TestTableCommand:
                    for line in lines[:-1])
 
     @pytest.mark.parametrize("setting", [["--trials", "99"], ["--prime", "4"]])
-    @pytest.mark.parametrize("max_degree", ["-1", "8"])
+    @pytest.mark.parametrize("max_degree", ["0", "8"])
     def test_verify_oracle_settings_refused_before_any_row(self, capsys, setting, max_degree):
         code, out, err = run(capsys, "table", "verify", "--mode", "oracle",
                              "--max-degree", max_degree, *setting)
@@ -454,9 +454,10 @@ class TestTableCommand:
 
     @pytest.mark.parametrize("argv, reason", [
         (["--max-degree", "301"], "d_cap must be <= 300"),
+        (["--mode", "oracle", "--max-degree", "-1"], "d_cap must be >= 0"),
         (["--mode", "oracle", "--max-degree", "100"],
          "L(100,100,6^5) has a 5155 x 5151 matrix, over the oracle's cap"),
-    ], ids=["degree-cap", "oracle-size"])
+    ], ids=["degree-cap", "negative-degree-cap", "oracle-size"])
     def test_verify_bounds_refused_before_any_row(self, capsys, monkeypatch, argv, reason):
         def no_instance(*args, **kwargs):
             raise AssertionError("an instance was checked")

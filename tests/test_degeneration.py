@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DELETE, NON_SPECIAL_REMOVALS, json_values, limit_value, mutant,
-                      positions, trace_nodes, with_transcripts)
+from conftest import (DELETE, NON_SPECIAL_REMOVALS, catalog_pieces, json_values, limit_value,
+                      mutant, positions, trace_nodes, with_transcripts)
 from fatpoints import degeneration, oracle
 from fatpoints.cli import main
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
@@ -17,7 +17,7 @@ from fatpoints.cremona import STANDARD_MOVES, cremona_vector
 from fatpoints.degeneration import (Budget, CertificateError, DegenerationSplit, _Ctx,
                                     _is_minus_one_curve, _try, check_certificate,
                                     criterion_failure, degenerate, recursive_dim)
-from fatpoints.neg_curves import catalog, hh_dimension, is_catalog_curve
+from fatpoints.neg_curves import hh_dimension, is_catalog_curve
 from fatpoints.oracle import dimension_char_p
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
@@ -800,7 +800,7 @@ class TestMinusOneCurves:
 
     @pytest.mark.parametrize("n", [2, 5, 9, 14])
     def test_catalog_constituents_accepted(self, n):
-        pieces = [c for entry in catalog(n) for c in entry.constituents(n)]
+        pieces = [piece for _, parts in catalog_pieces(n) for piece in parts]
         assert pieces and all(_is_minus_one_curve(c) and is_catalog_curve(c) for c in pieces)
 
 
@@ -879,6 +879,13 @@ INNER_PROOFS = {"fixed_part_removal": "L(10,2,6^3)", "cremona_reduction": "L(6,6
 def inner_certificates():
     return {kind: json.loads(recursive_dim(L(name)).dumps())
             for kind, name in INNER_PROOFS.items()}
+
+
+def test_to_json_shares_the_trace():
+    # a trace is read-only, so a degeneration node holds its children's traces
+    # without copying them
+    v = hh_dimension(L("L(10,2,6^3)"))
+    assert v.to_json()["trace"] is v.trace
 
 
 def _refused_or_same_claim(original, value):

@@ -8,13 +8,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import packaged_csv
+from conftest import catalog_pieces, packaged_csv, reference_catalog
 from fatpoints import neg_curves
-from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
+from fatpoints.core import (LinearSystem, expected_dim, format_system, intersect, parse_system,
+                            virtual_dim)
 from fatpoints.degeneration import CertificateError, check_certificate
-from fatpoints.neg_curves import (CurveCatalogEntry, catalog, find_splittings,
-                                  generate_classification, hh_dimension, is_minus_one_class,
-                                  is_minus_one_special)
+from fatpoints.neg_curves import (_simple_classes, find_splittings, generate_classification,
+                                  hh_dimension, is_minus_one_class, is_minus_one_special)
 from fatpoints.tables import classification_to_csv
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL
 
@@ -35,53 +35,42 @@ class TestMinusOneClass:
             assert is_minus_one_class(LinearSystem(e, (e - 1,) + (1,) * (2 * e)))
 
 
+def simple_labels(t):
+    """The simple classes on ``t`` tail slots, in the split chain's order."""
+    return [format_system(e, (a,) + (mu,) * r) for e, a, mu, r in _simple_classes(t)]
+
+
 class TestCatalog:
     def test_five_points_cap_one(self):
-        labels = {entry.label for entry in catalog(5) if entry.tail_mult <= 1}
-        assert labels == {"L(2,0,1^5)", "L(1,1,1)", "L(1,0,1^2)", "L(2,1,1^4)",
-                          "L(5,5,1^5)", "L(4,4,1^4)", "L(3,3,1^3)", "L(2,2,1^2)"}
+        assert simple_labels(5) == ["L(2,1,1^4)", "L(2,0,1^5)", "L(1,1,1)", "L(1,0,1^2)"]
 
     def test_seven_points_cap_two(self):
-        labels = {entry.label for entry in catalog(7) if entry.tail_mult <= 2}
-        assert "L(6,3,2^7)" in labels and "L(3,0,2^3)" in labels
-        assert "L(12,8,3^9)" not in labels
+        assert simple_labels(7) == ["L(6,3,2^7)", "L(3,2,1^6)", "L(2,1,1^4)", "L(2,0,1^5)",
+                                    "L(1,1,1)", "L(1,0,1^2)"]
 
     def test_one_point(self):
-        assert [entry.label for entry in catalog(1)] == ["L(1,1,1)"]
+        assert simple_labels(1) == ["L(1,1,1)"]
 
     def test_soundness(self):
-        # every simple instantiation is a (-1)-class; every compound is a sum
-        # of pairwise disjoint (-1)-classes
-        for entry in catalog(20):
-            if entry.kind == "simple":
-                assert is_minus_one_class(entry.instantiate(20))
-            else:
-                parts = entry.constituents(20)
-                total = entry.instantiate(20)
-                assert all(is_minus_one_class(p) for p in parts)
-                for a, b in combinations(parts, 2):
-                    assert intersect(a, b) == 0
-                assert intersect(total, total) == -len(parts)
-                summed = [sum(p.mults[i] for p in parts) for i in range(21)]
-                assert (total.degree, tuple(summed)) == (
-                    sum(p.degree for p in parts), total.mults)
-
-    @pytest.mark.parametrize("placement", [(0, 1), (0, 1, 2, 3, 9), (0, 0, 1, 2, 3)])
-    def test_constituents_check_the_placement(self, placement):
-        [entry] = [entry for entry in catalog(5) if entry.label == "L(5,5,1^5)"]
-        with pytest.raises(ValueError) as refused:
-            entry.instantiate(5, placement)
-        with pytest.raises(ValueError) as also_refused:
-            entry.constituents(5, placement)
-        assert str(also_refused.value) == str(refused.value)
+        # every simple class is a (-1)-class; every compound is a sum of
+        # pairwise disjoint (-1)-classes
+        for total, parts in catalog_pieces(20):
+            assert all(is_minus_one_class(p) for p in parts)
+            for a, b in combinations(parts, 2):
+                assert intersect(a, b) == 0
+            assert intersect(total, total) == -len(parts)
+            summed = [sum(p.mults[i] for p in parts) for i in range(21)]
+            assert (total.degree, tuple(summed)) == (
+                sum(p.degree for p in parts), total.mults)
 
 
 def _brute_splittings(sys):
-    """All negative catalog intersections, enumerated independently."""
+    """All negative catalog intersections, enumerated independently, by degree
+    of the curve, then by multiplicity vector (largest first)."""
     base = sys.normalize()
     t = len(base.tail)
-    out = set()
-    for entry in catalog(t) if t else ():
+    out = []
+    for entry in reference_catalog(t):
         for placement in combinations(range(t), entry.tail_points):
             tail = [0] * t
             for s in placement:
@@ -89,15 +78,18 @@ def _brute_splittings(sys):
             val = (entry.degree * base.degree - entry.m0 * base.m0
                    - sum(a * b for a, b in zip(tail, base.tail)))
             if val <= -1:
-                out.add((entry.degree, (entry.m0,) + tuple(tail), val))
-    return out
+                out.append((entry.degree, (entry.m0,) + tuple(tail), val))
+    return sorted(out, key=lambda c: (c[0], tuple(-x for x in c[1])))
+
+
+def _listed(sys):
+    return [(s.curve.degree, s.curve.mults, s.intersection) for s in find_splittings(sys)]
 
 
 class TestFindSplittings:
     def test_small_special_system(self):
         found = find_splittings(L("L(10,8,6^2)"))
-        as_set = {(s.curve.degree, s.curve.mults, s.intersection) for s in found}
-        assert as_set == _brute_splittings(L("L(10,8,6^2)"))
+        assert _listed(L("L(10,8,6^2)")) == _brute_splittings(L("L(10,8,6^2)"))
         head = [(str(s.curve), s.intersection) for s in found[:3]]
         assert head == [("L(1,1,1,0)", -4), ("L(1,1,0,1)", -4), ("L(1,0,1^2)", -2)]
 
@@ -112,7 +104,7 @@ class TestFindSplittings:
     def no_placement(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a placement was built")
-        monkeypatch.setattr(CurveCatalogEntry, "instantiate", refuse)
+        monkeypatch.setattr(neg_curves, "_curve", refuse)
 
     def test_no_placement_built_without_a_result(self, no_placement):
         # 19 tail points: listing every placement of every family took
@@ -141,9 +133,7 @@ class TestFindSplittings:
             m = rng.randint(1, 6)
             m0 = rng.randint(0, d) if d else 0
             sys = LinearSystem(d, (m0,) + (m,) * n)
-            got = {(s.curve.degree, s.curve.mults, s.intersection)
-                   for s in find_splittings(sys)}
-            assert got == _brute_splittings(sys)
+            assert _listed(sys) == _brute_splittings(sys)
 
 
 class TestIsMinusOneSpecial:

@@ -435,6 +435,15 @@ class TestDimension:
             ell = hh_dimension(sys).ell
             assert all(t >= ell for t in trial_dimensions(sys))
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7", None])
+    @pytest.mark.parametrize("entry", [oracle_report, dimension_char_p, trial_dimensions])
+    def test_seed_refused_before_any_matrix(self, monkeypatch, entry, seed):
+        # a certificate records the seed as an int; the point stream reads its text
+        builds = _count_builds(monkeypatch)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            entry(L("L(12,3,6^4)"), seed, trials=1)
+        assert builds == []
+
 
 class TestEarlyStop:
     def test_regular_system_builds_one_matrix(self, monkeypatch):

@@ -37,14 +37,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_catalog
 from fatpoints import degeneration
 from fatpoints.core import LinearSystem, expected_dim, format_system, virtual_dim
 from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
                                next_move, replay_transcript, split_fixed_line, standard_reduce)
 from fatpoints.degeneration import (_BASE_CASES, Budget, DegenerationSplit, _base_case, _Ctx,
                                     _is_minus_one_curve, _try)
-from fatpoints.neg_curves import (CurveCatalogEntry, _next_split, _split_chain, catalog,
-                                  hh_dimension, hh_prediction, is_minus_one_class)
+from fatpoints.neg_curves import (_next_split, _simple_classes, _split_chain, hh_dimension,
+                                  hh_prediction, is_minus_one_class)
 from fatpoints.oracle import size_failure
 from fatpoints.verdict import EMPTY, REGULAR, SPECIAL, UNKNOWN, DimVerdict
 
@@ -231,27 +232,6 @@ def minus_one_classes(max_degree, max_points):
 # -- references: the split chain -----------------------------------------------
 
 
-def reference_scan_entries(t):
-    """The split chain's scan order as it was: the compounds in catalog order,
-    then the simple classes sorted by descending degree, m0 and tail
-    multiplicity, each list built afresh."""
-    compounds = [CurveCatalogEntry("compound", k, k, 1, k) for k in range(t, 1, -1)]
-    if t >= 3:
-        compounds.append(CurveCatalogEntry("compound", 3, 0, 2, 3))
-    simples = []
-    if t >= 9:
-        simples.append(CurveCatalogEntry("simple", 12, 8, 3, 9))
-    if t >= 7:
-        simples.append(CurveCatalogEntry("simple", 6, 3, 2, 7))
-    simples.extend(CurveCatalogEntry("simple", e, e - 1, 1, 2 * e) for e in range(1, t // 2 + 1))
-    if t >= 5:
-        simples.append(CurveCatalogEntry("simple", 2, 0, 1, 5))
-    if t >= 1:
-        simples.append(CurveCatalogEntry("simple", 1, 1, 1, 1))
-    simples.sort(key=lambda E: (-E.degree, -E.m0, -E.tail_mult))
-    return compounds + simples
-
-
 def reference_aligned(entry, slots, width):
     """``entry`` on ``slots`` of a vector of ``width`` slots, as ``(degree, mults)``."""
     mults = [0] * width
@@ -275,7 +255,7 @@ def reference_next_split(d, m, reverse):
     t = len(m) - 1
     if t < 1:
         return None
-    entries = reference_scan_entries(t)
+    entries = reference_catalog(t)
     if reverse:
         entries = entries[::-1]
     order = sorted(range(1, len(m)), key=lambda s: (-m[s], s))
@@ -613,7 +593,8 @@ def quasi_homogeneous_sample(seed, count):
 class TestSplitChainMatchesReference:
     def test_scan_entries(self):
         for t in range(1, 61):
-            assert catalog(t) == tuple(reference_scan_entries(t))
+            simples = [entry[1:] for entry in reference_catalog(t) if entry.kind == "simple"]
+            assert _simple_classes(t) == simples
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(systems, quasi_homogeneous))

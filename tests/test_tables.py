@@ -135,11 +135,13 @@ class TestVerifyTable:
     ])
     def test_settings_checked_before_any_row(self, rows, mode, settings):
         with pytest.raises(ValueError):
-            verify_table(rows, mode, d_cap=-1, **settings)
+            verify_table(rows, mode, d_cap=0, **settings)
 
     @pytest.mark.parametrize("limits, reason", [
         ({"e_limit": 27}, "e_limit must be <= 26"), ({"d_cap": 301}, "d_cap must be <= 300"),
-    ], ids=["e_limit", "d_cap"])
+        # a check of no instance would pass
+        ({"e_limit": 0}, "e_limit must be >= 1"), ({"d_cap": -1}, "d_cap must be >= 0"),
+    ], ids=["e_limit", "d_cap", "e_limit_zero", "d_cap_negative"])
     def test_limits_checked_before_any_row(self, rows, monkeypatch, limits, reason):
         # the report keeps every instance, so an unbounded d_cap exhausts memory
         monkeypatch.setattr(tables, "_check_instance", _no_instance)
