@@ -8,10 +8,10 @@ nonnegative.  A line joining two points with ``mi + mj > d`` is a fixed
 component and can be split off, dropping the degree and the two
 multiplicities by one.
 
-``standard_reduce`` iterates both moves to a standard form and returns the
-moves it took, each its kind and slots; ``replay_transcript`` re-applies such
-a list and returns the system it reaches.  Both take every move with the same
-step on raw ``(degree, mults)`` data and format no intermediate system.
+``standard_reduce`` iterates both moves to a standard form, each run of
+``line (0, 1)`` splits in closed form, and returns the moves, each its kind
+and slots; ``replay_transcript`` re-applies such a list one move at a time.
+Both work on raw ``(degree, mults)`` data and format no intermediate system.
 
 A reduction works on normalized data: ``p0`` first, then the tail in
 descending order.  Its three heaviest slots are therefore ``p0`` inserted into
@@ -174,15 +174,45 @@ def _step(degree: int, mults: tuple[int, ...], kind: str, slots: tuple[int, ...]
     return degree, normal_mults(mults)
 
 
+def _line_run(degree: int, mults: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
+    """The normalized state after the whole run of ``line (0, 1)`` splits that
+    starts at the normalized ``(degree, mults)``, and the run's length ``r``.
+
+    A split applies while ``c < tail[0] <= m0 - r``, with ``c = degree - m0``
+    fixed, and lowers the degree, ``m0`` and the largest tail value by one.
+    So the run lowers the leading group of ``g`` equal values ``top`` by
+    ``k = min(g, m0 - r - top + 1)`` splits at a time, leaving
+    ``[top]*(g-k) + [top-1]*k`` in descending order.  No entry turns negative:
+    every lowered value, ``m0 - r`` included, exceeds ``c >= 0`` before its
+    split.  Each split raises the virtual dimension by ``top - c - 1``; one
+    assertion checks the whole run.
+    """
+    m0, tail = mults[0], list(mults[1:])
+    c = degree - m0
+    r = g = gain = 0
+    while c < tail[0] <= m0 - r:
+        top = tail[0]
+        while g < len(tail) and tail[g] == top:
+            g += 1
+        k = min(g, m0 - r - top + 1)
+        tail[g - k:g] = [top - 1] * k
+        r += k
+        gain += k * (top - c - 1)
+    new = (m0 - r,) + tuple(filter(None, tail))
+    assert vector_dim(degree - r, new) == vector_dim(degree, mults) + gain
+    return degree - r, new, r
+
+
 def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     """Iterate line splits and quadratic transformations until standard.
 
     Each step is :func:`next_move` on the normalized form and is recorded as
     the shared :class:`Move` of ``STANDARD_MOVES`` (a move missing there is a
-    bug and raises KeyError); one line split per step even when the line
-    splits off several times.  Stops early when some multiplicity exceeds the
-    degree (the system is then empty and no further move is meaningful).
-    Terminates because every move strictly decreases the degree.
+    bug and raises KeyError); one line split per move even when the line
+    splits off several times.  ``_line_run`` applies a run of ``line (0, 1)``
+    splits whole.  Stops early when some multiplicity exceeds the degree (the
+    system is then empty and no further move is meaningful).  Terminates
+    because every move strictly decreases the degree.
     """
     moves: list[Move] = []
     start = L.normalize()
@@ -191,8 +221,11 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
         move = next_move(d, m)
         if move is None:
             break
-        d, m = _step(d, m, *move)
-        moves.append(STANDARD_MOVES[move][0])
+        if move == ("line", (0, 1)):
+            d, m, r = _line_run(d, m)
+        else:
+            (d, m), r = _step(d, m, *move), 1
+        moves += [STANDARD_MOVES[move][0]] * r
     assert len(moves) <= L.degree + 1, "reduction failed to terminate"
     return (LinearSystem(d, m) if moves else start), tuple(moves)
 

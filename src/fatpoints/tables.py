@@ -159,8 +159,8 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
     In oracle mode the trials stop at the bound of :func:`_proven_floor`.  Before
     any row, ValueError refuses an unknown mode, an ``e_limit`` outside 1..26 (the
     range of ``e_max``), a ``d_cap`` outside 0..``_D_CAP_LIMIT`` (either would
-    check no instance or too many) and, in oracle mode, a bad prime, seed or
-    trial count or an instance over the oracle's size cap.
+    check no instance or too many), in oracle mode a bad prime, seed or trial
+    count or an instance over the oracle's size cap, and last a plan of no instance.
     """
     if mode not in ("formula", "hh", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -179,6 +179,8 @@ def verify_table(rows: tuple[ClassificationRow, ...], mode: str = "formula", *,
             reason = size_failure(system)
             if reason is not None:
                 raise ValueError(reason)
+    if not any(instances for _, instances in plan):
+        raise ValueError(f"no instance has degree <= d_cap ({d_cap})")
     results = []
     for row, instances in plan:
         checks = tuple(_check_instance(mode, *inst, prime, seed, trials) for inst in instances)

@@ -106,11 +106,12 @@ def test_every_private_helper_is_referenced():
 
 # -- the checker's trusted closure ---------------------------------------------
 
-# The prover's search and memo, the classifier's split chain and the table
-# generator: the certificate checker replays a proof without any of them.
+# The prover's search and memo, its closed-form runs of line splits, the
+# classifier's split chain and the table generator: the certificate checker
+# replays a proof without any of them.
 SEARCH = {"recursive_dim", "_solve", "_solve_fresh", "_Ctx", "_try", "_scan_degenerations",
           "_reduction_verdict", "hh_dimension", "hh_prediction", "_judged",
-          "_split_chain", "_next_split", "find_splittings", "standard_reduce",
+          "_split_chain", "_next_split", "find_splittings", "standard_reduce", "_line_run",
           "generate_classification"}
 # Source lines of the definitions check_certificate reaches, constants and
 # decorators included.  A change that grows the closure raises this ceiling and
@@ -153,7 +154,7 @@ def test_checker_reaches_no_search_code():
 
 # Lines of src/fatpoints/*.py as ``wc -l`` counts them.  A change that grows the
 # package raises this ceiling and says why.
-SOURCE_LINES = 2690
+SOURCE_LINES = 2725
 
 
 def test_package_source_lines_within_ceiling():

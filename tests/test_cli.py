@@ -437,12 +437,13 @@ class TestTableCommand:
 
     def test_verify_skips_rows_without_instances(self, capsys):
         code, out, _ = run(capsys, "table", "verify", "--mode", "formula",
-                           "--max-degree", "3")
+                           "--max-degree", "6")
         lines = out.splitlines()
         assert code == 0 and lines[-1] == "all rows pass"
-        assert len(lines) > 1
-        assert all(line.startswith("skip  ") and line.endswith("[0 instances]")
-                   for line in lines[:-1])
+        skipped = [line for line in lines[:-1] if line.startswith("skip  ")]
+        assert len(skipped) == 40 and len(lines) == 47
+        assert all(line.endswith("[0 instances]") for line in skipped)
+        assert all(line.startswith("ok  ") for line in lines[:-1] if line not in skipped)
 
     @pytest.mark.parametrize("setting", [["--trials", "99"], ["--prime", "4"]])
     @pytest.mark.parametrize("max_degree", ["0", "8"])
@@ -457,7 +458,9 @@ class TestTableCommand:
         (["--mode", "oracle", "--max-degree", "-1"], "d_cap must be >= 0"),
         (["--mode", "oracle", "--max-degree", "100"],
          "L(100,100,6^5) has a 5155 x 5151 matrix, over the oracle's cap"),
-    ], ids=["degree-cap", "negative-degree-cap", "oracle-size"])
+        # every row's instances have degree 6 or more: a check of none would pass
+        (["--max-degree", "5"], "no instance has degree <= d_cap (5)"),
+    ], ids=["degree-cap", "negative-degree-cap", "oracle-size", "no-instance"])
     def test_verify_bounds_refused_before_any_row(self, capsys, monkeypatch, argv, reason):
         def no_instance(*args, **kwargs):
             raise AssertionError("an instance was checked")

@@ -39,7 +39,8 @@ from hypothesis import strategies as st
 
 from conftest import reference_catalog
 from fatpoints import degeneration
-from fatpoints.core import LinearSystem, expected_dim, format_system, virtual_dim
+from fatpoints.core import (LinearSystem, expected_dim, format_system, parse_system,
+                            virtual_dim)
 from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
                                next_move, replay_transcript, split_fixed_line, standard_reduce)
 from fatpoints.degeneration import (_BASE_CASES, Budget, DegenerationSplit, _base_case, _Ctx,
@@ -433,6 +434,12 @@ quasi_homogeneous = st.builds(
     st.integers(0, 60), st.integers(0, 60), st.integers(0, 6), st.integers(0, 24),
     st.integers(0, 2))
 
+# Long tails, with p0 near the degree so that runs of ``line (0, 1)`` splits
+# cross several groups of the tail.
+long_tails = st.builds(
+    lambda m0, c, tail: LinearSystem(m0 + c, (m0,) + tuple(tail)),
+    st.integers(0, 150), st.integers(0, 12), st.lists(st.integers(0, 14), max_size=120))
+
 raw_numbers = st.one_of(st.integers(-5, 50), st.floats(), st.booleans(),
                         st.sampled_from(["7", " 3 ", "x", "", None, 2 ** 70]))
 
@@ -493,8 +500,15 @@ class TestCoreMatchesReference:
 
 class TestCremonaMatchesReference:
     @settings(max_examples=500)
-    @given(st.one_of(systems, quasi_homogeneous))
+    @given(st.one_of(systems, quasi_homogeneous, long_tails))
     @with_edges()
+    # how a run of line (0, 1) splits ends: the top tail value reaches d - m0;
+    # p0 falls below a partly lowered group (at L(2,2,2^2)); lowered values
+    # reach 0 and are dropped; a run across several groups (32 of 34 moves)
+    @example(parse_system("L(60,55,6^40)"))
+    @example(parse_system("L(6,2,6^2)"))
+    @example(parse_system("L(9,9,1^12)"))
+    @example(parse_system("L(40,36,9,8^3,7^5)"))
     def test_standard_reduce(self, sys):
         assert next_move(sys.degree, sys.mults) == reference_next_move(sys)
         got = outcome(standard_reduce, sys)

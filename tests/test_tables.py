@@ -141,7 +141,8 @@ class TestVerifyTable:
         ({"e_limit": 27}, "e_limit must be <= 26"), ({"d_cap": 301}, "d_cap must be <= 300"),
         # a check of no instance would pass
         ({"e_limit": 0}, "e_limit must be >= 1"), ({"d_cap": -1}, "d_cap must be >= 0"),
-    ], ids=["e_limit", "d_cap", "e_limit_zero", "d_cap_negative"])
+        ({"d_cap": 5}, r"no instance has degree <= d_cap \(5\)"),
+    ], ids=["e_limit", "d_cap", "e_limit_zero", "d_cap_negative", "d_cap_no_instance"])
     def test_limits_checked_before_any_row(self, rows, monkeypatch, limits, reason):
         # the report keeps every instance, so an unbounded d_cap exhausts memory
         monkeypatch.setattr(tables, "_check_instance", _no_instance)
