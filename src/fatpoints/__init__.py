@@ -2,8 +2,7 @@
 
 from .core import (LinearSystem, SystemParseError, arithmetic_genus, canonical_intersect,
                    expected_dim, format_system, intersect, parse_system, virtual_dim)
-from .cremona import (Move, NegativeEntryError, NotFixedError, cremona,
-                      split_fixed_line, standard_reduce)
+from .cremona import Move, NegativeEntryError, NotFixedError, standard_reduce
 from .degeneration import (Budget, CertificateError, DegenerationSplit,
                            check_certificate, degenerate, recursive_dim)
 from .neg_curves import (ClassificationRow, find_splittings, generate_classification,
@@ -18,7 +17,7 @@ __all__ = [
     "LinearSystem", "SystemParseError",
     "virtual_dim", "expected_dim", "intersect", "canonical_intersect",
     "arithmetic_genus", "parse_system", "format_system",
-    "cremona", "split_fixed_line", "standard_reduce", "Move",
+    "standard_reduce", "Move",
     "NegativeEntryError", "NotFixedError",
     "find_splittings",
     "is_minus_one_class", "is_minus_one_special", "hh_dimension",

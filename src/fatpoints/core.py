@@ -192,6 +192,9 @@ def format_system(degree: int, mults: Sequence[int]) -> str:
 
 
 _MAX_REPEAT = 10_000
+# Every number a command prints is at most quadratic in its inputs, over at most
+# 1 + _MAX_REPEAT terms, so it stays below the 4300 digits that str() converts.
+_MAX_DIGITS = 2000
 
 
 def parse_system(text: str) -> LinearSystem:
@@ -221,10 +224,9 @@ def parse_system(text: str) -> LinearSystem:
             pos += 1
         if pos == start:
             raise SystemParseError("expected integer", text, pos)
-        try:
-            return int(text[start:pos])
-        except ValueError:  # more digits than int() converts (4300 by default)
-            raise SystemParseError("integer too long", text, start) from None
+        if pos - start > _MAX_DIGITS:
+            raise SystemParseError("integer too long", text, start)
+        return int(text[start:pos])
 
     expect("L")
     expect("(")

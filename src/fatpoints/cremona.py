@@ -9,9 +9,10 @@ component and can be split off, dropping the degree and the two
 multiplicities by one.
 
 ``standard_reduce`` iterates both moves to a standard form, each run of
-``line (0, 1)`` splits in closed form, and returns the moves, each its kind
-and slots; ``replay_transcript`` re-applies such a list one move at a time.
-Both work on raw ``(degree, mults)`` data and format no intermediate system.
+``line (0, 1)`` splits in closed form, and returns each :class:`Move` that
+``next_move`` chose; ``replay_transcript`` re-applies such a list one move at
+a time.  Both work on raw ``(degree, mults)`` data and format no intermediate
+system.
 
 A reduction works on normalized data: ``p0`` first, then the tail in
 descending order.  Its three heaviest slots are therefore ``p0`` inserted into
@@ -19,13 +20,14 @@ the tail at rank ``r``, the number of tail values above ``m0``, so it only
 ever takes seven moves: the quadratic transformations on slots ``(0, 1, 2)``,
 ``(1, 0, 2)``, ``(1, 2, 0)`` and ``(1, 2, 3)`` (r = 0, 1, 2 and 3 or more), and
 the line splits on the first two of those, ``(0, 1)``, ``(1, 0)`` and ``(1, 2)``.
-``STANDARD_MOVES``, fixed at import, holds one :class:`Move` and one JSON form
-of each, which every reduction shares.  ``replay_transcript`` accepts any move.
+``STANDARD_MOVES``, fixed at import, maps each to its one JSON form, which
+every trace shares.  ``replay_transcript`` accepts any move.  The package
+attribute ``fatpoints.cremona`` is this module, not its function ``cremona``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import LinearSystem, format_system, normal_mults, slot_order, vector_dim
 
@@ -36,7 +38,6 @@ __all__ = [
     "cremona_vector",
     "split_line_vector",
     "cremona",
-    "split_fixed_line",
     "next_move",
     "standard_reduce",
     "STANDARD_MOVES",
@@ -112,14 +113,8 @@ def cremona(L: LinearSystem, i: int, j: int, k: int) -> LinearSystem:
     return LinearSystem(*cremona_vector(L.degree, L.mults, i, j, k))
 
 
-def split_fixed_line(L: LinearSystem, i: int, j: int) -> LinearSystem:
-    """Remove one copy of the fixed line through the points in slots i and j."""
-    return LinearSystem(*split_line_vector(L.degree, L.mults, i, j))
-
-
-@dataclass(frozen=True)
-class Move:
-    """One step of a reduction: its kind and the slots it acts on."""
+class Move(NamedTuple):
+    """One step of a reduction, the pair of its kind and the slots it acts on."""
 
     kind: str  # "cremona" | "line"
     slots: tuple[int, ...]
@@ -133,27 +128,27 @@ class Move:
         return cls(data["move"], tuple(data["slots"]))
 
 
-# The seven moves of a reduction, each (kind, slots) to its one Move and its one
-# JSON form.  Every reduction and every trace shares them: edit neither.
-STANDARD_MOVES: dict[tuple[str, tuple[int, ...]], tuple[Move, dict]] = {
-    (move.kind, move.slots): (move, move.to_json())
+# The seven moves of a reduction, each to the one JSON form that every trace shares.
+STANDARD_MOVES: dict[Move, dict] = {
+    move: move.to_json()
     for move in (Move("cremona", (0, 1, 2)), Move("cremona", (1, 0, 2)),
                  Move("cremona", (1, 2, 0)), Move("cremona", (1, 2, 3)),
                  Move("line", (0, 1)), Move("line", (1, 0)), Move("line", (1, 2)))}
 
 
-def next_move(degree: int, mults: tuple[int, ...]) -> tuple[str, tuple[int, ...]] | None:
+def next_move(degree: int, mults: tuple[int, ...]) -> Move | None:
     """The next move of the reduction to standard form, or None when there is none.
 
     Slots are taken by multiplicity, descending, ties by slot index.  The
-    move is ``("line", (a, b))`` when the two heaviest sum to more than the
-    degree, otherwise ``("cremona", (a, b, c))`` when the three heaviest do.
+    move is ``Move("line", (a, b))`` when the two heaviest sum to more than
+    the degree, otherwise ``Move("cremona", (a, b, c))`` when the three
+    heaviest do.
     """
     top = slot_order(mults)[:3]
     if len(top) >= 2 and mults[top[0]] + mults[top[1]] > degree:
-        return "line", tuple(top[:2])
+        return Move("line", tuple(top[:2]))
     if len(top) == 3 and mults[top[0]] + mults[top[1]] + mults[top[2]] > degree:
-        return "cremona", tuple(top)
+        return Move("cremona", tuple(top))
     return None
 
 
@@ -162,15 +157,14 @@ def is_standard(L: LinearSystem) -> bool:
     return next_move(L.degree, L.mults) is None
 
 
-def _step(degree: int, mults: tuple[int, ...], kind: str, slots: tuple[int, ...]
-          ) -> tuple[int, tuple[int, ...]]:
-    """The degree and normalized multiplicities after the move ``kind`` on ``slots``."""
-    if kind == "cremona" and len(slots) == 3:
-        degree, mults = cremona_vector(degree, mults, *slots)
-    elif kind == "line" and len(slots) == 2:
-        degree, mults = split_line_vector(degree, mults, *slots)
+def _step(degree: int, mults: tuple[int, ...], move: Move) -> tuple[int, tuple[int, ...]]:
+    """The degree and normalized multiplicities after ``move``."""
+    if move.kind == "cremona" and len(move.slots) == 3:
+        degree, mults = cremona_vector(degree, mults, *move.slots)
+    elif move.kind == "line" and len(move.slots) == 2:
+        degree, mults = split_line_vector(degree, mults, *move.slots)
     else:
-        raise ValueError(f"unknown move kind {kind!r} on {len(slots)} slots")
+        raise ValueError(f"unknown move kind {move.kind!r} on {len(move.slots)} slots")
     return degree, normal_mults(mults)
 
 
@@ -206,13 +200,12 @@ def _line_run(degree: int, mults: tuple[int, ...]) -> tuple[int, tuple[int, ...]
 def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     """Iterate line splits and quadratic transformations until standard.
 
-    Each step is :func:`next_move` on the normalized form and is recorded as
-    the shared :class:`Move` of ``STANDARD_MOVES`` (a move missing there is a
-    bug and raises KeyError); one line split per move even when the line
-    splits off several times.  ``_line_run`` applies a run of ``line (0, 1)``
-    splits whole.  Stops early when some multiplicity exceeds the degree (the
-    system is then empty and no further move is meaningful).  Terminates
-    because every move strictly decreases the degree.
+    Each step is :func:`next_move` on the normalized form, and the
+    :class:`Move` it returns is recorded as it is, once per line split even
+    when the line splits off several times.  ``_line_run`` applies a run of
+    ``line (0, 1)`` splits whole.  Stops early when some multiplicity exceeds
+    the degree (the system is then empty and no further move is meaningful).
+    Terminates because every move strictly decreases the degree.
     """
     moves: list[Move] = []
     start = L.normalize()
@@ -224,8 +217,8 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
         if move == ("line", (0, 1)):
             d, m, r = _line_run(d, m)
         else:
-            (d, m), r = _step(d, m, *move), 1
-        moves += [STANDARD_MOVES[move][0]] * r
+            (d, m), r = _step(d, m, move), 1
+        moves += [move] * r
     assert len(moves) <= L.degree + 1, "reduction failed to terminate"
     return (LinearSystem(d, m) if moves else start), tuple(moves)
 
@@ -236,5 +229,5 @@ def replay_transcript(moves: tuple[Move, ...], start: LinearSystem) -> LinearSys
     start = start.normalize()
     d, m = start.degree, start.mults
     for move in moves:
-        d, m = _step(d, m, move.kind, move.slots)
+        d, m = _step(d, m, move)
     return LinearSystem(d, m) if moves else start

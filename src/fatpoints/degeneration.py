@@ -306,7 +306,7 @@ def _reduction_verdict(L: LinearSystem, moves: tuple[Move, ...], final: LinearSy
     ``leaf`` of ``final``: a base case or the trace of the final system's verdict."""
     ell = leaf["ell"]
     trace = {"kind": "cremona_reduction", "system": str(L),
-             "moves": [STANDARD_MOVES[m.kind, m.slots][1] for m in moves],
+             "moves": [STANDARD_MOVES[m] for m in moves],
              "final": str(final), "leaf": leaf, "ell": ell}
     if ell == -1 or ell == expected_dim(L):
         return DimVerdict(_status(ell), ell, L, trace)
@@ -493,9 +493,9 @@ def _is_minus_one_curve(curve: LinearSystem) -> bool:
     d, mults = curve.degree, curve.mults
     while d > 1:
         move = next_move(d, mults)
-        if move is None or move[0] == "line":
+        if move is None or move.kind == "line":
             return False
-        d, mults = cremona_vector(d, mults, *move[1])
+        d, mults = cremona_vector(d, mults, *move.slots)
     # degree 1 with C.C = C.K = -1 leaves exactly two multiplicities 1
     return d == 1
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import (DELETE, catalog_pieces, json_values, limit_value, mutant, packaged_csv,
                       positions, trace_nodes, with_transcripts)
 from fatpoints.core import LinearSystem, expected_dim, parse_system, virtual_dim
-from fatpoints.cremona import NegativeEntryError, cremona_vector, split_fixed_line
+from fatpoints.cremona import NegativeEntryError, cremona_vector, split_line_vector
 from fatpoints.degeneration import (Budget, CertificateError, check_certificate, degenerate,
                                     recursive_dim)
 from fatpoints.neg_curves import (generate_classification, hh_dimension, hh_prediction,
@@ -198,7 +198,7 @@ def test_criterion_5_cremona_invariance():
         mults = (hi, d + 1 - hi) + tuple(rng.randint(0, 3)
                                          for _ in range(rng.randint(1, 4)))
         sys = LinearSystem(d, mults)
-        out = split_fixed_line(sys, 0, 1)
+        out = LinearSystem(*split_line_vector(d, mults, 0, 1))
         assert dimension_char_p(out) == dimension_char_p(sys)
         split += 1
     report(5, True, f"1000 transformations v-exact and involutive; oracle dimension "

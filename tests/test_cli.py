@@ -127,6 +127,29 @@ class TestParseErrors:
         lines = err.splitlines()
         assert lines[-1].index("^") == 7
 
+    @pytest.mark.parametrize("argv", [["vdim", "L({})"], ["dim", "L({},0,6^3)"],
+                                      ["degen", "L({},0,6^3)", "5", "1"]],
+                             ids=["vdim", "dim", "degen"])
+    def test_integer_too_long(self, capsys, argv):
+        # one digit over the parser's bound, refused before any number is printed
+        system = argv[1].format("7" * 2001)
+        code, out, err = run(capsys, argv[0], system, *argv[2:])
+        assert code == 2 and out == ""
+        assert "integer too long at position 2" in err
+        assert err.splitlines()[-1].index("^") == 2
+
+    def test_integer_of_2000_digits(self, capsys):
+        code, out, _ = run(capsys, "vdim", "L(" + "7" * 2000 + ")")
+        assert code == 0 and "v: " in out
+
+    def test_integer_too_long_in_a_certificate(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"system": "L(" + "7" * 2001 + ")", "status": "regular",
+                                    "ell": 0, "trace": {}}))
+        code, out, err = run(capsys, "check-certificate", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("certificate INVALID: malformed system: integer too long")
+
 
 class TestClassify:
     def test_witness_output(self, capsys):

@@ -169,8 +169,9 @@ class TestTextForm:
 
     @pytest.mark.parametrize("text,pos", [
         ("L(" + "9" * 5000 + ")", 2),   # more digits than int() converts
+        ("L(" + "7" * 2001 + ")", 2),   # a dimension with more digits than str() converts
         ("L(3" + ",1" * 10002 + ")", 20005),
-    ], ids=["5000-digits", "10002-singles"])
+    ], ids=["5000-digits", "2001-digits", "10002-singles"])
     def test_oversized_input_carries_position(self, text, pos):
         with pytest.raises(SystemParseError) as err:
             parse_system(text)

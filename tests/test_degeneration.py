@@ -13,7 +13,7 @@ from conftest import (DELETE, NON_SPECIAL_REMOVALS, catalog_pieces, json_values,
 from fatpoints import degeneration, oracle
 from fatpoints.cli import main
 from fatpoints.core import LinearSystem, expected_dim, intersect, parse_system, virtual_dim
-from fatpoints.cremona import STANDARD_MOVES, cremona_vector
+from fatpoints.cremona import STANDARD_MOVES, Move, cremona_vector, replay_transcript
 from fatpoints.degeneration import (Budget, CertificateError, DegenerationSplit, _Ctx,
                                     _is_minus_one_curve, _try, check_certificate,
                                     criterion_failure, degenerate, recursive_dim)
@@ -254,7 +254,7 @@ class TestCriteria:
 class TestRecursiveDim:
     def test_reductions_share_the_seven_move_dicts(self, capsys):
         # a trace is read-only: every reduction records the table's own JSON forms
-        shared = {id(data) for _, data in STANDARD_MOVES.values()}
+        shared = {id(data) for data in STANDARD_MOVES.values()}
         ids = {id(move) for d in range(13) for m0 in range(d + 1) for n in range(13)
                for node in trace_nodes(recursive_dim(LinearSystem(d, (m0,) + (6,) * n),
                                                      Budget(use_oracle=False)).to_json())
@@ -264,9 +264,20 @@ class TestRecursiveDim:
                      ["dim", "--json", "L(14,0,6^6)"], ["dim", "--json", "L(21,0,6^10)"]):
             assert main(argv) == 0
         capsys.readouterr()
-        for (kind, slots), (move, data) in STANDARD_MOVES.items():
-            assert (move.kind, move.slots) == (kind, slots)
-            assert data == {"move": kind, "slots": list(slots)} == move.to_json()
+        for (kind, slots), data in STANDARD_MOVES.items():
+            assert data == {"move": kind, "slots": list(slots)} == Move(kind, slots).to_json()
+
+    def test_recorded_moves_read_back_and_replay(self):
+        # a move is the pair (kind, slots): either finds its one JSON form
+        assert STANDARD_MOVES[("line", (0, 1))] is STANDARD_MOVES[Move("line", (0, 1))]
+        nodes = [node for d in range(13) for m0 in range(d + 1) for n in range(13)
+                 for node in trace_nodes(recursive_dim(LinearSystem(d, (m0,) + (6,) * n),
+                                                       Budget(use_oracle=False)).to_json())
+                 if node["kind"] == "cremona_reduction"]
+        assert nodes
+        for node in nodes:
+            moves = tuple(Move.from_json(data) for data in node["moves"])
+            assert replay_transcript(moves, L(node["system"])) == L(node["final"])
 
     def test_special(self):
         v = recursive_dim(L("L(10,2,6^3)"))

@@ -41,8 +41,8 @@ from conftest import reference_catalog
 from fatpoints import degeneration
 from fatpoints.core import (LinearSystem, expected_dim, format_system, parse_system,
                             virtual_dim)
-from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona, cremona_vector,
-                               next_move, replay_transcript, split_fixed_line, standard_reduce)
+from fatpoints.cremona import (Move, NegativeEntryError, NotFixedError, cremona_vector, next_move,
+                               replay_transcript, split_line_vector, standard_reduce)
 from fatpoints.degeneration import (_BASE_CASES, Budget, DegenerationSplit, _base_case, _Ctx,
                                     _is_minus_one_curve, _try)
 from fatpoints.neg_curves import (_next_split, _simple_classes, _split_chain, hh_dimension,
@@ -136,14 +136,16 @@ def reference_standard_reduce(L):
             a, b = order[0], order[1]
             if cur.degree - cur.mults[a] - cur.mults[b] < 0 and \
                     cur.mults[a] >= 1 and cur.mults[b] >= 1 and cur.degree >= 1:
-                nxt = reference_normalize(split_fixed_line(cur, a, b))
+                nxt = reference_normalize(
+                    LinearSystem(*split_line_vector(cur.degree, cur.mults, a, b)))
                 moves.append(Move("line", (a, b)))
                 cur = nxt
                 continue
         if len(order) >= 3:
             a, b, c = order[0], order[1], order[2]
             if cur.mults[a] + cur.mults[b] + cur.mults[c] > cur.degree:
-                nxt = reference_normalize(cremona(cur, a, b, c))
+                nxt = reference_normalize(
+                    LinearSystem(*cremona_vector(cur.degree, cur.mults, a, b, c)))
                 moves.append(Move("cremona", (a, b, c)))
                 cur = nxt
                 continue
@@ -154,7 +156,7 @@ def reference_standard_reduce(L):
 
 def reference_move(L, kind, slots):
     """One move of a transcript as it was: checks, arithmetic and messages of
-    ``cremona`` and ``split_fixed_line``, element by element."""
+    ``cremona_vector`` and ``split_line_vector``, element by element."""
     if kind == "cremona" and len(slots) == 3:
         if len(set(slots)) != 3:
             raise ValueError(f"slots must be distinct, got {tuple(slots)}")
