@@ -8,25 +8,27 @@ nonnegative.  A line joining two points with ``mi + mj > d`` is a fixed
 component and can be split off, dropping the degree and the two
 multiplicities by one.
 
-``standard_reduce`` iterates both moves to a standard form, each run of
-``line (0, 1)`` splits in closed form, and returns each :class:`Move` that
-``next_move`` chose; ``replay_transcript`` re-applies such a list one move at
-a time.  Both work on raw ``(degree, mults)`` data and format no intermediate
-system.
+``standard_reduce`` iterates both moves to a standard form and returns the
+:class:`Move` of each step; ``replay_transcript`` re-applies such a list one
+move at a time.  Both work on raw ``(degree, mults)`` data and format no
+intermediate system.
 
 A reduction works on normalized data: ``p0`` first, then the tail in
 descending order.  Its three heaviest slots are therefore ``p0`` inserted into
-the tail at rank ``r``, the number of tail values above ``m0``, so it only
-ever takes seven moves: the quadratic transformations on slots ``(0, 1, 2)``,
-``(1, 0, 2)``, ``(1, 2, 0)`` and ``(1, 2, 3)`` (r = 0, 1, 2 and 3 or more), and
-the line splits on the first two of those, ``(0, 1)``, ``(1, 0)`` and ``(1, 2)``.
-``STANDARD_MOVES``, fixed at import, maps each to its one JSON form, which
-every trace shares.  ``replay_transcript`` accepts any move.  The package
-attribute ``fatpoints.cremona`` is this module, not its function ``cremona``.
+the tail at rank ``r``, the number of the first three tail values above
+``m0`` (ties put ``p0`` first), so it only ever takes seven moves: the
+quadratic transformations on slots ``(0, 1, 2)``, ``(1, 0, 2)``, ``(1, 2, 0)``
+and ``(1, 2, 3)`` (r = 0, 1, 2 and 3), and the line splits on the first two of
+those, ``(0, 1)``, ``(1, 0)`` and ``(1, 2)``.  ``standard_reduce`` picks each
+move by ``r`` and changes only the values it touches, so no move passes over
+the vector.  ``replay_transcript`` accepts any move.  The package attribute
+``fatpoints.cremona`` is this module, not its function ``cremona``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from operator import mul, neg
 from typing import NamedTuple
 
 from .core import LinearSystem, format_system, normal_mults, slot_order, vector_dim
@@ -128,12 +130,12 @@ class Move(NamedTuple):
         return cls(data["move"], tuple(data["slots"]))
 
 
-# The seven moves of a reduction, each to the one JSON form that every trace shares.
+# The quadratic transformation and the line split a reduction makes at each rank
+# r of p0, and the one JSON form of each of the seven, which every trace shares.
+_MOVES_BY_RANK = [(Move("cremona", slots), Move("line", slots[:2]))
+                  for slots in ((0, 1, 2), (1, 0, 2), (1, 2, 0), (1, 2, 3))]
 STANDARD_MOVES: dict[Move, dict] = {
-    move: move.to_json()
-    for move in (Move("cremona", (0, 1, 2)), Move("cremona", (1, 0, 2)),
-                 Move("cremona", (1, 2, 0)), Move("cremona", (1, 2, 3)),
-                 Move("line", (0, 1)), Move("line", (1, 0)), Move("line", (1, 2)))}
+    move: move.to_json() for moves in _MOVES_BY_RANK for move in moves}
 
 
 def next_move(degree: int, mults: tuple[int, ...]) -> Move | None:
@@ -168,9 +170,10 @@ def _step(degree: int, mults: tuple[int, ...], move: Move) -> tuple[int, tuple[i
     return degree, normal_mults(mults)
 
 
-def _line_run(degree: int, mults: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
-    """The normalized state after the whole run of ``line (0, 1)`` splits that
-    starts at the normalized ``(degree, mults)``, and the run's length ``r``.
+def _line_run(degree: int, m0: int, tail: list[int]) -> tuple[int, int]:
+    """Apply to the normalized state ``degree, m0, tail`` the whole run of
+    ``line (0, 1)`` splits that starts there, lowering ``tail`` in place, and
+    return the run's length ``r`` and the change of virtual dimension it causes.
 
     A split applies while ``c < tail[0] <= m0 - r``, with ``c = degree - m0``
     fixed, and lowers the degree, ``m0`` and the largest tail value by one.
@@ -178,10 +181,8 @@ def _line_run(degree: int, mults: tuple[int, ...]) -> tuple[int, tuple[int, ...]
     ``k = min(g, m0 - r - top + 1)`` splits at a time, leaving
     ``[top]*(g-k) + [top-1]*k`` in descending order.  No entry turns negative:
     every lowered value, ``m0 - r`` included, exceeds ``c >= 0`` before its
-    split.  Each split raises the virtual dimension by ``top - c - 1``; one
-    assertion checks the whole run.
+    split.  Each split raises the virtual dimension by ``top - c - 1``.
     """
-    m0, tail = mults[0], list(mults[1:])
     c = degree - m0
     r = g = gain = 0
     while c < tail[0] <= m0 - r:
@@ -192,35 +193,64 @@ def _line_run(degree: int, mults: tuple[int, ...]) -> tuple[int, tuple[int, ...]
         tail[g - k:g] = [top - 1] * k
         r += k
         gain += k * (top - c - 1)
-    new = (m0 - r,) + tuple(filter(None, tail))
-    assert vector_dim(degree - r, new) == vector_dim(degree, mults) + gain
-    return degree - r, new, r
+    while tail and not tail[-1]:  # the values lowered to 0 end the tail
+        tail.pop()
+    return r, gain
 
 
 def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     """Iterate line splits and quadratic transformations until standard.
 
-    Each step is :func:`next_move` on the normalized form, and the
-    :class:`Move` it returns is recorded as it is, once per line split even
-    when the line splits off several times.  ``_line_run`` applies a run of
-    ``line (0, 1)`` splits whole.  Stops early when some multiplicity exceeds
-    the degree (the system is then empty and no further move is meaningful).
-    Terminates because every move strictly decreases the degree.
+    On ``d``, ``m0`` and the descending tail, each step makes the line split of
+    ``_MOVES_BY_RANK[r]`` when the two heaviest values ``a >= b`` sum to more
+    than ``d``, else its quadratic transformation when the three heaviest
+    ``a >= b >= c`` do.  A move adds ``w`` to ``d`` and to those values (``w = -1``
+    for a split), which leave the tail's head and fall back in by bisection,
+    zeros dropped; ``_line_run`` applies a run of ``line (0, 1)`` splits whole.
+    No entry turns negative: a new value of a quadratic transformation is ``d``
+    minus the other two, at least ``d - a - b >= 0`` as no line is fixed, and
+    the new degree at least ``d - c >= 0``; a split has ``b >= 1`` as
+    ``a + b > d >= a``.  Each move asserts its change of virtual dimension from
+    the values it changed (0, or ``a + b - d - 1 >= 0`` for a split), and one
+    assertion on the whole vector checks their sum.  Stops early when some
+    multiplicity exceeds the degree (the system is then empty and no further
+    move is meaningful).  Terminates because every move lowers the degree.
     """
-    moves: list[Move] = []
     start = L.normalize()
-    d, m = start.degree, start.mults
-    while not m or max(m) <= d:
-        move = next_move(d, m)
-        if move is None:
-            break
-        if move == ("line", (0, 1)):
-            d, m, r = _line_run(d, m)
+    d, (m0, *tail) = start.degree, start.mults or (0,)
+    moves: list[Move] = []
+    gain = 0  # the change of virtual dimension so far
+    while tail and max(m0, tail[0]) <= d:
+        top = tail[:3]
+        r = bisect_left(top, -m0, key=neg)
+        top.insert(r, m0)
+        cremona_move, line_move = _MOVES_BY_RANK[r]
+        if top[0] + top[1] > d:
+            if r == 0:
+                run, run_gain = _line_run(d, m0, tail)
+                d, m0, gain = d - run, m0 - run, gain + run_gain
+                moves += [line_move] * run
+                continue
+            move, top, w, change = line_move, top[:2], -1, top[0] + top[1] - d - 1
+        elif len(top) > 2 and top[0] + top[1] + top[2] > d:
+            move, top, w, change = cremona_move, top[:3], d - sum(top[:3]), 0
         else:
-            (d, m), r = _step(d, m, move), 1
-        moves += [move] * r
+            break
+        new = [value + w for value in top]
+        # the change of virtual dimension from the values it changed; the others cancel
+        assert ((d + w) * (d + w + 3) - d * (d + 3) - sum(map(mul, new, new)) - sum(new)
+                + sum(map(mul, top, top)) + sum(top)) // 2 == change >= 0
+        d, gain = d + w, gain + change
+        if r < len(new):  # p0 is among the changed values
+            m0 = new.pop(r)
+        del tail[:len(new)]
+        for value in filter(None, new):
+            insort(tail, value, key=neg)
+        moves.append(move)
     assert len(moves) <= L.degree + 1, "reduction failed to terminate"
-    return (LinearSystem(d, m) if moves else start), tuple(moves)
+    final = LinearSystem(d, (m0, *tail)) if moves else start
+    assert not moves or vector_dim(d, final.mults) == vector_dim(L.degree, L.mults) + gain
+    return final, tuple(moves)
 
 
 def replay_transcript(moves: tuple[Move, ...], start: LinearSystem) -> LinearSystem:

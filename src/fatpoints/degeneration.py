@@ -265,7 +265,7 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
     final, moves = standard_reduce(L)
     leaf = _base_case(final, _BASE_CASES[1:])
     if leaf is not None and leaf["ell"] in (-1, expected_dim(L)):
-        return _reduction_verdict(L, moves, final, leaf)
+        return _reduction_verdict(L, moves, leaf)
 
     if ctx.removal(L)[0] == SPECIAL:
         return hh_dimension(L)  # the one node whose removal trace a certificate holds
@@ -275,7 +275,7 @@ def _solve_fresh(L: LinearSystem, ctx: _Ctx) -> DimVerdict:
         if proof.status != UNKNOWN:
             leaf = proof.trace
     if leaf is not None:
-        return _reduction_verdict(L, moves, final, leaf)
+        return _reduction_verdict(L, moves, leaf)
 
     found = _scan_degenerations(L, ctx)
     if found is not None:
@@ -300,14 +300,14 @@ def _unknown(L: LinearSystem, reason: str, **evidence) -> DimVerdict:
                                          "reason": reason, **evidence})
 
 
-def _reduction_verdict(L: LinearSystem, moves: tuple[Move, ...], final: LinearSystem,
-                       leaf: dict) -> DimVerdict:
-    """The verdict on ``L`` from its reduction ``moves`` to ``final`` and the proof
-    ``leaf`` of ``final``: a base case or the trace of the final system's verdict."""
+def _reduction_verdict(L: LinearSystem, moves: tuple[Move, ...], leaf: dict) -> DimVerdict:
+    """The verdict on ``L`` from its reduction ``moves`` to a final system and the
+    proof ``leaf`` of that system: a base case or the trace of its verdict, which
+    names it, so its string is written once."""
     ell = leaf["ell"]
     trace = {"kind": "cremona_reduction", "system": str(L),
              "moves": [STANDARD_MOVES[m] for m in moves],
-             "final": str(final), "leaf": leaf, "ell": ell}
+             "final": leaf["system"], "leaf": leaf, "ell": ell}
     if ell == -1 or ell == expected_dim(L):
         return DimVerdict(_status(ell), ell, L, trace)
     # a special value here would contradict the classifier: a leaf above expected

@@ -571,6 +571,30 @@ class TestCertificateFlow:
         assert code == 1 and out == ""
         assert err.startswith("certificate INVALID: ")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_integer_too_long_to_read_exits_1(self, capsys, tmp_path, json_flag):
+        # valid JSON that proves nothing: past the interpreter's 4300-digit limit
+        path = tmp_path / "cert.json"
+        ell = "9" * 5000
+        path.write_text(f'{{"system": "L(14,0,6^6)", "status": "empty", "ell": {ell}, '
+                        f'"trace": {{"kind": "no_conditions", "system": "L(14,0,6^6)", '
+                        f'"ell": {ell}}}}}')
+        code, out, err = run(capsys, *json_flag, "check-certificate", str(path))
+        reason = "integer of 5000 characters is too long to read"
+        assert code == 1
+        if json_flag:
+            assert err == "" and json.loads(out) == {"valid": False, "reason": reason}
+        else:
+            assert out == "" and err == f"certificate INVALID: {reason}\n"
+
+    def test_certificate_of_a_2000_digit_degree(self, capsys, tmp_path):
+        # its ell has 4000 digits, within what the interpreter reads
+        path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "dim", "L(" + "9" * 2000 + ")", "--certificate", str(path))
+        assert code == 0 and len(str(json.loads(path.read_text())["ell"])) == 4000
+        code, out, _ = run(capsys, "check-certificate", str(path))
+        assert code == 0 and out.startswith("certificate OK: ")
+
     def test_too_deeply_nested_json_exits_2(self, capsys, tmp_path):
         depth = sys.getrecursionlimit() + 200
         path = tmp_path / "cert.json"

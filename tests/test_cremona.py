@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,28 @@ class TestStandardReduce:
         assert first is None or type(first) is Move
         assert moves[:1] in ((), (first,))
         assert replay_transcript(moves, sys) == final
+
+    def test_large_reductions(self):
+        line01, line12 = Move("line", (0, 1)), Move("line", (1, 2))
+        final, moves = standard_reduce(L("L(10000,9995,6^3000)"))
+        assert final == L("L(4,0,5^200,4^2)")
+        assert moves == (line01,) * 3000 + (Move("cremona", (0, 1, 2)),) * 1399 + (line12,)
+        final, moves = standard_reduce(L("L(100000,99990,6^10000)"))
+        assert final == L("L(90000,89990,4^10000)")
+        assert moves == (Move("cremona", (0, 1, 2)),) * 5000
+
+    def test_whole_vector_work_once_per_run(self, monkeypatch):
+        # a sort or a sum over the vector on every move would make thousands of calls
+        calls = Counter()
+        for name in ("vector_dim", "normal_mults", "next_move"):
+            def counting(*args, _name=name, _real=getattr(CREMONA, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(CREMONA, name, counting)
+        _, moves = standard_reduce(L("L(10000,9995,6^3000)"))
+        runs = 1 + sum(a != b for a, b in zip(moves, moves[1:]))
+        assert (len(moves), runs) == (4400, 3)
+        assert max(calls.values(), default=0) <= runs, calls
 
     def test_normalize_keeps_a_canonical_system(self):
         for name in ("L(20,18,6^5)", "L(1,1,2^4,1)", "L(5,0)", "L(3)"):

@@ -25,6 +25,11 @@ outcomes.  ``LinearSystem.base_points`` and the ``multiplicity_exceeds_degree``
 test were rewritten with C-level builtins and are held to their earlier forms.
 The constructor's reference converts with ``operator.index``, as the
 constructor does, so a float or a string of digits is refused.
+
+``standard_reduce`` now picks each move from the rank of ``p0`` among the three
+heaviest points and re-inserts only the values the move changed; it is held to
+``reference_standard_reduce`` on a system for each of the seven moves, on ties,
+short tails and early stops, and on mixed tails of up to 200 points.
 """
 
 import json
@@ -409,7 +414,7 @@ def reference_solve_fresh(L, ctx):
         if proof.status != UNKNOWN:
             leaf = proof.trace
     if leaf is not None:
-        return degeneration._reduction_verdict(L, moves, final, leaf)
+        return degeneration._reduction_verdict(L, moves, leaf)
     found = degeneration._scan_degenerations(L, ctx)
     if found is not None:
         return found
@@ -441,6 +446,12 @@ quasi_homogeneous = st.builds(
 long_tails = st.builds(
     lambda m0, c, tail: LinearSystem(m0 + c, (m0,) + tuple(tail)),
     st.integers(0, 150), st.integers(0, 12), st.lists(st.integers(0, 14), max_size=120))
+
+# Tails that mix every value from 1 to 14, up to 200 points, with p0 anywhere
+# from 0 to above the degree: the reduction's rank of p0 takes every value.
+mixed_tails = st.builds(
+    lambda d, m0, tail: LinearSystem(d, (m0,) + tuple(tail)),
+    st.integers(0, 60), st.integers(0, 70), st.lists(st.integers(1, 14), max_size=200))
 
 raw_numbers = st.one_of(st.integers(-5, 50), st.floats(), st.booleans(),
                         st.sampled_from(["7", " 3 ", "x", "", None, 2 ** 70]))
@@ -513,6 +524,65 @@ class TestCremonaMatchesReference:
     @example(parse_system("L(40,36,9,8^3,7^5)"))
     def test_standard_reduce(self, sys):
         assert next_move(sys.degree, sys.mults) == reference_next_move(sys)
+        got = outcome(standard_reduce, sys)
+        assert got == outcome(reference_standard_reduce, sys)
+        if got[0] == "value":
+            final, moves = got[1]
+            assert replay_transcript(moves, sys) == final
+
+
+# The first move of each system, one for each of the seven moves and its rank of
+# p0; then m0 tied with the tail, p0 = 0, tails of one and two points, and
+# reductions that stop early because a multiplicity exceeds the degree.
+FIRST_MOVES = [
+    ("L(10,5,4,4)", ("cremona", (0, 1, 2))),
+    ("L(10,4,5,3)", ("cremona", (1, 0, 2))),
+    ("L(10,3,4,4)", ("cremona", (1, 2, 0))),
+    ("L(10,2,4^3)", ("cremona", (1, 2, 3))),
+    ("L(10,6,6)", ("line", (0, 1))),
+    ("L(10,5,6)", ("line", (1, 0))),
+    ("L(10,4,6^2)", ("line", (1, 2))),
+    ("L(10,2,6^3)", ("line", (1, 2))),
+    ("L(12,6,6^3)", ("cremona", (0, 1, 2))),   # m0 tied: p0 first
+    ("L(10,4,4^4)", ("cremona", (0, 1, 2))),
+    ("L(7,3,3^2,2)", ("cremona", (0, 1, 2))),
+    ("L(9,5,5,4)", ("line", (0, 1))),          # tied, then a line split
+    ("L(12,0,6^4)", ("cremona", (1, 2, 3))),   # p0 = 0
+    ("L(11,0,6^2)", ("line", (1, 2))),
+    ("L(5,0,3)", None),
+    ("L(5,3,3)", ("line", (0, 1))),            # a tail of one point
+    ("L(5,4,2)", ("line", (0, 1))),
+    ("L(5,2,4)", ("line", (1, 0))),
+    ("L(5,2,2)", None),
+    ("L(7,3,3^2)", ("cremona", (0, 1, 2))),    # a tail of two points
+    ("L(7,2,3^2)", ("cremona", (1, 2, 0))),
+    ("L(7,3,4,3)", ("cremona", (1, 0, 2))),
+    ("L(13,5,6^5)", ("cremona", (1, 2, 3))),   # stops early at a multiplicity above d
+    ("L(20,18,6^5)", ("line", (0, 1))),
+    ("L(6,1,6^2)", ("line", (1, 2))),
+    ("L(5,6,1)", None),                        # p0 above the degree: no move
+    ("L(5,2,7^2)", None),
+    ("L(0,0,1)", None),
+]
+
+
+class TestReductionMovesMatchReference:
+    @pytest.mark.parametrize("name,first", FIRST_MOVES, ids=[name for name, _ in FIRST_MOVES])
+    def test_explicit_systems(self, name, first):
+        sys = parse_system(name)
+        got = outcome(standard_reduce, sys)
+        assert got == outcome(reference_standard_reduce, sys)
+        final, moves = got[1]
+        assert moves[:1] == ((Move(*first),) if first else ())
+        assert replay_transcript(moves, sys) == final
+
+    def test_every_move_and_rank_occurs(self):
+        firsts = {Move(*first) for _, first in FIRST_MOVES if first}
+        assert len(firsts) == 7
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_tails)
+    def test_mixed_tails(self, sys):
         got = outcome(standard_reduce, sys)
         assert got == outcome(reference_standard_reduce, sys)
         if got[0] == "value":
