@@ -20,7 +20,7 @@ the tail at rank ``r``, the number of the first three tail values above
 quadratic transformations on slots ``(0, 1, 2)``, ``(1, 0, 2)``, ``(1, 2, 0)``
 and ``(1, 2, 3)`` (r = 0, 1, 2 and 3), and the line splits on the first two of
 those, ``(0, 1)``, ``(1, 0)`` and ``(1, 2)``.  ``standard_reduce`` picks each
-move by ``r`` and changes only the values it touches, so no move passes over
+move by ``r`` and changes only the values it touches: no move sorts or sums
 the vector.  ``replay_transcript`` accepts any move.  The package attribute
 ``fatpoints.cremona`` is this module, not its function ``cremona``.
 """
@@ -28,7 +28,7 @@ the vector.  ``replay_transcript`` accepts any move.  The package attribute
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from operator import mul, neg
+from operator import neg
 from typing import NamedTuple
 
 from .core import LinearSystem, format_system, normal_mults, slot_order, vector_dim
@@ -170,34 +170,6 @@ def _step(degree: int, mults: tuple[int, ...], move: Move) -> tuple[int, tuple[i
     return degree, normal_mults(mults)
 
 
-def _line_run(degree: int, m0: int, tail: list[int]) -> tuple[int, int]:
-    """Apply to the normalized state ``degree, m0, tail`` the whole run of
-    ``line (0, 1)`` splits that starts there, lowering ``tail`` in place, and
-    return the run's length ``r`` and the change of virtual dimension it causes.
-
-    A split applies while ``c < tail[0] <= m0 - r``, with ``c = degree - m0``
-    fixed, and lowers the degree, ``m0`` and the largest tail value by one.
-    So the run lowers the leading group of ``g`` equal values ``top`` by
-    ``k = min(g, m0 - r - top + 1)`` splits at a time, leaving
-    ``[top]*(g-k) + [top-1]*k`` in descending order.  No entry turns negative:
-    every lowered value, ``m0 - r`` included, exceeds ``c >= 0`` before its
-    split.  Each split raises the virtual dimension by ``top - c - 1``.
-    """
-    c = degree - m0
-    r = g = gain = 0
-    while c < tail[0] <= m0 - r:
-        top = tail[0]
-        while g < len(tail) and tail[g] == top:
-            g += 1
-        k = min(g, m0 - r - top + 1)
-        tail[g - k:g] = [top - 1] * k
-        r += k
-        gain += k * (top - c - 1)
-    while tail and not tail[-1]:  # the values lowered to 0 end the tail
-        tail.pop()
-    return r, gain
-
-
 def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     """Iterate line splits and quadratic transformations until standard.
 
@@ -206,15 +178,16 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     than ``d``, else its quadratic transformation when the three heaviest
     ``a >= b >= c`` do.  A move adds ``w`` to ``d`` and to those values (``w = -1``
     for a split), which leave the tail's head and fall back in by bisection,
-    zeros dropped; ``_line_run`` applies a run of ``line (0, 1)`` splits whole.
-    No entry turns negative: a new value of a quadratic transformation is ``d``
-    minus the other two, at least ``d - a - b >= 0`` as no line is fixed, and
-    the new degree at least ``d - c >= 0``; a split has ``b >= 1`` as
-    ``a + b > d >= a``.  Each move asserts its change of virtual dimension from
-    the values it changed (0, or ``a + b - d - 1 >= 0`` for a split), and one
-    assertion on the whole vector checks their sum.  Stops early when some
-    multiplicity exceeds the degree (the system is then empty and no further
-    move is meaningful).  Terminates because every move lowers the degree.
+    zeros dropped: O(1) Python work per move, though the list shifts its
+    entries in memory.  No entry turns negative: a new value of a quadratic
+    transformation is ``d`` minus the other two, at least ``d - a - b >= 0`` as
+    no line is fixed, and the new degree at least ``d - c >= 0``; a split has
+    ``b >= 1`` as ``a + b > d >= a``.  Each move asserts this, and one assertion
+    on the whole vector checks the re-insertions against the sum of the splits'
+    gains ``a + b - d - 1`` (a quadratic transformation changes nothing).  Stops
+    early when some multiplicity exceeds the degree (the system is then empty
+    and no further move is meaningful).  Terminates because every move lowers
+    the degree.
     """
     start = L.normalize()
     d, (m0, *tail) = start.degree, start.mults or (0,)
@@ -226,21 +199,15 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
         top.insert(r, m0)
         cremona_move, line_move = _MOVES_BY_RANK[r]
         if top[0] + top[1] > d:
-            if r == 0:
-                run, run_gain = _line_run(d, m0, tail)
-                d, m0, gain = d - run, m0 - run, gain + run_gain
-                moves += [line_move] * run
-                continue
-            move, top, w, change = line_move, top[:2], -1, top[0] + top[1] - d - 1
+            move, top, w = line_move, top[:2], -1
+            gain += top[0] + top[1] - d - 1
         elif len(top) > 2 and top[0] + top[1] + top[2] > d:
-            move, top, w, change = cremona_move, top[:3], d - sum(top[:3]), 0
+            move, top, w = cremona_move, top[:3], d - sum(top[:3])
         else:
             break
-        new = [value + w for value in top]
-        # the change of virtual dimension from the values it changed; the others cancel
-        assert ((d + w) * (d + w + 3) - d * (d + 3) - sum(map(mul, new, new)) - sum(new)
-                + sum(map(mul, top, top)) + sum(top)) // 2 == change >= 0
-        d, gain = d + w, gain + change
+        new = [value + w for value in top]  # descending, as top is
+        assert min(d + w, new[-1]) >= 0, "reduction made an entry negative"
+        d += w
         if r < len(new):  # p0 is among the changed values
             m0 = new.pop(r)
         del tail[:len(new)]

@@ -119,7 +119,7 @@ def test_every_private_helper_is_referenced():
 # replays a proof without any of them.
 SEARCH = {"recursive_dim", "_solve", "_solve_fresh", "_Ctx", "_try", "_scan_degenerations",
           "_reduction_verdict", "hh_dimension", "hh_prediction", "_judged",
-          "_split_chain", "_next_split", "find_splittings", "standard_reduce", "_line_run",
+          "_split_chain", "_next_split", "find_splittings", "standard_reduce",
           "_MOVES_BY_RANK", "generate_classification"}
 # Source lines of the definitions check_certificate reaches, constants and
 # decorators included.  A change that grows the closure raises this ceiling and
@@ -162,7 +162,7 @@ def test_checker_reaches_no_search_code():
 
 # Lines of src/fatpoints/*.py as ``wc -l`` counts them.  A change that grows the
 # package raises this ceiling and says why.
-SOURCE_LINES = 2757
+SOURCE_LINES = 2727
 
 
 def test_package_source_lines_within_ceiling():
