@@ -11,7 +11,9 @@ multiplicities by one.
 ``standard_reduce`` iterates both moves to a standard form and returns the
 :class:`Move` of each step; ``replay_transcript`` re-applies such a list one
 move at a time.  Both work on raw ``(degree, mults)`` data and format no
-intermediate system.
+intermediate system.  The slot-level operations ``cremona_vector`` and
+``split_line_vector`` and the replay check a move with the same function: its
+slots distinct and in range, the line fixed, no entry negative.
 
 A reduction works on normalized data: ``p0`` first, then the tail in
 descending order.  Its three heaviest slots are therefore ``p0`` inserted into
@@ -20,18 +22,21 @@ the tail at rank ``r``, the number of the first three tail values above
 quadratic transformations on slots ``(0, 1, 2)``, ``(1, 0, 2)``, ``(1, 2, 0)``
 and ``(1, 2, 3)`` (r = 0, 1, 2 and 3), and the line splits on the first two of
 those, ``(0, 1)``, ``(1, 0)`` and ``(1, 2)``.  ``standard_reduce`` picks each
-move by ``r`` and changes only the values it touches: no move sorts or sums
-the vector.  ``replay_transcript`` accepts any move.  The package attribute
-``fatpoints.cremona`` is this module, not its function ``cremona``.
+move by ``r``.  ``replay_transcript`` accepts any move, on any slots.  Both
+change only the values a move touches and re-insert them by bisection: no move
+copies, sorts or sums the vector (O(1) Python work, though the list shifts its
+entries in memory), and each checks the vector once per run against the sum of
+the splits' gains.  The package attribute ``fatpoints.cremona`` is this module,
+not its function ``cremona``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from operator import neg
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .core import LinearSystem, format_system, normal_mults, slot_order, vector_dim
+from .core import LinearSystem, format_system, slot_order, vector_dim, virtual_dim
 
 __all__ = [
     "NegativeEntryError",
@@ -62,52 +67,56 @@ class NotFixedError(ValueError):
     """Line split requested for a line that is not a fixed component."""
 
 
+def _moved(degree: int, mults: Sequence[int], slots: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The degree and the values at ``slots`` after the line split (two slots) or
+    the quadratic transformation (three) on them; ``mults`` is left as it is."""
+    line = len(slots) == 2
+    if slots[0] == slots[1] or not line and (slots[2] == slots[0] or slots[2] == slots[1]):
+        raise ValueError("slots must be distinct" if line
+                         else f"slots must be distinct, got {tuple(slots)}")
+    for s in slots:
+        if not 0 <= s < len(mults):
+            raise ValueError(f"slot {s} out of range for {len(mults)} slots")
+    if line:
+        a, b = mults[slots[0]], mults[slots[1]]
+        if degree - a - b >= 0:
+            raise NotFixedError(f"line through slots {slots[0]},{slots[1]} of "
+                                f"{format_system(degree, mults)} is not fixed (d - mi - mj >= 0)")
+        w, new = -1, [a - 1, b - 1]
+    else:
+        a, b, c = mults[slots[0]], mults[slots[1]], mults[slots[2]]
+        w = degree - a - b - c
+        new = [a + w, b + w, c + w]
+    if degree + w < 0:
+        raise NegativeEntryError(None, degree + w)
+    if min(new) < 0:
+        raise NegativeEntryError(*next((s, m) for s, m in zip(slots, new) if m < 0))
+    return degree + w, new
+
+
 def cremona_vector(degree: int, mults: tuple[int, ...], i: int, j: int, k: int
                    ) -> tuple[int, tuple[int, ...]]:
     """Slot-level quadratic transformation on raw data; no reordering.
 
     Exact involution: applying the same (i, j, k) twice gives the input back.
     """
-    if len({i, j, k}) != 3:
-        raise ValueError(f"slots must be distinct, got {(i, j, k)}")
-    for s in (i, j, k):
-        if not 0 <= s < len(mults):
-            raise ValueError(f"slot {s} out of range for {len(mults)} slots")
-    w = degree - mults[i] - mults[j] - mults[k]
-    if degree + w < 0:
-        raise NegativeEntryError(None, degree + w)
+    new_degree, values = _moved(degree, mults, (i, j, k))
     new = list(mults)
-    for s in (i, j, k):
-        new[s] = mults[s] + w
-        if new[s] < 0:
-            raise NegativeEntryError(s, new[s])
-    assert vector_dim(degree + w, new) == vector_dim(degree, mults)
-    return degree + w, tuple(new)
+    new[i], new[j], new[k] = values
+    assert vector_dim(new_degree, new) == vector_dim(degree, mults)
+    return new_degree, tuple(new)
 
 
 def split_line_vector(degree: int, mults: tuple[int, ...], i: int, j: int
                       ) -> tuple[int, tuple[int, ...]]:
     """Slot-level removal of one copy of the fixed line through slots i and j."""
-    if i == j:
-        raise ValueError("slots must be distinct")
-    for s in (i, j):
-        if not 0 <= s < len(mults):
-            raise ValueError(f"slot {s} out of range for {len(mults)} slots")
-    mi, mj = mults[i], mults[j]
-    if degree - mi - mj >= 0:
-        raise NotFixedError(f"line through slots {i},{j} of {format_system(degree, mults)} "
-                            "is not fixed (d - mi - mj >= 0)")
-    if degree - 1 < 0:
-        raise NegativeEntryError(None, degree - 1)
+    new_degree, values = _moved(degree, mults, (i, j))
     new = list(mults)
-    for s in (i, j):
-        new[s] -= 1
-        if new[s] < 0:
-            raise NegativeEntryError(s, new[s])
+    new[i], new[j] = values
     # v changes by exactly mi + mj - d - 1, which is >= 0 under the precondition
-    delta = vector_dim(degree - 1, new) - vector_dim(degree, mults)
-    assert delta == mi + mj - degree - 1 and delta >= 0
-    return degree - 1, tuple(new)
+    delta = vector_dim(new_degree, new) - vector_dim(degree, mults)
+    assert delta == mults[i] + mults[j] - degree - 1 and delta >= 0
+    return new_degree, tuple(new)
 
 
 def cremona(L: LinearSystem, i: int, j: int, k: int) -> LinearSystem:
@@ -157,17 +166,6 @@ def next_move(degree: int, mults: tuple[int, ...]) -> Move | None:
 def is_standard(L: LinearSystem) -> bool:
     """No fixed line and the three largest multiplicities sum to at most d."""
     return next_move(L.degree, L.mults) is None
-
-
-def _step(degree: int, mults: tuple[int, ...], move: Move) -> tuple[int, tuple[int, ...]]:
-    """The degree and normalized multiplicities after ``move``."""
-    if move.kind == "cremona" and len(move.slots) == 3:
-        degree, mults = cremona_vector(degree, mults, *move.slots)
-    elif move.kind == "line" and len(move.slots) == 2:
-        degree, mults = split_line_vector(degree, mults, *move.slots)
-    else:
-        raise ValueError(f"unknown move kind {move.kind!r} on {len(move.slots)} slots")
-    return degree, normal_mults(mults)
 
 
 def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
@@ -220,11 +218,29 @@ def standard_reduce(L: LinearSystem) -> tuple[LinearSystem, tuple[Move, ...]]:
     return final, tuple(moves)
 
 
-def replay_transcript(moves: tuple[Move, ...], start: LinearSystem) -> LinearSystem:
+def replay_transcript(moves: Sequence[Move], start: LinearSystem) -> LinearSystem:
     """The system that ``moves`` reach from ``start``; raises ValueError on a move
-    that does not apply."""
+    that does not apply.  The state is ``p0`` then the descending tail, in one
+    list; a move is checked and applied on the values it touches alone."""
     start = start.normalize()
-    d, m = start.degree, start.mults
-    for move in moves:
-        d, m = _step(d, m, move)
-    return LinearSystem(d, m) if moves else start
+    if not moves:
+        return start
+    d, m = start.degree, list(start.mults)
+    gain = 0  # the change of virtual dimension so far
+    for kind, slots in moves:
+        if (kind, len(slots)) not in (("line", 2), ("cremona", 3)):
+            raise ValueError(f"unknown move kind {kind!r} on {len(slots)} slots")
+        new_d, new = _moved(d, m, slots)
+        if kind == "line":
+            gain += new[0] + new[1] - new_d  # mi + mj - d - 1
+        for s in sorted(slots, reverse=True):
+            if s:
+                del m[s]
+        for s, value in zip(slots, new):
+            if not s:
+                m[0] = value
+            elif value:
+                insort(m, value, 1, key=neg)
+        d = new_d
+    assert vector_dim(d, m) == virtual_dim(start) + gain, "replay lost a multiplicity"
+    return LinearSystem(d, tuple(m))

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable, Mapping
 
-from .core import LinearSystem, SystemParseError, expected_dim, intersect, parse_system
+from .core import LinearSystem, SystemParseError, expected_dim, parse_system
 from .cremona import (STANDARD_MOVES, Move, cremona_vector, is_standard, next_move,
                       replay_transcript, standard_reduce)
 from .neg_curves import (check_regime, hh_dimension, hh_prediction, is_catalog_curve,
@@ -150,17 +150,17 @@ def criterion_failure(rule: str, dims: Mapping[str, int], v: int,
 _BASE_CASES = ("no_conditions", "multiplicity_exceeds_degree", "standard_small")
 
 
-def _base_case(S: LinearSystem, kinds: tuple[str, ...]) -> dict | None:
+def _base_case(S: LinearSystem, kinds: tuple[str, ...], text: str | None = None) -> dict | None:
     """The leaf proving the dimension of ``S`` by the first base case among
-    ``kinds`` that ``S`` is, or None."""
+    ``kinds`` that ``S`` is, or None; ``text``, when given, is ``str(S)``."""
     d = S.degree
     for kind in kinds:
         if kind == "no_conditions" and S.base_points == 0:
-            return {"kind": kind, "system": str(S), "ell": d * (d + 3) // 2}
+            return {"kind": kind, "system": text or str(S), "ell": d * (d + 3) // 2}
         if kind == "multiplicity_exceeds_degree" and max(S.mults, default=0) > d:
-            return {"kind": kind, "system": str(S), "ell": -1}
+            return {"kind": kind, "system": text or str(S), "ell": -1}
         if kind == "standard_small" and S.base_points <= 9 and is_standard(S):
-            return {"kind": kind, "system": str(S), "points": S.base_points,
+            return {"kind": kind, "system": text or str(S), "points": S.base_points,
                     "ell": expected_dim(S)}
     return None
 
@@ -368,9 +368,9 @@ def check_certificate(cert: dict) -> None:
     recorded moves, splits and (k, b) choices are replayed and every claimed
     inequality is recomputed.  Only the top-level ``system`` and the split curves
     are parsed; every other system string it reads must equal :func:`format_system`
-    of the system the checker derives for it.  Of a reduction move it reads only
-    ``move`` and ``slots``.  A rank oracle leaf is recomputed from its prime, seed
-    and trial count.
+    of the system the checker derives for it, which it formats once.  Of a
+    reduction move it reads only ``move`` and ``slots``, in one pass over the
+    moves.  A rank oracle leaf is recomputed from its prime, seed and trial count.
     """
     _typed(cert, dict, "a certificate")
     try:
@@ -383,7 +383,8 @@ def check_certificate(cert: dict) -> None:
 
 def _check_verdict(cert: dict, system: LinearSystem) -> None:
     """:func:`check_certificate` on a certificate that must restate ``system`` canonically."""
-    _restates(cert["system"], system)
+    text = str(system)
+    _restates(cert["system"], text)
     status = cert["status"]
     if status == UNKNOWN:
         raise CertificateError("unknown verdicts carry no certificate")
@@ -391,7 +392,7 @@ def _check_verdict(cert: dict, system: LinearSystem) -> None:
     reason = status_failure(status, ell, system)
     if reason is not None:
         raise CertificateError(reason)
-    got = _check_node(cert["trace"], system)
+    got = _check_node(cert["trace"], system, text)
     if got != ell:
         raise CertificateError(f"trace for {system} proves ell={got}, verdict says {ell}")
 
@@ -406,13 +407,16 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _moves(raw) -> tuple[Move, ...]:
-    """The recorded reduction moves, each an object with a list of integer slots."""
+def _moves(raw) -> list[Move]:
+    """The recorded reduction moves, each an object with a list of integer slots,
+    read in one pass: the first move with a defect is the one reported."""
+    moves = []
     for data in _typed(raw, list, "the move list of a reduction"):
         slots = _typed(data, dict, "a reduction move")["slots"]
         for slot in _typed(slots, list, "the slot list of a move"):
             _typed(slot, int, "a move slot")
-    return tuple(Move.from_json(data) for data in raw)
+        moves.append(Move.from_json(data))
+    return moves
 
 
 def _system(text) -> LinearSystem:
@@ -423,32 +427,33 @@ def _system(text) -> LinearSystem:
         raise CertificateError(f"malformed system: {err}") from None
 
 
-def _restates(text, system: LinearSystem) -> None:
-    """Raise unless the certificate string ``text`` is the canonical form of ``system``."""
-    if text != str(system):
-        raise CertificateError(f"malformed system: got {text!r}, expected {system}")
+def _restates(text, canonical: str) -> None:
+    """Raise unless the certificate string ``text`` is the ``canonical`` string."""
+    if text != canonical:
+        raise CertificateError(f"malformed system: got {text!r}, expected {canonical}")
 
 
-def _check_node(node: dict, system: LinearSystem) -> int:
+def _check_node(node: dict, system: LinearSystem, text: str) -> int:  # text: str(system)
     _typed(node, dict, "a trace node")
-    _restates(node["system"], system)
+    _restates(node["system"], text)
     _typed(node["ell"], int, "the ell of a trace node")
     kind = node.get("kind")
     if kind in _BASE_CASES:
-        leaf = _base_case(system, (kind,))
+        leaf = _base_case(system, (kind,), text)
         if leaf is None:
             raise CertificateError(f"{system} is not a {kind} base case")
         return _rebuilt(node, leaf)
     if kind == "fixed_part_removal":
-        return _check_removal(node, system)
+        return _check_removal(node, system.degree, system.mults)
     if kind == "cremona_reduction":
         moves = _moves(node["moves"])
         try:
             final = replay_transcript(moves, system)
         except ValueError as err:
             raise CertificateError(f"reduction transcript: {err}") from None
-        _restates(node["final"], final)
-        got = _check_node(node["leaf"], final)
+        text = str(final)
+        _restates(node["final"], text)
+        got = _check_node(node["leaf"], final, text)
         if got != node["ell"]:
             raise CertificateError("reduction ell mismatch")
         return got
@@ -471,9 +476,9 @@ def _check_node(node: dict, system: LinearSystem) -> int:
 def _rebuilt(node: dict, leaf: dict) -> int:
     """The ``ell`` of ``leaf``; raises unless the recorded ``node`` equals it key for
     key, in value and in type (JSON ``true`` and ``1.0`` are no ``1``)."""
-    fields = [key for key in {**leaf, **node} if node.get(key) != leaf.get(key)
-              or type(node.get(key)) is not type(leaf.get(key))]
-    if fields:
+    if node != leaf or any(type(node[key]) is not type(value) for key, value in leaf.items()):
+        fields = [key for key in {**leaf, **node} if node.get(key) != leaf.get(key)
+                  or type(node.get(key)) is not type(leaf.get(key))]
         raise CertificateError(f"{leaf['kind']} leaf for {leaf['system']} differs from "
                                f"its recomputation in {', '.join(fields)}")
     return leaf["ell"]
@@ -506,7 +511,8 @@ def _split(raw, what: str, d: int, m: tuple[int, ...]):
     _typed(raw, dict, what)
     curve = _system(raw["curve"])
     n = _typed(raw["n"], int, "a split multiplicity")
-    if n < 1 or intersect(LinearSystem(d, m), curve) != -n:
+    # the pairing on raw data: zip stops where the shorter vector's zeros would pad
+    if n < 1 or d * curve.degree - sum(map(mul, m, curve.mults)) != -n:
         raise CertificateError(f"{what} {curve} x{n} does not meet its system in -n")
     # the walk takes ~sqrt(degree) moves, so it only confirms a catalog class
     if len(curve.mults) > len(m) or not is_catalog_curve(curve) or not _is_minus_one_curve(curve):
@@ -514,8 +520,7 @@ def _split(raw, what: str, d: int, m: tuple[int, ...]):
     return (curve, n, *split_off(d, m, n, curve.degree, curve.mults))
 
 
-def _check_removal(node: dict, system: LinearSystem) -> int:
-    d, m = system.degree, system.mults
+def _check_removal(node: dict, d: int, m: tuple[int, ...]) -> int:
     pieces = []
     for step in _typed(node["steps"], list, "the step list of a removal"):
         curve, n, d, m = _split(step, "a removal step", d, m)
@@ -531,7 +536,7 @@ def _check_removal(node: dict, system: LinearSystem) -> int:
             raise CertificateError("rejected removal must conclude emptiness, not speciality")
         return -1
     residual = LinearSystem(d, m)  # as the prover writes it: not normalized
-    _restates(node["residual"], residual)
+    _restates(node["residual"], str(residual))
     reason = speciality_failure(pieces, (d, m))
     if reason is not None:  # a removal proves speciality or emptiness, never expected values
         raise CertificateError(f"removal proves no speciality: {reason}")

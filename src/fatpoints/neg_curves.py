@@ -86,11 +86,13 @@ def _simple_classes(t: int) -> list[tuple[int, int, int, int]]:
 
 def is_catalog_curve(curve: LinearSystem) -> bool:
     """Whether ``curve`` in normal form is a simple class of the catalog (the
-    lines of the compounds among them): the curves the split chain writes."""
-    c = curve.normalize()
-    t = len(c.tail)
-    return any(c == LinearSystem(e, (a,) + (mu,) * r) for e, a, mu, r in _simple_classes(t)
-               if r == t)
+    lines of the compounds among them): the curves the split chain writes.
+    The class is compared by its shape ``(degree, m0, tail multiplicity, tail
+    points)``, zero tail entries ignored as normal form drops them."""
+    tail = [m for m in curve.tail if m]
+    t = len(tail)
+    return bool(tail) and tail.count(tail[0]) == t and \
+        (curve.degree, curve.m0, tail[0], t) in _simple_classes(t)
 
 
 def _curve(degree: int, m0: int, mult: int, slots: Sequence[int], width: int

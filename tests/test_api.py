@@ -124,7 +124,7 @@ SEARCH = {"recursive_dim", "_solve", "_solve_fresh", "_Ctx", "_try", "_scan_dege
 # Source lines of the definitions check_certificate reaches, constants and
 # decorators included.  A change that grows the closure raises this ceiling and
 # says why.
-CHECKER_CLOSURE_LINES = 942
+CHECKER_CLOSURE_LINES = 950
 
 
 def _closure(root: str) -> dict[str, list[ast.AST]]:
@@ -162,7 +162,7 @@ def test_checker_reaches_no_search_code():
 
 # Lines of src/fatpoints/*.py as ``wc -l`` counts them.  A change that grows the
 # package raises this ceiling and says why.
-SOURCE_LINES = 2727
+SOURCE_LINES = 2750
 
 
 def test_package_source_lines_within_ceiling():

@@ -511,6 +511,15 @@ class TestCertificateFlow:
         code, out, _ = run(capsys, "check-certificate", str(path))
         assert code == 0 and "certificate OK" in out
 
+    def test_long_transcript_round_trip(self, capsys, tmp_path):
+        # the reduction records 4400 moves on a vector of 3001 slots, so a replay
+        # that did O(n) work per move would take seconds here
+        path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "dim", "L(10000,9995,6^3000)", "--certificate", str(path))
+        assert code == 0 and json.loads(path.read_text())["status"] == "empty"
+        code, out, _ = run(capsys, "check-certificate", str(path))
+        assert code == 0 and "certificate OK" in out
+
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         run(capsys, "dim", "L(14,0,6^6)", "--certificate", str(path))

@@ -19,6 +19,22 @@ def L(text):
     return parse_system(text)
 
 
+def _counted(monkeypatch, names):
+    """A Counter of the calls the module makes to each of ``names`` from now on;
+    a name the module does not import counts none, as the module cannot call it."""
+    calls = Counter()
+    for name in names:
+        real = getattr(CREMONA, name, None)
+        if real is None:
+            continue
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(CREMONA, name, counting)
+    return calls
+
+
 class TestCremona:
     def test_p0_and_two_sixes(self):
         out = cremona(L("L(20,12,6^4)"), 0, 1, 2)
@@ -202,16 +218,27 @@ class TestStandardReduce:
 
     def test_whole_vector_work_once_per_run(self, monkeypatch):
         # a sort or a sum over the vector on every move would make thousands of calls
-        calls = Counter()
-        for name in ("vector_dim", "normal_mults", "next_move"):
-            def counting(*args, _name=name, _real=getattr(CREMONA, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(CREMONA, name, counting)
+        calls = _counted(monkeypatch, ("vector_dim", "normal_mults", "next_move"))
         _, moves = standard_reduce(L("L(10000,9995,6^3000)"))
         runs = 1 + sum(a != b for a, b in zip(moves, moves[1:]))
         assert (len(moves), runs) == (4400, 3)
         assert max(calls.values(), default=0) <= runs, calls
+
+    @pytest.mark.parametrize("name,n_moves,final", [
+        ("L(10000,9995,6^3000)", 4400, "L(4,0,5^200,4^2)"),
+        ("L(100000,99990,6^10000)", 5000, "L(90000,89990,4^10000)"),
+    ])
+    def test_replay_of_a_long_transcript_works_once_per_run(self, monkeypatch, name, n_moves,
+                                                            final):
+        # the replay checks each move on the values it touches; a copy, a sort or a
+        # sum over the vector on every move would make thousands of calls
+        reached, moves = standard_reduce(L(name))
+        assert reached == L(final) and len(moves) == n_moves
+        calls = _counted(monkeypatch, ("vector_dim", "virtual_dim", "normal_mults",
+                                       "format_system"))
+        assert replay_transcript(moves, L(name)) == L(final)
+        assert calls["vector_dim"] <= 1 and calls["virtual_dim"] <= 1, calls
+        assert calls["normal_mults"] == calls["format_system"] == 0, calls
 
     def test_normalize_keeps_a_canonical_system(self):
         for name in ("L(20,18,6^5)", "L(1,1,2^4,1)", "L(5,0)", "L(3)"):

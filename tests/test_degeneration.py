@@ -653,6 +653,24 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="slots"):
             check_certificate(cert)
 
+    @pytest.mark.parametrize("first,second,message", [
+        (None, 1.0, "missing field 'move'"),
+        ("1", None, "a move slot is an integer, got str"),
+        ("1", 1.0, "a move slot is an integer, got str"),
+    ])
+    def test_first_of_two_defective_moves_reported(self, first, second, message):
+        # the moves are read in one pass, so the earlier defect is the one reported;
+        # a defect is a slot of another type, or None: the move's kind deleted
+        cert = json.loads(recursive_dim(L("L(14,0,6^6)")).dumps())
+        for move, defect in zip(cert["trace"]["moves"], (first, second)):
+            if defect is None:
+                del move["move"]
+            else:
+                move["slots"][0] = defect
+        with pytest.raises(CertificateError) as err:
+            check_certificate(cert)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("field,value", [("k", 0), ("k", 21), ("b", -1), ("b", 10),
                                              ("b", 11)])
     def test_out_of_range_k_or_b_raises_certificate_error(self, field, value):

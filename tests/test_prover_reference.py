@@ -30,6 +30,11 @@ constructor does, so a float or a string of digits is refused.
 heaviest points and re-inserts only the values the move changed; it is held to
 ``reference_standard_reduce`` on a system for each of the seven moves, on ties,
 short tails and early stops, and on mixed tails of up to 200 points.
+
+``replay_transcript`` now keeps ``p0`` and the descending tail in one list and
+re-inserts only the values a move changes; it is held to
+``reference_replay_transcript`` on forged moves placed anywhere in vectors of
+up to 200 points, after a recorded reduction or from the start.
 """
 
 import json
@@ -453,6 +458,14 @@ mixed_tails = st.builds(
     lambda d, m0, tail: LinearSystem(d, (m0,) + tuple(tail)),
     st.integers(0, 60), st.integers(0, 70), st.lists(st.integers(1, 14), max_size=200))
 
+# Tails of 60 to 200 points, mixed as above, and numbers that pick slots of them:
+# long vectors for forged transcripts.
+wide_tails = st.builds(
+    lambda d, m0, tail: LinearSystem(d, (m0,) + tuple(tail)),
+    st.integers(0, 60), st.integers(0, 70), st.lists(st.integers(1, 14), min_size=60,
+                                                     max_size=200))
+slot_number = st.integers(-1, 200)
+
 raw_numbers = st.one_of(st.integers(-5, 50), st.floats(), st.booleans(),
                         st.sampled_from(["7", " 3 ", "x", "", None, 2 ** 70]))
 
@@ -632,6 +645,26 @@ class TestReplayMatchesReference:
     @given(st.one_of(systems, quasi_homogeneous), st.lists(forged_moves, max_size=6))
     def test_random_transcripts(self, sys, plan):
         moves = forge(plan)
+        assert outcome(replay_transcript, moves, sys) == \
+            outcome(reference_replay_transcript, moves, sys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(long_tails, mixed_tails, wide_tails), st.booleans(),
+           st.lists(st.one_of(st.tuples(st.just("cremona"), st.tuples(*[slot_number] * 3)),
+                              st.tuples(st.just("line"), st.tuples(slot_number, slot_number))),
+                    max_size=8))
+    def test_forged_slots_across_long_vectors(self, sys, recorded, plan):
+        """Moves on slots anywhere in the vector, from its start or after its
+        recorded reduction.  The numbers of a move pick distinct slots of the
+        vector that the moves before it reach (-1 stays out of range), so that
+        values leave and re-enter the tail at any place."""
+        moves = standard_reduce(sys)[1] if recorded else ()
+        for kind, numbers in plan:
+            reached = outcome(reference_replay_transcript, moves, sys)
+            width = len(reached[1].mults) if reached[0] == "value" else 0
+            free = list(range(width))  # each number picks one of the slots not yet taken
+            moves += (Move(kind, tuple(free.pop(x % len(free)) if x >= 0 and free else x
+                                       for x in numbers)),)
         assert outcome(replay_transcript, moves, sys) == \
             outcome(reference_replay_transcript, moves, sys)
 
